@@ -25,6 +25,7 @@
 #include "bench_util.hpp"
 #include "cluster/allreduce.hpp"
 #include "cluster/cluster.hpp"
+#include "sim/digest.hpp"
 
 namespace {
 
@@ -42,29 +43,23 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
 }
 
-/// FNV-1a over every worker's result gradients plus the completion count
-/// and final simulated clock — the fingerprint the shard sweep compares.
+/// Every worker's result gradients plus the completion count and final
+/// simulated clock — the fingerprint the shard sweep compares.
 std::uint64_t results_digest(const cluster::AllreduceRun& run,
                              sim::Time final_now) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  eat(std::uint64_t(run.finished));
-  eat(std::uint64_t(run.finish.ns()));
-  eat(std::uint64_t(final_now.ns()));
+  sim::Digest d;
+  d.u64(std::uint64_t(run.finished))
+      .u64(std::uint64_t(run.finish.ns()))
+      .u64(std::uint64_t(final_now.ns()));
   for (const trioml::AllreduceResult& r : run.results) {
-    eat(r.grads.size());
+    d.u64(r.grads.size());
     for (float g : r.grads) {
       std::uint32_t bits;
       __builtin_memcpy(&bits, &g, sizeof bits);
-      eat(bits);
+      d.u64(bits);
     }
   }
-  return h;
+  return d.value();
 }
 
 cluster::ClusterSpec make_spec(const Topology& topo, int shards) {

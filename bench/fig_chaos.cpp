@@ -8,7 +8,9 @@
 // crashes one worker mid-allreduce, exercising the excluded-worker
 // semantics: convergence is then over the 7 survivors. Every point is
 // run twice and the fault-log digests compared, so the bench doubles as
-// a determinism check.
+// a determinism check. Points run through the scenario runner
+// (vigil::run_schedule, docs/vigil.md "The runner"), so each is also
+// swept by the invariant catalogue and the progress watchdog.
 //
 //   fig_chaos [--quick] [--json-out=<file>]   # BENCH_chaos.json in CI
 #include <cstdio>
@@ -17,10 +19,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cluster/allreduce.hpp"
-#include "cluster/cluster.hpp"
-#include "faults/injector.hpp"
 #include "faults/schedule.hpp"
+#include "vigil/runner.hpp"
 
 namespace {
 
@@ -39,24 +39,25 @@ struct Outcome {
   std::uint64_t faults = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t digest = 0;
+  std::vector<vigil::Violation> violations;
 };
 
-Outcome run_point(const Point& p, std::size_t blocks) {
-  cluster::ClusterSpec spec;
-  spec.racks = 2;
-  spec.workers_per_rack = 4;
-  spec.grads_per_packet = 1024;
+Outcome run_point(const Point& p, int blocks) {
+  vigil::Scenario sc;
+  sc.cluster.racks = 2;
+  sc.cluster.workers_per_rack = 4;
+  sc.cluster.grads_per_packet = 1024;
+  sc.blocks = blocks;
+  // The figure's own recovery policy: a gentler backoff than the
+  // runner's default, and no give-up (every block waits for aging).
+  vigil::Hardening hardening;
+  hardening.initial_timeout = sim::Duration::millis(5);
+  hardening.retry_budget = 10;
+  hardening.backoff_max = sim::Duration::millis(20);
+  hardening.give_up = sim::Duration::zero();
+  sc.hardening = hardening;
 
-  cluster::Cluster cl(spec);
-  const int workers = spec.total_workers();
-  for (int w = 0; w < workers; ++w) {
-    cl.worker(w).enable_hardened_retransmit(sim::Duration::millis(5),
-                                            /*retry_budget=*/10,
-                                            sim::Duration::millis(20));
-  }
-  cl.start_straggler_detection(/*threads=*/10, sim::Duration::millis(1));
-
-  faults::FaultSchedule schedule;
+  faults::FaultSchedule& schedule = sc.schedule;
   if (p.intensity > 0) {
     net::GilbertElliott ge;
     ge.p_enter = 0.01 * p.intensity;
@@ -72,28 +73,23 @@ Outcome run_point(const Point& p, std::size_t blocks) {
     schedule.crash(sim::Time() + sim::Duration::micros(50), 5);
   }
 
-  faults::FaultInjector injector(cl.simulator(), nullptr);
-  injector.bind(cl);
-  injector.arm(schedule);
-
-  const auto grads = cluster::patterned_gradients(
-      workers, blocks * spec.grads_per_packet);
-  const auto run = cluster::run_allreduce(
-      cl, grads, /*gen_id=*/1, sim::Time(sim::Duration::millis(200).ns()));
-  cl.stop_straggler_detection();
+  vigil::Built built;
+  const vigil::RunReport report = vigil::run_schedule(sc, &built);
+  const cluster::AllreduceRun& run = built.allreduce;
 
   Outcome out;
   out.convergence_us = run.duration_us();
   out.finished = run.finished;
-  for (int w = 0; w < workers; ++w) {
-    out.retransmits += cl.worker(w).retransmissions();
-    out.backoff_rearms += cl.worker(w).backoff_rearms();
-    out.budget_exhausted += cl.worker(w).retry_budget_exhausted();
+  out.retransmits = report.retransmissions;
+  for (int w = 0; w < sc.cluster.total_workers(); ++w) {
+    out.backoff_rearms += built.cluster->worker(w).backoff_rearms();
+    out.budget_exhausted += built.cluster->worker(w).retry_budget_exhausted();
   }
   for (const auto& r : run.results) out.degraded_blocks += r.degraded_blocks;
-  out.faults = injector.faults_injected();
-  out.recoveries = injector.recoveries();
-  out.digest = injector.digest();
+  out.faults = built.injector->faults_injected();
+  out.recoveries = built.injector->recoveries();
+  out.digest = report.fault_digest;
+  out.violations = report.violations;
   return out;
 }
 
@@ -105,7 +101,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   const std::string json_out = benchutil::parse_json_out_flag(argc, argv);
-  const std::size_t blocks = quick ? 16 : 64;
+  const int blocks = quick ? 16 : 64;
 
   benchutil::banner(
       "Chaos sweep: fault intensity vs time-to-convergence",
@@ -129,6 +125,11 @@ int main(int argc, char** argv) {
     if (!deterministic) ++failures;
     const int expected = 8 - (p.crash ? 1 : 0);
     if (a.finished < expected) ++failures;
+    for (const vigil::Violation& v : a.violations) {
+      std::printf("invariant %s tripped at %s: %s\n", v.invariant.c_str(),
+                  v.at.to_string().c_str(), v.detail.c_str());
+      ++failures;
+    }
 
     benchutil::row({benchutil::fmt(p.intensity, 1), p.crash ? "yes" : "no",
                     benchutil::fmt(a.convergence_us),
@@ -156,7 +157,8 @@ int main(int argc, char** argv) {
                 json_out.c_str());
   }
   if (failures != 0) {
-    std::printf("\n%d sweep point(s) failed determinism/convergence\n",
+    std::printf("\n%d sweep check(s) failed determinism/convergence/"
+                "invariants\n",
                 failures);
     return 1;
   }

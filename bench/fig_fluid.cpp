@@ -38,6 +38,7 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "jobs/fluid.hpp"
+#include "sim/digest.hpp"
 
 namespace {
 
@@ -51,47 +52,21 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
 }
 
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
+/// Result values only (the tenant-digest shape trio-run reports): what
+/// the computation produced, independent of when.
+std::uint64_t values_digest(const cluster::AllreduceRun& run) {
+  return cluster::results_digest(run.results);
 }
 
-/// FNV-1a over results, completion count, finish time and final clock —
-/// timing included, so scheduling divergence shows even when values agree.
+/// Result values plus finish time and final clock — timing included, so
+/// scheduling divergence shows even when values agree.
 std::uint64_t results_digest(const cluster::AllreduceRun& run,
                              sim::Time final_now) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv(h, std::uint64_t(run.finished));
-  h = fnv(h, std::uint64_t(run.finish.ns()));
-  h = fnv(h, std::uint64_t(final_now.ns()));
-  for (const trioml::AllreduceResult& r : run.results) {
-    h = fnv(h, r.grads.size());
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      h = fnv(h, bits);
-    }
-  }
-  return h;
-}
-
-/// FNV-1a over result values only (the tenant-digest shape trio-run
-/// reports): what the computation produced, independent of when.
-std::uint64_t values_digest(const cluster::AllreduceRun& run) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv(h, std::uint64_t(run.finished));
-  for (const trioml::AllreduceResult& r : run.results) {
-    h = fnv(h, r.grads.size());
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      h = fnv(h, bits);
-    }
-  }
-  return h;
+  return sim::Digest()
+      .u64(std::uint64_t(run.finish.ns()))
+      .u64(std::uint64_t(final_now.ns()))
+      .u64(values_digest(run))
+      .value();
 }
 
 cluster::ClusterSpec make_spec(int racks, int workers_per_rack, int shards) {

@@ -3,18 +3,28 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/digest.hpp"
 #include "trioml/testbed.hpp"
 
 namespace cluster {
 
-AllreduceRun run_allreduce(Cluster& cluster,
-                           const std::vector<std::vector<std::uint32_t>>& grads,
-                           std::uint16_t gen_id, sim::Time deadline) {
+void AllreduceRun::tally() {
+  finished = 0;
+  for (const auto& r : results) {
+    if (!r.grads.empty()) ++finished;
+    if (r.finish > finish) finish = r.finish;
+  }
+}
+
+void start_allreduce(Cluster& cluster,
+                     const std::vector<std::vector<std::uint32_t>>& grads,
+                     std::uint16_t gen_id, AllreduceRun& run) {
   const int n = cluster.num_workers();
   if (static_cast<int>(grads.size()) != n) {
-    throw std::invalid_argument("run_allreduce: one gradient vector per worker");
+    throw std::invalid_argument(
+        "start_allreduce: one gradient vector per worker");
   }
-  AllreduceRun run;
+  run = AllreduceRun{};
   run.results.resize(std::size_t(n));
   run.start = cluster.simulator().now();
   run.finish = run.start;
@@ -22,22 +32,25 @@ AllreduceRun run_allreduce(Cluster& cluster,
     run.gradient_bytes += std::uint64_t(grads[std::size_t(w)].size()) * 4;
     // The completion callback runs on worker w's shard thread; it touches
     // only its own results element (disjoint writes, published by the
-    // engine's end-of-run synchronisation). The rollups happen below,
-    // after run() returns.
+    // engine's end-of-run synchronisation). The rollups happen in tally().
     cluster.worker(w).start_allreduce(
         grads[std::size_t(w)], gen_id, [&run, w](trioml::AllreduceResult r) {
           run.results[std::size_t(w)] = std::move(r);
         });
   }
+}
+
+AllreduceRun run_allreduce(Cluster& cluster,
+                           const std::vector<std::vector<std::uint32_t>>& grads,
+                           std::uint16_t gen_id, sim::Time deadline) {
+  AllreduceRun run;
+  start_allreduce(cluster, grads, gen_id, run);
   if (deadline == sim::Time::max()) {
     cluster.simulator().run();
   } else {
     cluster.simulator().run_until(deadline);
   }
-  for (const auto& r : run.results) {
-    if (!r.grads.empty()) ++run.finished;
-    if (r.finish > run.finish) run.finish = r.finish;
-  }
+  run.tally();
   return run;
 }
 
@@ -95,6 +108,16 @@ bool bit_identical(const std::vector<trioml::AllreduceResult>& a,
     }
   }
   return true;
+}
+
+std::uint64_t results_digest(
+    const std::vector<trioml::AllreduceResult>& results) {
+  sim::Digest d;
+  for (const auto& r : results) {
+    const std::uint32_t n = std::uint32_t(r.grads.size());
+    d.bytes(&n, sizeof(n)).bytes(r.grads.data(), r.grads.size() * sizeof(float));
+  }
+  return d.value();
 }
 
 std::vector<double> inject_stragglers(Cluster& cluster,

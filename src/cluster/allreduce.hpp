@@ -32,12 +32,22 @@ struct AllreduceRun {
     const double ns = double((finish - start).ns());
     return ns <= 0 ? 0 : double(gradient_bytes) * 8.0 / ns;
   }
+  /// Rolls `finished` and `finish` up from `results` once the simulator
+  /// is parked.
+  void tally();
 };
 
 /// Starts an allreduce of `grads[w]` on every worker `w` (size must equal
-/// Cluster::num_workers()) and runs the simulation until the event queue
-/// drains, or until `deadline` when timer threads (straggler detection,
-/// trace sampling) keep the queue non-empty.
+/// Cluster::num_workers()), recording into `run`, which must stay in place
+/// while the workers run. Each completion writes only its own `results`
+/// element, so any shard count is safe; call run.tally() afterwards.
+void start_allreduce(Cluster& cluster,
+                     const std::vector<std::vector<std::uint32_t>>& grads,
+                     std::uint16_t gen_id, AllreduceRun& run);
+
+/// start_allreduce() on every worker, then runs the simulation until the
+/// event queue drains, or until `deadline` when timer threads (straggler
+/// detection, trace sampling) keep the queue non-empty.
 AllreduceRun run_allreduce(Cluster& cluster,
                            const std::vector<std::vector<std::uint32_t>>& grads,
                            std::uint16_t gen_id = 1,
@@ -59,6 +69,12 @@ std::vector<trioml::AllreduceResult> testbed_baseline(
 /// True when every worker's result gradients match bit-for-bit.
 bool bit_identical(const std::vector<trioml::AllreduceResult>& a,
                    const std::vector<trioml::AllreduceResult>& b);
+
+/// sim::Digest over every result in order — its gradient count as a u32,
+/// then its gradient bytes (an unfinished worker folds a zero count). The
+/// fingerprint jobs::TenantRun::digest() reports for allreduce tenants.
+std::uint64_t results_digest(
+    const std::vector<trioml::AllreduceResult>& results);
 
 /// Applies one iteration of the Slow Worker Pattern (paper §6.1) to the
 /// cluster's workers: each drawn delay becomes a transmission stall on

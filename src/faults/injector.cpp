@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "cluster/cluster.hpp"
+#include "sim/digest.hpp"
 #include "trio/router.hpp"
 #include "trioml/app.hpp"
 #include "trioml/host.hpp"
@@ -403,21 +404,11 @@ void FaultInjector::execute(const FaultEvent& event) {
 }
 
 std::uint64_t FaultInjector::digest() const {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  sim::Digest d;
   for (const LogEntry& entry : log_) {
-    eat(std::uint64_t(entry.at.ns()));
-    for (char c : entry.what) {
-      h ^= std::uint8_t(c);
-      h *= 1099511628211ull;
-    }
+    d.u64(std::uint64_t(entry.at.ns())).str(entry.what);
   }
-  return h;
+  return d.value();
 }
 
 }  // namespace faults

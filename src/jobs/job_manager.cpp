@@ -1,33 +1,22 @@
 #include "jobs/job_manager.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
+#include "cluster/allreduce.hpp"
 #include "faults/injector.hpp"
 #include "jobs/fluid.hpp"
+#include "sim/digest.hpp"
 #include "trioml/addressing.hpp"
 
 namespace jobs {
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_values(std::uint64_t& h, const std::vector<std::uint32_t>& values) {
+/// Folds a value vector as its u32 length then its words.
+void fold_values(sim::Digest& d, const std::vector<std::uint32_t>& values) {
   const std::uint32_t n = std::uint32_t(values.size());
-  fnv_bytes(h, &n, sizeof(n));
-  if (!values.empty()) {
-    fnv_bytes(h, values.data(), values.size() * sizeof(std::uint32_t));
-  }
+  d.bytes(&n, sizeof(n)).bytes(values.data(),
+                               values.size() * sizeof(std::uint32_t));
 }
 
 /// Deterministic PUT payload: depends only on (tenant, key, sequence, i),
@@ -47,16 +36,8 @@ std::vector<std::uint32_t> netrpc_put_values(TenantId id, std::uint64_t key,
 }  // namespace
 
 std::uint64_t TenantRun::digest() const {
-  if (kind == TenantKind::kNetRpc) return netrpc.value_digest;
-  std::uint64_t h = kFnvBasis;
-  for (const auto& res : results) {
-    const std::uint32_t n = std::uint32_t(res.grads.size());
-    fnv_bytes(h, &n, sizeof(n));
-    if (!res.grads.empty()) {
-      fnv_bytes(h, res.grads.data(), res.grads.size() * sizeof(float));
-    }
-  }
-  return h;
+  if (kind == TenantKind::kNetRpc) return netrpc.value_digest.value();
+  return cluster::results_digest(results);
 }
 
 const TenantRun* MultiTenantRun::tenant(TenantId id) const {
@@ -68,6 +49,13 @@ const TenantRun* MultiTenantRun::tenant(TenantId id) const {
 
 JobManager::JobManager(cluster::Cluster& cluster)
     : cluster_(cluster), sim_(cluster.simulator()) {
+  // run()'s completion callbacks count finished workers and clients in
+  // state shared by every tenant; at more than one shard they would fire
+  // on different shard threads (docs/performance.md "When `--shards 1` is
+  // required").
+  if (cluster_.num_shards() > 1) {
+    throw std::logic_error("JobManager: multi-tenant runs require --shards 1");
+  }
   // Re-target every host downlink at a mux; the built-in worker keeps
   // receiving the cluster's own job through it, additional tenants
   // register their workers as they are admitted.
@@ -542,15 +530,10 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
     }
   }
 
-  // Chunked run: best-effort sources (and fluid wakeups) keep the event
-  // queue non-empty, so poll the completion count instead of waiting for
-  // a drain.
-  const sim::Duration chunk = sim::Duration::millis(1);
-  while (remaining > 0 && sim_.now() < deadline) {
-    const sim::Time next =
-        sim_.now() + chunk < deadline ? sim_.now() + chunk : deadline;
-    sim_.run_until(next);
-  }
+  // Best-effort sources (and fluid wakeups) keep the event queue
+  // non-empty, so poll the completion count instead of waiting for a
+  // drain.
+  sim_.run_until_done(deadline, [&remaining] { return remaining <= 0; });
   for (TenantId id : admission_order_) {
     for (auto& source : tenants_.at(id).sources) source->stop();
   }
@@ -594,7 +577,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
         client->put(key, netrpc_put_values(id, key, seq + 1, words),
                     [this, &tr, d, key](netrpc::PutResult) {
                       ++tr.netrpc.puts;
-                      fnv_bytes(tr.netrpc.value_digest, &key, sizeof(key));
+                      tr.netrpc.value_digest.bytes(&key, sizeof(key));
                       d->pump();
                     });
         return;
@@ -609,7 +592,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
           } else {
             tr.netrpc.get_miss_latency_us.add(res.latency.us());
           }
-          fnv_values(tr.netrpc.value_digest, res.values);
+          fold_values(tr.netrpc.value_digest, res.values);
           d->pump();
         });
         return;
@@ -626,8 +609,8 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
                        const std::uint8_t meta[2] = {
                            res.server_cnt,
                            std::uint8_t(res.degraded ? 1 : 0)};
-                       fnv_bytes(tr.netrpc.value_digest, meta, sizeof(meta));
-                       fnv_values(tr.netrpc.value_digest, res.values);
+                       tr.netrpc.value_digest.bytes(meta, sizeof(meta));
+                       fold_values(tr.netrpc.value_digest, res.values);
                        d->pump();
                      });
       }

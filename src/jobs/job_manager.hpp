@@ -31,6 +31,7 @@
 #include "jobs/tenant.hpp"
 #include "netrpc/app.hpp"
 #include "netrpc/host.hpp"
+#include "sim/digest.hpp"
 
 namespace faults {
 class FaultInjector;
@@ -52,9 +53,9 @@ struct NetRpcRun {
   std::uint64_t gets = 0;
   std::uint64_t cached_gets = 0;    // answered by the PFE's hot-key cache
   std::uint64_t puts = 0;
-  /// FNV-1a over every completed op's merged/returned values in
-  /// completion order — the netrpc golden digest.
-  std::uint64_t value_digest = 14695981039346656037ull;
+  /// Every completed op's merged/returned values in completion order —
+  /// the netrpc golden digest.
+  sim::Digest value_digest;
   sim::Samples call_latency_us;
   sim::Samples get_hit_latency_us;
   sim::Samples get_miss_latency_us;
@@ -75,9 +76,9 @@ struct TenantRun {
   sim::Time finish;  // last result arrival (or the deadline)
 
   double duration_us() const { return (finish - start).us(); }
-  /// FNV-1a fingerprint: over every worker's result gradients in order
-  /// for allreduce tenants, over every op's values in completion order
-  /// for netrpc tenants (equal across deterministic replays).
+  /// sim::Digest fingerprint: cluster::results_digest() for allreduce
+  /// tenants, over every op's values in completion order for netrpc
+  /// tenants (equal across deterministic replays).
   std::uint64_t digest() const;
 };
 
@@ -92,7 +93,8 @@ class JobManager {
  public:
   /// Installs a HostMux on every host downlink (the Cluster's built-in
   /// workers keep receiving their job's traffic through it). The cluster
-  /// must outlive the manager.
+  /// must outlive the manager and run on one shard (throws
+  /// std::logic_error otherwise).
   explicit JobManager(cluster::Cluster& cluster);
 
   /// Admits one tenant. Allreduce tenants get a job record on every

@@ -187,8 +187,7 @@ void RpcClient::arm_retransmit(std::uint32_t rpc_id) {
       });
 }
 
-void RpcClient::host_merge(PendingCall& call, const NetRpcHeader& hdr,
-                           const net::Buffer& frame) {
+void RpcClient::host_merge(PendingCall& call, const net::Buffer& frame) {
   const std::size_t n = config_.value_words;
   if (call.acc.empty()) {
     call.acc.assign(n, config_.policy == MergePolicy::kMin ? 0xffffffffu : 0u);
@@ -255,7 +254,7 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       // No merge on the path: reduce host-side, complete at full fan-in.
       auto it = calls_.find(hdr.rpc_id);
       if (it == calls_.end()) return;
-      host_merge(it->second, hdr, frame);
+      host_merge(it->second, frame);
       if (it->second.arrived < config_.server_ips.size()) return;
       CallResult res;
       res.rpc_id = hdr.rpc_id;

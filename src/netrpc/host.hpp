@@ -169,8 +169,7 @@ class RpcClient : public net::Node {
   /// free, or the aggregating PFE would merge two calls into each other).
   std::uint32_t alloc_call_id();
   void arm_retransmit(std::uint32_t rpc_id);
-  void host_merge(PendingCall& call, const NetRpcHeader& hdr,
-                  const net::Buffer& frame);
+  void host_merge(PendingCall& call, const net::Buffer& frame);
   std::uint8_t home_server(std::uint64_t user_key) const {
     return static_cast<std::uint8_t>(user_key % config_.server_ips.size());
   }

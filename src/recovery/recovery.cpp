@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/digest.hpp"
+
 namespace recovery {
 
 RecoveryManager::RecoveryManager(cluster::Cluster& cluster,
@@ -114,22 +116,12 @@ void RecoveryManager::record(const std::string& what, bool recovery) {
 
 std::uint64_t RecoveryManager::digest() const {
   // Fold the liveness log and the action log into one fingerprint, the
-  // same FNV-1a idiom as FaultInjector::digest().
-  std::uint64_t h = monitor_.digest();
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  // same shape as FaultInjector::digest().
+  sim::Digest d(monitor_.digest());
   for (const LogEntry& entry : log_) {
-    eat(std::uint64_t(entry.at.ns()));
-    for (char c : entry.what) {
-      h ^= std::uint8_t(c);
-      h *= 1099511628211ull;
-    }
+    d.u64(std::uint64_t(entry.at.ns())).str(entry.what);
   }
-  return h;
+  return d.value();
 }
 
 }  // namespace recovery

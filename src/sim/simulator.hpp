@@ -52,6 +52,18 @@ class Simulator {
   /// even if the queue drains earlier. Returns the number of events run.
   std::uint64_t run_until(Time deadline);
 
+  /// run_until() in 1 ms slices until `done()` holds or the clock reaches
+  /// `deadline` — for runs whose timers (straggler scans, traffic
+  /// sources, fluid wakeups) keep the queue from draining when the work
+  /// is done. `done` is polled with the engine parked.
+  template <class Done>
+  void run_until_done(Time deadline, Done&& done) {
+    const Duration slice = Duration::millis(1);
+    while (!done() && now_ < deadline) {
+      run_until(now_ + slice < deadline ? now_ + slice : deadline);
+    }
+  }
+
   /// Runs at most `max_events` events. Returns the number run. Standalone
   /// simulators only (throws std::logic_error on an engine shard, where
   /// event counts are only meaningful globally).

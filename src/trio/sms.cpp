@@ -188,13 +188,11 @@ std::uint64_t SharedMemorySystem::tenant_quota(std::uint8_t tenant) const {
   return it == tenant_accounts_.end() ? ~0ull : it->second.quota;
 }
 
-sim::Duration SharedMemorySystem::tier_latency(std::uint64_t addr,
-                                               std::size_t touched_bytes) {
+sim::Duration SharedMemorySystem::tier_latency(std::uint64_t addr) {
   if (addr < cal_.sram_bytes) return cal_.sram_latency;
   // DRAM region: consult the direct-mapped on-chip cache model.
   const std::uint64_t line = addr / cal_.bank_interleave;
   const std::uint64_t slot = line % dram_cache_tags_.size();
-  (void)touched_bytes;
   if (dram_cache_tags_[slot] == line) {
     ++cache_hits_;
     return cal_.dram_cache_latency;
@@ -405,9 +403,7 @@ sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnCallback cb) {
                      static_cast<double>(bank.busy_cycles));
   }
 
-  const std::size_t touched =
-      req.len != 0 ? req.len : (req.data.empty() ? 8 : req.data.size());
-  const sim::Time reply_at = bank.free_at + tier_latency(req.addr, touched);
+  const sim::Time reply_at = bank.free_at + tier_latency(req.addr);
   if (cb) {
     sim_.schedule_at(reply_at,
                      [cb = std::move(cb), reply = std::move(reply)]() mutable {

@@ -124,7 +124,7 @@ class SharedMemorySystem {
     std::string trace_name;  // set when tracing ("sms.bank03")
   };
 
-  sim::Duration tier_latency(std::uint64_t addr, std::size_t touched_bytes);
+  sim::Duration tier_latency(std::uint64_t addr);
   int service_cycles(const XtxnRequest& req) const;
   void apply(const XtxnRequest& req, XtxnReply& reply);
   void check_addr(std::uint64_t addr, std::size_t len) const;

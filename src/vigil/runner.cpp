@@ -1,60 +1,37 @@
 #include "vigil/runner.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
-#include <map>
-#include <optional>
 #include <sstream>
-#include <utility>
+#include <stdexcept>
 
-#include "cluster/allreduce.hpp"
-#include "cluster/cluster.hpp"
-#include "faults/injector.hpp"
-#include "jobs/fluid.hpp"
-#include "jobs/job_manager.hpp"
-#include "jobs/tenant.hpp"
 #include "netrpc/app.hpp"
 #include "netrpc/host.hpp"
-#include "recovery/recovery.hpp"
 
 namespace vigil {
 namespace {
 
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t digest_results(
-    const std::vector<std::optional<trioml::AllreduceResult>>& results) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& res : results) {
-    if (!res) continue;
-    for (float g : res->grads) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &g, sizeof(bits));
-      h = fnv_fold(h, bits);
-    }
-  }
-  return h;
-}
+/// Watchdog sampling cadence and the no-progress window that trips it.
+/// The window exceeds every legitimate quiet period: under the default
+/// Hardening a block's retries back off 1+2+4+8+8+8 ms (31 ms, 37 ms at
+/// +20% jitter) before the 10 ms give-up grace completes it degraded.
+constexpr sim::Duration kWatchdogStep = sim::Duration::millis(2);
+constexpr sim::Duration kWatchdogWindow = sim::Duration::millis(60);
+/// Simulated time granted after the run for the drain phase (timers
+/// stopped, queue runs dry) before the quiescence checks.
+constexpr sim::Duration kDrainGrace = sim::Duration::millis(60);
 
 /// Simulated-time progress watchdog (docs/vigil.md): samples a "useful
-/// work" counter every `step`; no change for longer than `window` while
-/// participants are still busy trips it — as a livelock when raw frame
-/// churn kept flowing (futile retransmit storm), as a deadlock when
-/// nothing moved at all.
+/// work" counter every kWatchdogStep; no change for longer than
+/// kWatchdogWindow while participants are still busy trips it — as a
+/// livelock when raw frame churn kept flowing (futile retransmit storm),
+/// as a deadlock when nothing moved at all. Ticks are global actions, so
+/// they read every shard's state with the engine parked.
 struct Watchdog {
-  sim::Simulator& sim;
+  cluster::Cluster& cl;
   std::function<std::uint64_t()> useful;
   std::function<std::uint64_t()> churn;
   std::function<bool()> busy;
-  sim::Duration step;
-  sim::Duration window;
   sim::Time deadline;
   std::vector<Violation>* out;
 
@@ -64,14 +41,15 @@ struct Watchdog {
   std::uint64_t last_useful = 0;
   std::uint64_t churn_at_useful = 0;
 
+  sim::Time now() { return cl.simulator().now(); }
   void start() {
-    last_useful_at = sim.now();
+    last_useful_at = now();
     last_useful = useful();
     churn_at_useful = churn();
     arm();
   }
   void arm() {
-    sim.schedule_in(step, [this] { tick(); });
+    cl.engine().schedule_global(now() + kWatchdogStep, [this] { tick(); });
   }
   void tick() {
     if (stopped) return;
@@ -79,185 +57,167 @@ struct Watchdog {
     const std::uint64_t c = churn();
     if (u != last_useful) {
       last_useful = u;
-      last_useful_at = sim.now();
+      last_useful_at = now();
       churn_at_useful = c;
     }
-    if (!tripped && busy() && sim.now() - last_useful_at > window) {
+    if (!tripped && busy() && now() - last_useful_at > kWatchdogWindow) {
       tripped = true;
       const bool live = c != churn_at_useful;
       std::ostringstream os;
-      os << "no useful progress for "
-         << (sim.now() - last_useful_at).us() << " us with participants "
-         << "still busy (" << (c - churn_at_useful)
+      os << "no useful progress for " << (now() - last_useful_at).us()
+         << " us with participants still busy (" << (c - churn_at_useful)
          << " frame(s) of futile churn since)";
       out->push_back(Violation{live ? "watchdog-livelock"
                                     : "watchdog-deadlock",
-                               os.str(), sim.now()});
+                               os.str(), now()});
     }
-    if (sim.now() + step <= deadline) arm();
+    if (now() + kWatchdogStep <= deadline) arm();
   }
 };
 
-struct Baseline {
-  bool valid = false;
-  /// Participant id -> fault-free digest (0 = the failover single job,
-  /// otherwise the allreduce tenant id).
-  std::map<int, std::uint64_t> digests;
-};
+}  // namespace
 
-RunReport run_impl(const RunConfig& config,
-                   const faults::FaultSchedule& schedule, bool check_golden);
+Scenario profile_scenario(Profile profile, int blocks_per_worker) {
+  const ScenarioShape shape = profile_shape(profile);
+  Scenario sc;
+  sc.cluster.racks = shape.racks;
+  sc.cluster.workers_per_rack = shape.workers_per_rack;
+  sc.cluster.backup_spine = shape.has_backup_spine;
+  sc.blocks = blocks_per_worker;
+  sc.deadline = sim::Time() + sim::Duration::millis(120);
+  sc.hardening = Hardening{};
 
-const Baseline& baseline_for(const RunConfig& config) {
-  static std::map<std::pair<int, int>, Baseline> cache;
-  const auto key = std::make_pair(int(config.profile),
-                                  config.blocks_per_worker);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  RunConfig base = config;
-  base.plant_wedge_bug = false;
-  const RunReport rep = run_impl(base, faults::FaultSchedule(), false);
-  Baseline b;
-  b.valid = rep.converged && rep.violations.empty() && rep.crashed == 0 &&
-            rep.degraded_blocks == 0 && rep.abandoned_blocks == 0;
-  for (const auto& [id, digest] : rep.digests) b.digests[id] = digest;
-  return cache.emplace(key, std::move(b)).first->second;
-}
-
-void harden(trioml::TrioMlWorker& worker, const RunConfig& config) {
-  worker.enable_hardened_retransmit(sim::Duration::millis(1),
-                                    /*retry_budget=*/6,
-                                    sim::Duration::millis(8));
-  if (!config.plant_wedge_bug) {
-    worker.enable_give_up(sim::Duration::millis(10));
-  }
-}
-
-RunReport run_impl(const RunConfig& config,
-                   const faults::FaultSchedule& schedule,
-                   bool check_golden) {
-  RunReport report;
-  report.profile = config.profile;
-  report.seed = config.seed;
-  report.schedule = schedule;
-
-  const ScenarioShape shape = profile_shape(config.profile);
-  cluster::ClusterSpec spec;
-  spec.racks = shape.racks;
-  spec.workers_per_rack = shape.workers_per_rack;
-  spec.backup_spine = shape.has_backup_spine;
-  spec.shards = 1;  // recovery + jobs need the single-shard engine
-  spec.validate();
-  cluster::Cluster cl(spec);
-  sim::Simulator& s = cl.simulator();
-
-  // --- Profile workload -------------------------------------------------
-  std::unique_ptr<jobs::JobManager> mgr;
-  std::unique_ptr<jobs::FluidController> fluidc;
-  std::unique_ptr<recovery::RecoveryManager> recov;
-  jobs::JobsSpec jobs_spec;
-  const std::size_t grads_per_worker =
-      std::size_t(config.blocks_per_worker) * spec.grads_per_packet;
-  switch (config.profile) {
+  jobs::TenantSpec allreduce;
+  allreduce.id = 1;
+  allreduce.grads =
+      std::size_t(blocks_per_worker) * sc.cluster.grads_per_packet;
+  allreduce.window = 64;
+  jobs::TenantSpec besteffort;
+  besteffort.id = 3;
+  besteffort.kind = jobs::TenantKind::kBestEffort;
+  besteffort.load = 0.5;
+  switch (profile) {
     case Profile::kFailover:
-      recov = std::make_unique<recovery::RecoveryManager>(cl);
+      sc.recovery = recovery::RecoveryConfig{};
       break;
     case Profile::kJobs: {
-      jobs::TenantSpec t1;
-      t1.id = 1;
-      t1.grads = grads_per_worker;
-      t1.window = 64;
-      jobs::TenantSpec t2 = t1;
-      t2.id = 2;
-      jobs::TenantSpec t3;
-      t3.id = 3;
-      t3.kind = jobs::TenantKind::kBestEffort;
-      t3.load = 0.5;
-      jobs_spec.tenants = {t1, t2, t3};
+      jobs::TenantSpec second = allreduce;
+      second.id = 2;
+      sc.jobs.tenants = {allreduce, second, besteffort};
       break;
     }
     case Profile::kNetRpc: {
-      jobs::TenantSpec t1;
-      t1.id = 1;
-      t1.grads = grads_per_worker;
-      t1.window = 64;
-      jobs::TenantSpec t4;
-      t4.id = 4;
-      t4.kind = jobs::TenantKind::kNetRpc;
-      jobs_spec.tenants = {t1, t4};
+      jobs::TenantSpec rpc;
+      rpc.id = 4;
+      rpc.kind = jobs::TenantKind::kNetRpc;
+      sc.jobs.tenants = {allreduce, rpc};
       break;
     }
-    case Profile::kFluid: {
-      jobs::TenantSpec t1;
-      t1.id = 1;
-      t1.grads = grads_per_worker;
-      t1.window = 64;
-      jobs::TenantSpec t3;
-      t3.id = 3;
-      t3.kind = jobs::TenantKind::kBestEffort;
-      t3.load = 0.5;
-      jobs_spec.tenants = {t1, t3};
+    case Profile::kFluid:
+      sc.jobs.tenants = {allreduce, besteffort};
+      sc.fluid = true;
       break;
-    }
   }
-  if (!jobs_spec.empty()) {
-    mgr = std::make_unique<jobs::JobManager>(cl);
-    mgr->enable_isolation();
-    const jobs::AdmissionResult adm = mgr->admit_all(jobs_spec);
+  return sc;
+}
+
+RunReport run_schedule(const Scenario& sc, Built* keep) {
+  Built local;
+  Built& b = keep != nullptr ? *keep : local;
+  RunReport report;
+
+  // --- Build --------------------------------------------------------------
+  cluster::ClusterSpec spec = sc.cluster;
+  if (!sc.jobs.empty() || sc.recovery) {
+    // JobManager and RecoveryManager keep cross-router state without
+    // per-shard synchronisation (docs/performance.md "When `--shards 1`
+    // is required").
+    spec.shards = 1;
+  }
+  spec.validate();
+  b.cluster = std::make_unique<cluster::Cluster>(spec);
+  cluster::Cluster& cl = *b.cluster;
+  sim::Simulator& s = cl.simulator();
+  const int n = spec.total_workers();
+
+  if (sc.recovery) {
+    b.recovery = std::make_unique<recovery::RecoveryManager>(cl, *sc.recovery);
+  }
+  if (!sc.jobs.empty()) {
+    b.jobs = std::make_unique<jobs::JobManager>(cl);
+    if (sc.isolation) b.jobs->enable_isolation();
+    const jobs::AdmissionResult adm = b.jobs->admit_all(sc.jobs);
     if (!adm.admitted) {
-      report.violations.push_back(Violation{
-          "runner", "admission rejected: " + adm.reason, s.now()});
-      return report;
+      throw std::runtime_error("admission rejected: " + adm.reason);
     }
-    if (config.profile == Profile::kFluid) {
-      fluidc = std::make_unique<jobs::FluidController>(cl);
-      mgr->enable_fluid(*fluidc);
+    if (sc.fluid) {
+      b.fluid = std::make_unique<jobs::FluidController>(cl);
+      b.jobs->enable_fluid(*b.fluid);
     }
   }
+  jobs::JobManager* mgr = b.jobs.get();
 
   InvariantEngine inv(cl);
-  if (mgr) inv.attach_jobs(*mgr, jobs_spec);
+  if (mgr) inv.attach_jobs(*mgr, sc.jobs);
 
-  // --- Faults + recovery machinery --------------------------------------
-  faults::FaultInjector injector(s, nullptr);
-  if (!schedule.empty()) {
-    injector.bind(cl);
-    if (mgr) mgr->bind_fault_injector(injector);
-    injector.set_base_seed(config.seed);
-    injector.arm(schedule);
-    if (fluidc) fluidc->observe(schedule);
+  // --- Faults + recovery machinery -----------------------------------------
+  b.injector = std::make_unique<faults::FaultInjector>(s, spec.telemetry);
+  if (!sc.schedule.empty()) {
+    b.injector->bind(cl);
+    if (mgr) mgr->bind_fault_injector(*b.injector);
+    b.injector->set_base_seed(sc.seed);
+    b.injector->arm(sc.schedule);
+    // Chaos windows are packet-fidelity regions: fluid streams
+    // re-materialise as real frames for each fault's active window.
+    if (b.fluid) b.fluid->observe(sc.schedule);
   }
-  for (int w = 0; w < spec.total_workers(); ++w) {
-    harden(cl.worker(w), config);
+
+  // Every allreduce worker with its jitter seed: the cluster's built-in
+  // workers, then each admitted tenant's (a tenant that adopted the
+  // cluster's job visits the built-in workers again).
+  std::vector<std::pair<trioml::TrioMlWorker*, std::uint64_t>> workers;
+  for (int w = 0; w < n; ++w) {
+    workers.emplace_back(&cl.worker(w),
+                         sc.seed ^ (0x74726f6eull + std::uint64_t(w)));
   }
   if (mgr) {
     for (jobs::TenantId t : mgr->admitted()) {
-      for (int w = 0; w < spec.total_workers(); ++w) {
+      for (int w = 0; w < n; ++w) {
         if (trioml::TrioMlWorker* tw = mgr->tenant_worker(t, w)) {
-          harden(*tw, config);
+          workers.emplace_back(
+              tw, sc.seed ^ (std::uint64_t(t) << 32) ^ std::uint64_t(w));
         }
       }
     }
   }
-  cl.start_straggler_detection(/*threads=*/10, sim::Duration::millis(1));
-  if (recov) recov->start();
+  if (sc.hardening) {
+    // Bounded retries with a give-up grace, so a block whose aggregation
+    // path died for good completes degraded instead of retrying forever,
+    // plus straggler aging so dead contributors age out.
+    const Hardening& h = *sc.hardening;
+    for (const auto& [worker, jitter_seed] : workers) {
+      worker->enable_hardened_retransmit(h.initial_timeout, h.retry_budget,
+                                         h.backoff_max);
+      worker->enable_give_up(h.give_up);
+      if (h.seed_jitter) worker->reseed_jitter(jitter_seed);
+    }
+    cl.start_straggler_detection(/*threads=*/10, sim::Duration::millis(1));
+  }
+  if (b.recovery) b.recovery->start();
 
-  // --- Progress watchdog -------------------------------------------------
+  // --- Progress watchdog ---------------------------------------------------
   const auto sum_useful = [&] {
     std::uint64_t u = 0;
     for (trioml::TrioMlApp* app : cl.apps()) {
       u += app->stats().blocks_completed + app->stats().blocks_aged +
            app->stats().blocks_lost_fault + app->stats().results_emitted;
     }
-    for (int w = 0; w < spec.total_workers(); ++w) {
-      u += cl.worker(w).results_received();
+    for (const auto& [worker, jitter_seed] : workers) {
+      u += worker->results_received();
     }
     if (mgr) {
       for (jobs::TenantId t : mgr->admitted()) {
-        for (int w = 0; w < spec.total_workers(); ++w) {
-          if (trioml::TrioMlWorker* tw = mgr->tenant_worker(t, w)) {
-            u += tw->results_received();
-          }
+        for (int w = 0; w < n; ++w) {
           if (netrpc::RpcClient* c = mgr->tenant_rpc_client(int(t), w)) {
             u += c->calls_completed();
           }
@@ -268,7 +228,7 @@ RunReport run_impl(const RunConfig& config,
   };
   const auto sum_churn = [&] {
     std::uint64_t c = 0;
-    for (int w = 0; w < spec.total_workers(); ++w) {
+    for (int w = 0; w < n; ++w) {
       c += cl.link(w).a_to_b().frames_delivered() +
            cl.link(w).b_to_a().frames_delivered();
     }
@@ -283,94 +243,70 @@ RunReport run_impl(const RunConfig& config,
     return c;
   };
   const auto any_busy = [&] {
-    for (int w = 0; w < spec.total_workers(); ++w) {
-      if (cl.worker(w).busy()) return true;
-    }
-    if (mgr) {
-      for (jobs::TenantId t : mgr->admitted()) {
-        for (int w = 0; w < spec.total_workers(); ++w) {
-          trioml::TrioMlWorker* tw = mgr->tenant_worker(t, w);
-          if (tw != nullptr && tw->busy()) return true;
-        }
-      }
-    }
-    return false;
+    return std::any_of(workers.begin(), workers.end(),
+                       [](const auto& w) { return w.first->busy(); });
   };
-  Watchdog wd{s,
-              sum_useful,
-              sum_churn,
-              any_busy,
-              config.watchdog_step,
-              config.watchdog_window,
-              config.deadline,
+  Watchdog wd{cl, sum_useful, sum_churn, any_busy, sc.deadline,
               &report.violations};
   wd.start();
 
-  // --- Run ---------------------------------------------------------------
-  std::optional<jobs::MultiTenantRun> mrun;
-  std::vector<std::optional<trioml::AllreduceResult>> results;
+  // --- Run until every participant finished, or the deadline ----------------
+  cl.sample_trace_counters();
   if (mgr) {
-    mrun = mgr->run(/*gen_id=*/1, config.deadline);
+    b.tenants = mgr->run(/*gen_id=*/1, sc.deadline);
   } else {
-    const auto grads =
-        cluster::patterned_gradients(spec.total_workers(), grads_per_worker);
-    results.resize(std::size_t(spec.total_workers()));
-    int remaining = spec.total_workers();
-    for (int w = 0; w < spec.total_workers(); ++w) {
-      cl.worker(w).start_allreduce(
-          grads[std::size_t(w)], /*gen_id=*/1,
-          [&results, &remaining, w](trioml::AllreduceResult res) {
-            results[std::size_t(w)] = std::move(res);
-            --remaining;
-          });
-    }
-    const sim::Duration chunk = sim::Duration::millis(1);
-    while (remaining > 0 && s.now() < config.deadline) {
-      const sim::Time next = s.now() + chunk < config.deadline
-                                 ? s.now() + chunk
-                                 : config.deadline;
-      s.run_until(next);
-    }
+    cluster::start_allreduce(
+        cl,
+        cluster::patterned_gradients(
+            n, std::size_t(sc.blocks) * spec.grads_per_packet),
+        /*gen_id=*/1, b.allreduce);
+    const auto& results = b.allreduce.results;
+    s.run_until_done(sc.deadline, [&results] {
+      return std::none_of(results.begin(), results.end(),
+                          [](const auto& r) { return r.grads.empty(); });
+    });
+    b.allreduce.tally();
   }
-
-  // --- Drain to quiescence ----------------------------------------------
-  wd.stopped = true;
-  cl.stop_straggler_detection();
-  if (recov) recov->stop();
-  if (mgr && mgr->netrpc_app()) mgr->netrpc_app()->stop_aging();
-  s.run_until(s.now() + config.drain_grace);
-  const bool quiescent = !s.pending();
   report.finish = s.now();
-  report.fault_digest = injector.digest();
+  cl.sample_trace_counters();
 
-  // --- Outcome accounting ------------------------------------------------
-  const auto count_worker = [&](trioml::TrioMlWorker& w, bool finished) {
+  // --- Drain to quiescence -------------------------------------------------
+  wd.stopped = true;
+  if (sc.hardening) cl.stop_straggler_detection();
+  if (b.recovery) b.recovery->stop();
+  if (mgr && mgr->netrpc_app()) mgr->netrpc_app()->stop_aging();
+  s.run_until(s.now() + kDrainGrace);
+  const bool quiescent = !cl.engine().pending();
+  report.fault_digest = b.injector->digest();
+
+  // --- Outcome accounting --------------------------------------------------
+  int stranded = 0;  // neither finished nor crashed
+  const auto count = [&](bool finished, bool crashed) {
     ++report.expected;
     if (finished) ++report.finished;
-    if (w.crashes() > 0) ++report.crashed;
+    if (crashed) ++report.crashed;
+    if (!finished && !crashed) ++stranded;
+  };
+  // One allreduce worker; returns its blocks lost to aging or give-up.
+  const auto count_worker = [&](const trioml::TrioMlWorker& w,
+                                const trioml::AllreduceResult& r) {
+    count(!r.grads.empty(), w.crashes() > 0);
     report.abandoned_blocks += w.abandoned_blocks();
     report.retransmissions += w.retransmissions();
+    const std::uint64_t lost = r.degraded_blocks + r.abandoned_blocks;
+    report.degraded_blocks += lost;
+    return lost;
   };
-  if (mrun) {
-    for (const jobs::TenantRun& tr : mrun->tenants) {
+  if (mgr) {
+    for (const jobs::TenantRun& tr : b.tenants.tenants) {
       if (tr.kind == jobs::TenantKind::kAllreduce) {
         bool clean = true;
-        for (int w = 0; w < spec.total_workers(); ++w) {
+        for (int w = 0; w < n; ++w) {
           trioml::TrioMlWorker* tw = mgr->tenant_worker(tr.id, w);
           if (tw == nullptr) continue;
-          const bool finished =
-              std::size_t(w) < tr.results.size() &&
-              !tr.results[std::size_t(w)].grads.empty();
-          count_worker(*tw, finished);
-          report.degraded_blocks +=
-              std::size_t(w) < tr.results.size()
-                  ? tr.results[std::size_t(w)].degraded_blocks +
-                        tr.results[std::size_t(w)].abandoned_blocks
-                  : 0;
-          if (!finished || tw->crashes() > 0 ||
-              (std::size_t(w) < tr.results.size() &&
-               (tr.results[std::size_t(w)].degraded_blocks != 0 ||
-                tr.results[std::size_t(w)].abandoned_blocks != 0))) {
+          const trioml::AllreduceResult& r = tr.results[std::size_t(w)];
+          if (count_worker(*tw, r) != 0 || r.grads.empty() ||
+              tw->crashes() > 0) {
             clean = false;
           }
         }
@@ -378,34 +314,30 @@ RunReport run_impl(const RunConfig& config,
       } else if (tr.kind == jobs::TenantKind::kNetRpc) {
         const jobs::TenantSpec* ts = mgr->tenant_spec(tr.id);
         const int clients = ts != nullptr ? int(ts->rpc_clients) : 0;
+        int crashed = 0;
+        for (int w = 0; w < n; ++w) {
+          const netrpc::RpcClient* c = mgr->tenant_rpc_client(int(tr.id), w);
+          if (c != nullptr && c->crashed()) ++crashed;
+        }
         report.expected += clients;
         report.finished += tr.finished;
-        for (int w = 0; w < spec.total_workers(); ++w) {
-          const netrpc::RpcClient* c =
-              mgr->tenant_rpc_client(int(tr.id), w);
-          if (c != nullptr && c->crashed()) ++report.crashed;
-        }
+        report.crashed += crashed;
+        stranded += std::max(0, clients - tr.finished - crashed);
       }
     }
   } else {
-    std::uint64_t degraded = 0;
-    for (int w = 0; w < spec.total_workers(); ++w) {
-      const bool finished = results[std::size_t(w)].has_value();
-      count_worker(cl.worker(w), finished);
-      if (finished) {
-        degraded += results[std::size_t(w)]->degraded_blocks +
-                    results[std::size_t(w)]->abandoned_blocks;
-      }
+    for (int w = 0; w < n; ++w) {
+      count_worker(cl.worker(w), b.allreduce.results[std::size_t(w)]);
     }
-    report.degraded_blocks = degraded;
     if (report.finished == report.expected && report.crashed == 0 &&
-        degraded == 0) {
-      report.digests.emplace_back(0, digest_results(results));
+        report.degraded_blocks == 0) {
+      report.digests.emplace_back(
+          0, cluster::results_digest(b.allreduce.results));
     }
   }
-  report.converged = report.finished >= report.expected - report.crashed;
+  report.converged = stranded == 0;
 
-  for (int w = 0; w < spec.total_workers(); ++w) {
+  for (int w = 0; w < n; ++w) {
     report.corrupted_frames += cl.link(w).a_to_b().frames_corrupted() +
                                cl.link(w).b_to_a().frames_corrupted();
   }
@@ -415,7 +347,7 @@ RunReport run_impl(const RunConfig& config,
         cl.fabric_link(r).b_to_a().frames_corrupted();
   }
 
-  // --- Invariants --------------------------------------------------------
+  // --- Invariants ----------------------------------------------------------
   if (quiescent) {
     inv.check_quiescent();
   } else {
@@ -425,19 +357,23 @@ RunReport run_impl(const RunConfig& config,
   }
   for (const Violation& v : inv.violations()) report.violations.push_back(v);
 
-  // Golden-digest convergence (header contract: only for provably
-  // value-lossless runs).
-  if (check_golden && !report.digests.empty() &&
+  // Golden-digest convergence against the same scenario run fault-free
+  // (header contract: only for provably value-lossless runs).
+  if (!sc.schedule.empty() && !report.digests.empty() &&
       report.corrupted_frames == 0) {
-    const Baseline& base = baseline_for(config);
-    if (base.valid) {
+    Scenario fault_free = sc;
+    fault_free.schedule = faults::FaultSchedule();
+    fault_free.cluster.telemetry = nullptr;
+    const RunReport base = run_schedule(fault_free);
+    if (base.ok() && base.crashed == 0 && base.degraded_blocks == 0 &&
+        base.abandoned_blocks == 0) {
       for (const auto& [id, digest] : report.digests) {
-        const auto it = base.digests.find(id);
-        if (it != base.digests.end() && it->second != digest) {
+        for (const auto& [base_id, base_digest] : base.digests) {
+          if (base_id != id || base_digest == digest) continue;
           std::ostringstream os;
           os << (id == 0 ? "job" : "tenant") << " " << id
              << ": post-recovery digest " << std::hex << digest
-             << " != fault-free baseline " << it->second;
+             << " != fault-free baseline " << base_digest;
           report.violations.push_back(
               Violation{"golden-digest", os.str(), s.now()});
         }
@@ -445,17 +381,6 @@ RunReport run_impl(const RunConfig& config,
     }
   }
   return report;
-}
-
-}  // namespace
-
-RunReport run_schedule(const RunConfig& config,
-                       const faults::FaultSchedule& schedule) {
-  return run_impl(config, schedule, /*check_golden=*/true);
-}
-
-RunReport run_scenario(const RunConfig& config) {
-  return run_schedule(config, generate(config.seed, config.profile));
 }
 
 }  // namespace vigil

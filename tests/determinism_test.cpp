@@ -22,21 +22,11 @@
 #include "cluster/cluster.hpp"
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
+#include "sim/digest.hpp"
 #include "sim/simulator.hpp"
 #include "trioml/testbed.hpp"
 
 namespace {
-
-// FNV-1a over the little-endian bytes of each value: platform-independent.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
 
 // A deterministic LCG so the scenario is identical on every platform.
 struct Lcg {
@@ -50,11 +40,11 @@ struct Lcg {
 /// Schedules batches of events crowded onto few distinct timestamps (maximal
 /// tie-breaking), cancels every third, reschedules replacements at the *same*
 /// instant, and lets callbacks cancel sibling events and schedule follow-ups
-/// at their own firing time. Returns the FNV digest of the (time, label) pop
-/// sequence.
+/// at their own firing time. Returns the sim::Digest of the (time, label)
+/// pop sequence (little-endian u64 folds: platform-independent).
 std::uint64_t run_scripted_scenario() {
   sim::Simulator sim;
-  std::uint64_t digest = kFnvOffset;
+  sim::Digest digest;
   std::uint64_t next_label = 0;
   Lcg rng;
 
@@ -62,8 +52,7 @@ std::uint64_t run_scripted_scenario() {
   ids.reserve(512);
 
   auto record = [&sim, &digest](std::uint64_t label) {
-    mix(digest, static_cast<std::uint64_t>(sim.now().ns()));
-    mix(digest, label);
+    digest.u64(static_cast<std::uint64_t>(sim.now().ns())).u64(label);
   };
 
   for (int round = 0; round < 8; ++round) {
@@ -99,7 +88,7 @@ std::uint64_t run_scripted_scenario() {
     }
     sim.run();
   }
-  return digest;
+  return digest.value();
 }
 
 TEST(Determinism, ScriptedPopOrderMatchesGolden) {
@@ -110,7 +99,7 @@ TEST(Determinism, ScriptedPopOrderMatchesGolden) {
   // interleavings included. A change here means the FIFO tie-break or
   // cancellation semantics changed — that breaks reproducibility of every
   // seeded experiment, so it must be deliberate.
-  EXPECT_EQ(first, 0x3ee760a57d91b3f7ull);
+  EXPECT_EQ(first, 0x4cbd84abfd1e9b15ull);
 }
 
 TEST(Determinism, Fig13ScaleRunIsExactlyRepeatable) {
@@ -152,23 +141,22 @@ TEST(Determinism, Fig13ScaleRunIsExactlyRepeatable) {
 // ---------------------------------------------------------------------------
 // Shard-count invariance: the parallel engine's determinism contract.
 
-/// FNV-1a over every worker's result gradient bits plus the completion
-/// count, last-arrival time and final engine clock.
+/// Every worker's result gradient bits plus the completion count,
+/// last-arrival time and final engine clock.
 std::uint64_t run_digest(const cluster::AllreduceRun& run, sim::Time now) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, std::uint64_t(run.finished));
-  mix(h, std::uint64_t(run.finish.ns()));
-  mix(h, std::uint64_t(now.ns()));
+  sim::Digest d;
+  d.u64(std::uint64_t(run.finished))
+      .u64(std::uint64_t(run.finish.ns()))
+      .u64(std::uint64_t(now.ns()));
   for (const trioml::AllreduceResult& r : run.results) {
-    mix(h, r.grads.size());
-    mix(h, r.degraded_blocks);
+    d.u64(r.grads.size()).u64(r.degraded_blocks);
     for (float g : r.grads) {
       std::uint32_t bits;
       std::memcpy(&bits, &g, sizeof bits);
-      mix(h, bits);
+      d.u64(bits);
     }
   }
-  return h;
+  return d.value();
 }
 
 struct ShardOutcome {

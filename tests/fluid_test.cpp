@@ -15,6 +15,7 @@
 #include "faults/schedule.hpp"
 #include "jobs/fluid.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 
@@ -201,29 +202,21 @@ ClusterSpec small_spec(int shards = 1) {
   return spec;
 }
 
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Results + timing fingerprint (the fig17 shape): any scheduling or
 // ordering divergence shows up here even when values agree.
 std::uint64_t run_digest(const cluster::AllreduceRun& run, Time now) {
-  std::uint64_t h = 14695981039346656037ull;
-  h = fnv(h, std::uint64_t(run.finished));
-  h = fnv(h, std::uint64_t(run.finish.ns()));
-  h = fnv(h, std::uint64_t(now.ns()));
+  sim::Digest d;
+  d.u64(std::uint64_t(run.finished))
+      .u64(std::uint64_t(run.finish.ns()))
+      .u64(std::uint64_t(now.ns()));
   for (const auto& r : run.results) {
     for (float g : r.grads) {
       std::uint32_t bits;
       std::memcpy(&bits, &g, sizeof(bits));
-      h = fnv(h, bits);
+      d.u64(bits);
     }
   }
-  return h;
+  return d.value();
 }
 
 struct ControllerRun {

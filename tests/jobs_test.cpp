@@ -165,6 +165,16 @@ TEST(Admission, RejectsDuplicateAndReservedIds) {
   EXPECT_FALSE(mgr.admit(zero).admitted);
 }
 
+TEST(Admission, RejectsMultiShardCluster) {
+  // run()'s completion callbacks share state across tenants, so a
+  // cluster split over shard threads is refused up front.
+  ClusterSpec spec = small_spec();
+  spec.shards = 2;
+  Cluster cl(spec);
+  ASSERT_EQ(cl.num_shards(), 2);
+  EXPECT_THROW(jobs::JobManager mgr(cl), std::logic_error);
+}
+
 // --- Hash-partition isolation ----------------------------------------------
 
 TEST(Isolation, HashPartitionsAreDisjointPerTenant) {

@@ -23,6 +23,7 @@
 #include "netrpc/layout.hpp"
 #include "netrpc/wire_format.hpp"
 #include "pisa/switch.hpp"
+#include "sim/digest.hpp"
 
 namespace {
 
@@ -181,7 +182,7 @@ TEST(NetRpc, SoloRunMergesInNetworkAndHitsTheCache) {
 
   // The in-network sum equals the host-side sum of the replicas' work:
   // spot-check via the digest being non-trivial and latencies recorded.
-  EXPECT_NE(tr->netrpc.value_digest, 14695981039346656037ull);
+  EXPECT_NE(tr->netrpc.value_digest.value(), sim::Digest::kBasis);
   EXPECT_GT(tr->netrpc.call_latency_us.count(), 0u);
   EXPECT_GT(tr->netrpc.get_hit_latency_us.count(), 0u);
   // Cache hits turn around at the PFE — well under the full server RTT.
@@ -473,7 +474,7 @@ TEST(NetRpc, SoloDigestIsDeterministic) {
   const auto a = once();
   const auto b = once();
   EXPECT_EQ(a, b);
-  EXPECT_NE(a, 14695981039346656037ull);
+  EXPECT_NE(a, sim::Digest::kBasis);
 }
 
 // --- Per-tenant telemetry scopes (docs/telemetry.md) ------------------------

@@ -19,6 +19,7 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 #include "trio/hash_table.hpp"
 #include "trioml/testbed.hpp"
 #include "vigil/invariants.hpp"
@@ -38,27 +39,16 @@ sim::Time at_us(std::int64_t us) {
   return sim::Time() + sim::Duration::micros(us);
 }
 
-// FNV-1a over each result's gradient bits (same idiom as faults_test).
+// Each result's gradient bits plus its degraded-block count:
+// bit-identical results <=> equal digests.
 std::uint64_t digest_results(
     const std::vector<trioml::AllreduceResult>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  sim::Digest d;
   for (const auto& r : results) {
-    eat(r.grads.size());
-    eat(r.degraded_blocks);
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      static_assert(sizeof bits == sizeof g);
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      eat(bits);
-    }
+    d.u64(r.grads.size()).u64(r.degraded_blocks);
+    d.bytes(r.grads.data(), r.grads.size() * sizeof(float));
   }
-  return h;
+  return d.value();
 }
 
 // --- Phi estimator ---------------------------------------------------------

@@ -38,6 +38,13 @@ std::string corpus_file(Profile profile, int seed) {
   return os.str();
 }
 
+/// Runs `scenario` against `schedule` instead of its own.
+vigil::RunReport replay(vigil::Scenario scenario,
+                        const FaultSchedule& schedule) {
+  scenario.schedule = schedule;
+  return vigil::run_schedule(scenario);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
@@ -156,12 +163,11 @@ TEST(Corpus, CorpusReplaysClean) {
   // invariant violations on its profile's canonical topology.
   for (Profile p : kProfiles) {
     for (int seed = 1; seed <= 4; ++seed) {
-      const FaultSchedule s = FaultSchedule::parse(
+      vigil::Scenario sc = vigil::profile_scenario(p);
+      sc.seed = std::uint64_t(seed);
+      sc.schedule = FaultSchedule::parse(
           read_file(corpus_path(corpus_file(p, seed))));
-      vigil::RunConfig config;
-      config.profile = p;
-      config.seed = std::uint64_t(seed);
-      const vigil::RunReport rep = vigil::run_schedule(config, s);
+      const vigil::RunReport rep = vigil::run_schedule(sc);
       EXPECT_TRUE(rep.converged)
           << corpus_file(p, seed) << ": " << rep.finished << "/"
           << rep.expected << " finished, " << rep.crashed << " crashed";
@@ -251,32 +257,31 @@ TEST(Shrink, RespectsOracleBudget) {
 
 TEST(PlantedBug, CaughtByWatchdogAndShrunkToTinyRepro) {
   // Seed 16 of the failover grammar permanently kills an aggregation
-  // path; with the give-up path disabled (the re-introduced historical
-  // wedge) workers stall forever and the watchdog trips.
-  vigil::RunConfig config;
-  config.profile = Profile::kFailover;
-  config.seed = 16;
-  config.plant_wedge_bug = true;
+  // path; with the give-up path disabled (a zero give-up grace, the
+  // re-introduced historical wedge) workers stall forever and the
+  // watchdog trips.
+  vigil::Scenario planted = vigil::profile_scenario(Profile::kFailover);
+  planted.seed = 16;
+  planted.schedule = vigil::generate(16, Profile::kFailover);
+  planted.hardening->give_up = sim::Duration::zero();
 
-  const vigil::RunReport report = vigil::run_scenario(config);
+  const vigil::RunReport report = vigil::run_schedule(planted);
   ASSERT_FALSE(report.ok()) << "planted bug did not reproduce";
 
   const vigil::Oracle oracle = [&](const FaultSchedule& candidate) {
-    return !vigil::run_schedule(config, candidate).ok();
+    return !replay(planted, candidate).ok();
   };
-  const vigil::ShrinkResult result = vigil::shrink(report.schedule, oracle);
+  const vigil::ShrinkResult result = vigil::shrink(planted.schedule, oracle);
   EXPECT_TRUE(result.reduced);
   EXPECT_LE(result.schedule.size(), 5u);  // the acceptance bar
   // The repro is replayable: still valid, still violating...
   EXPECT_NO_THROW(result.schedule.validate());
-  EXPECT_FALSE(vigil::run_schedule(config, result.schedule).ok());
+  EXPECT_FALSE(replay(planted, result.schedule).ok());
   // ...and the bug is really the *absence of give-up*: the same minimal
   // schedule on the fixed runtime completes cleanly degraded.
-  vigil::RunConfig fixed = config;
-  fixed.plant_wedge_bug = false;
-  const vigil::RunReport healthy =
-      vigil::run_schedule(fixed, result.schedule);
-  EXPECT_TRUE(healthy.ok());
+  vigil::Scenario fixed = planted;
+  fixed.hardening = vigil::Hardening{};
+  EXPECT_TRUE(replay(fixed, result.schedule).ok());
 }
 
 }  // namespace

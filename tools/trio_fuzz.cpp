@@ -5,8 +5,9 @@
 //             [--shrink-budget N] [--blocks N] [--plant-bug] [--emit DIR]
 //
 // Each run i derives scenario seed S+i, generates a fault schedule from
-// the profile's grammar (src/vigil/generator.*), replays it against the
-// profile's canonical topology with the full invariant catalogue armed
+// the profile's grammar (src/vigil/generator.*), replays it through the
+// scenario runner against the profile's canonical scenario
+// (vigil::profile_scenario) with the full invariant catalogue armed
 // (src/vigil/invariants.*), and — on any violation — delta-debugs the
 // schedule down to a minimal repro (src/vigil/shrink.*) written to
 // --repro-dir as a replayable `.faults` file.
@@ -18,8 +19,9 @@
 //
 // --plant-bug re-introduces a real historical bug (workers wedging
 // forever against a permanently dead aggregation path instead of
-// completing degraded) so the pipeline can be demonstrated end to end:
-// the watchdog catches it, the shrinker reduces it.
+// completing degraded: a zero give-up grace) so the pipeline can be
+// demonstrated end to end: the watchdog catches it, the shrinker reduces
+// it.
 //
 // --emit DIR generates (but does not execute) each run's schedule into
 // DIR — how the seed corpus under tests/corpus/ is (re)generated.
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "faults/schedule.hpp"
+#include "telemetry/json.hpp"
 #include "vigil/generator.hpp"
 #include "vigil/runner.hpp"
 #include "vigil/shrink.hpp"
@@ -45,28 +48,6 @@ int usage() {
       "[--runs N] [--time-budget DUR] [--report FILE] [--repro-dir DIR] "
       "[--shrink-budget N] [--blocks N] [--plant-bug] [--emit DIR]\n");
   return 2;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct RunRecord {
@@ -190,10 +171,8 @@ int main(int argc, char** argv) {
         .count();
   };
 
-  vigil::RunConfig config;
-  config.profile = profile;
-  config.blocks_per_worker = blocks;
-  config.plant_wedge_bug = plant_bug;
+  vigil::Scenario scenario = vigil::profile_scenario(profile, blocks);
+  if (plant_bug) scenario.hardening->give_up = sim::Duration::zero();
 
   std::vector<RunRecord> records;
   int completed = 0;
@@ -204,24 +183,25 @@ int main(int argc, char** argv) {
       budget_hit = true;
       break;
     }
-    config.seed = seed + std::uint64_t(i);
-    const vigil::RunReport report = vigil::run_scenario(config);
+    scenario.seed = seed + std::uint64_t(i);
+    scenario.schedule = vigil::generate(scenario.seed, profile);
+    const vigil::RunReport report = vigil::run_schedule(scenario);
     ++completed;
     RunRecord rec;
-    rec.seed = config.seed;
+    rec.seed = scenario.seed;
     rec.converged = report.converged;
     rec.violations = report.violations;
-    rec.events = report.schedule.size();
+    rec.events = scenario.schedule.size();
     if (report.ok()) {
       std::printf("run %d seed %llu: ok (%zu events, %d/%d finished)\n", i,
-                  static_cast<unsigned long long>(config.seed), rec.events,
+                  static_cast<unsigned long long>(scenario.seed), rec.events,
                   report.finished, report.expected);
       records.push_back(std::move(rec));
       continue;
     }
     ++violating;
     std::printf("run %d seed %llu: VIOLATION (%zu events)\n", i,
-                static_cast<unsigned long long>(config.seed), rec.events);
+                static_cast<unsigned long long>(scenario.seed), rec.events);
     for (const vigil::Violation& v : report.violations) {
       std::printf("  %s at %s: %s\n", v.invariant.c_str(),
                   v.at.to_string().c_str(), v.detail.c_str());
@@ -231,20 +211,21 @@ int main(int argc, char** argv) {
                   report.finished, report.expected, report.crashed);
     }
 
-    // Shrink to a minimal repro. The oracle re-runs the same config; a
+    // Shrink to a minimal repro. The oracle re-runs the same scenario; a
     // candidate "still violates" when the replay is not ok().
-    const vigil::RunConfig oracle_config = config;
     vigil::ShrinkConfig shrink_config;
     shrink_config.max_oracle_calls = shrink_budget;
     const vigil::ShrinkResult shrunk = vigil::shrink(
-        report.schedule,
-        [&oracle_config](const faults::FaultSchedule& candidate) {
-          return !vigil::run_schedule(oracle_config, candidate).ok();
+        scenario.schedule,
+        [candidate_run = scenario](
+            const faults::FaultSchedule& candidate) mutable {
+          candidate_run.schedule = candidate;
+          return !vigil::run_schedule(candidate_run).ok();
         },
         shrink_config);
     rec.shrunk_events = shrunk.schedule.size();
     rec.oracle_calls = shrunk.oracle_calls;
-    rec.repro_dsl = repro_header(profile, config.seed, report.violations) +
+    rec.repro_dsl = repro_header(profile, scenario.seed, report.violations) +
                     shrunk.schedule.to_dsl();
     std::printf("  shrunk %zu -> %zu event(s) in %d replay(s)\n", rec.events,
                 rec.shrunk_events, rec.oracle_calls);
@@ -252,7 +233,7 @@ int main(int argc, char** argv) {
       char name[96];
       std::snprintf(name, sizeof(name), "%s/repro-%s-seed%llu.faults",
                     repro_dir.c_str(), vigil::profile_name(profile),
-                    static_cast<unsigned long long>(config.seed));
+                    static_cast<unsigned long long>(scenario.seed));
       if (write_file(name, rec.repro_dsl)) {
         rec.repro_path = name;
         std::printf("  repro: %s\n", name);
@@ -287,16 +268,19 @@ int main(int argc, char** argv) {
          << (r.converged ? "true" : "false") << ", \"events\": " << r.events
          << ", \"violations\": [";
       for (std::size_t j = 0; j < r.violations.size(); ++j) {
-        os << (j ? ", " : "") << "{\"invariant\": \""
-           << json_escape(r.violations[j].invariant) << "\", \"detail\": \""
-           << json_escape(r.violations[j].detail) << "\"}";
+        os << (j ? ", " : "") << "{\"invariant\": ";
+        telemetry::json_string(os, r.violations[j].invariant);
+        os << ", \"detail\": ";
+        telemetry::json_string(os, r.violations[j].detail);
+        os << "}";
       }
       os << "]";
       if (!r.repro_dsl.empty()) {
         os << ", \"shrunk_events\": " << r.shrunk_events
            << ", \"oracle_calls\": " << r.oracle_calls;
         if (!r.repro_path.empty()) {
-          os << ", \"repro\": \"" << json_escape(r.repro_path) << "\"";
+          os << ", \"repro\": ";
+          telemetry::json_string(os, r.repro_path);
         }
       }
       os << "}" << (i + 1 < records.size() ? "," : "") << "\n";

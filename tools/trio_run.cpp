@@ -16,7 +16,10 @@
 // --cluster RxW skips the microcode path and instead materializes an
 // R-rack, W-workers-per-rack cluster (src/cluster/, docs/cluster.md),
 // runs one Trio-ML allreduce through its two-level aggregation tree and
-// reports per-tier statistics.
+// reports per-tier statistics. Cluster mode is a front-end over the
+// scenario runner (vigil::run_schedule, docs/vigil.md "The runner"), the
+// same one trio-fuzz and bench/fig_chaos drive: the flags below fill in
+// one vigil::Scenario, and the report printed is the runner's.
 //
 // --jobs FILE (cluster mode) loads a multi-tenant spec in the jobs DSL
 // (docs/jobs.md): each `tenant <id> <allreduce|besteffort> [key=value...]`
@@ -45,25 +48,31 @@
 // OS threads — one shard per router domain, conservative lookahead
 // windows (docs/performance.md). Results are bit-identical at every
 // shard count. Default: hardware concurrency, capped by the router
-// count; forced to 1 by --jobs, --netrpc and --trace-out.
+// count. The one-shard rule lives in the runner (--jobs and --netrpc run
+// on one shard), and --trace-out's tracer forces one shard in
+// ClusterSpec.
 //
 // --faults FILE (cluster mode) loads a chaos schedule in the faults DSL
 // (docs/faults.md), validates it (tenant= qualifiers must name tenants
 // declared by --jobs/--netrpc; kill/revive and crash/restart windows must
 // pair up without overlap), arms it on the cluster, hardens every
-// worker's retransmit path — bounded retries plus a give-up grace so
-// unreachable aggregation completes degraded instead of retrying forever
-// — and enables straggler aging so injected faults recover; --deadline
-// DUR (e.g. 200ms) bounds the run. Crashed workers are expected not to
-// finish: the exit status only fails when a *surviving* worker misses
-// the deadline.
+// worker's retransmit path with the runner's one policy, which trio-fuzz
+// shares — 1 ms initial timeout, 6 retries backing off to 8 ms, and a
+// 10 ms give-up grace so unreachable aggregation completes degraded
+// instead of retrying forever — and enables straggler aging so injected
+// faults recover. --deadline DUR (default 200ms) bounds the run, which
+// stops as soon as every participant finished. Crashed workers are
+// expected not to finish: the exit status only fails when a *surviving*
+// worker misses the deadline.
 //
 // --seed S (cluster mode) makes a faulted run reproducible end to end:
 // it seeds the injector's derived loss/corruption streams and every
 // worker's retransmit jitter, so the same schedule + seed replays the
 // same packet trace. After the run the cluster drains and the vigil
-// invariant catalogue (docs/vigil.md) is checked — a tripped invariant
-// prints the violations plus the fault-log digest and fails the run.
+// invariant catalogue (docs/vigil.md) is checked, with the progress
+// watchdog and, for a value-lossless faulted run, the golden digest
+// against the same run fault-free — a tripped invariant prints the
+// violations and fails the run.
 //
 // --metrics-out writes the telemetry registry as JSON; --trace-out writes
 // a Chrome trace_event JSON timeline (chrome://tracing, Perfetto) with
@@ -72,6 +81,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,7 +99,7 @@
 #include "netrpc/app.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trio/router.hpp"
-#include "vigil/invariants.hpp"
+#include "vigil/runner.hpp"
 
 namespace {
 
@@ -105,33 +115,141 @@ int usage() {
   return 2;
 }
 
-/// Post-run invariant sweep (docs/vigil.md): drain the cluster, run the
-/// catalogue, print anything that tripped. Returns true when clean.
-bool check_invariants(cluster::Cluster& cl, jobs::JobManager* mgr,
-                      const jobs::JobsSpec& jobs_spec,
-                      const faults::FaultInjector& injector,
-                      bool have_faults) {
-  if (mgr && mgr->netrpc_app()) mgr->netrpc_app()->stop_aging();
-  sim::Simulator& s = cl.simulator();
-  s.run_until(s.now() + sim::Duration::millis(60));
-  vigil::InvariantEngine inv(cl);
-  if (mgr) inv.attach_jobs(*mgr, jobs_spec);
-  if (s.pending()) {
-    // Something is still churning: only the anytime checks are valid.
-    inv.check_conservation();
-  } else {
-    inv.check_quiescent();
+/// Adds the canned NetRPC demo tenant (id 4) unless `jobs` already
+/// declares a netrpc tenant.
+void add_netrpc_demo(jobs::JobsSpec& jobs) {
+  for (const jobs::TenantSpec& t : jobs.tenants) {
+    if (t.is_netrpc()) return;
   }
-  if (inv.ok()) return true;
-  for (const vigil::Violation& v : inv.violations()) {
-    std::printf("  invariant %s tripped at %s: %s\n", v.invariant.c_str(),
-                v.at.to_string().c_str(), v.detail.c_str());
+  jobs::TenantSpec rpc;
+  rpc.id = 4;
+  rpc.kind = jobs::TenantKind::kNetRpc;
+  for (const jobs::TenantSpec& t : jobs.tenants) {
+    if (t.id == rpc.id) {
+      throw std::invalid_argument(
+          "--netrpc wants tenant id 4 but --jobs already declares it");
+    }
   }
-  if (have_faults) {
-    std::printf("  fault log digest: %016llx\n",
-                static_cast<unsigned long long>(injector.digest()));
+  jobs.tenants.push_back(rpc);
+}
+
+void print_tenants(const vigil::Scenario& sc, vigil::Built& built) {
+  jobs::JobManager& mgr = *built.jobs;
+  const int workers = sc.cluster.total_workers();
+  std::printf("%d-rack x %d-worker cluster, %zu tenant(s), isolation %s\n",
+              sc.cluster.racks, sc.cluster.workers_per_rack,
+              built.tenants.tenants.size(), sc.isolation ? "on" : "off");
+  for (const jobs::TenantRun& tr : built.tenants.tenants) {
+    const jobs::TenantSpec* ts = mgr.tenant_spec(tr.id);
+    if (tr.kind == jobs::TenantKind::kAllreduce) {
+      std::printf(
+          "  tenant %u %s: %d/%d workers finished in %.2f us, "
+          "digest %016llx\n",
+          unsigned(tr.id), jobs::kind_name(tr.kind), tr.finished, workers,
+          tr.duration_us(), static_cast<unsigned long long>(tr.digest()));
+    } else if (tr.kind == jobs::TenantKind::kNetRpc) {
+      const jobs::NetRpcRun& nr = tr.netrpc;
+      std::printf(
+          "  tenant %u %s: %d/%d clients finished in %.2f us, "
+          "digest %016llx\n",
+          unsigned(tr.id), jobs::kind_name(tr.kind), tr.finished,
+          ts != nullptr ? int(ts->rpc_clients) : tr.finished,
+          tr.duration_us(), static_cast<unsigned long long>(tr.digest()));
+      std::printf(
+          "    calls %llu (%llu degraded), gets %llu (%llu cached, "
+          "%.0f%% hit), puts %llu\n",
+          static_cast<unsigned long long>(nr.calls),
+          static_cast<unsigned long long>(nr.degraded),
+          static_cast<unsigned long long>(nr.gets),
+          static_cast<unsigned long long>(nr.cached_gets),
+          nr.gets > 0 ? 100.0 * double(nr.cached_gets) / double(nr.gets)
+                      : 0.0,
+          static_cast<unsigned long long>(nr.puts));
+      if (nr.call_latency_us.count() > 0) {
+        sim::Samples lat = nr.call_latency_us;  // percentile() sorts
+        std::printf("    call latency: p50 %.2f us, p99 %.2f us\n",
+                    lat.percentile(50), lat.percentile(99));
+      }
+      if (nr.get_hit_latency_us.count() > 0 &&
+          nr.get_miss_latency_us.count() > 0) {
+        std::printf("    GET latency: cache hit %.2f us vs miss %.2f us\n",
+                    nr.get_hit_latency_us.mean(),
+                    nr.get_miss_latency_us.mean());
+      }
+      if (netrpc::NetRpcApp* app = mgr.netrpc_app()) {
+        const auto ctr = [&](auto which) {
+          return static_cast<unsigned long long>(
+              app->counter_packets(tr.id, which));
+        };
+        std::printf(
+            "    PFE counters: merged %llu, completed %llu, hit %llu, "
+            "miss %llu, fill %llu, invalidate %llu, degraded %llu\n",
+            ctr(netrpc::kCtrMerged), ctr(netrpc::kCtrCompleted),
+            ctr(netrpc::kCtrCacheHit), ctr(netrpc::kCtrCacheMiss),
+            ctr(netrpc::kCtrCacheFill), ctr(netrpc::kCtrInvalidate),
+            ctr(netrpc::kCtrDegraded));
+      }
+    } else {
+      std::printf("  tenant %u %s: load %.2f background traffic\n",
+                  unsigned(tr.id), jobs::kind_name(tr.kind),
+                  ts != nullptr ? ts->load : 0.0);
+    }
   }
-  return false;
+  if (const jobs::FluidController* fluidc = built.fluid.get()) {
+    std::printf(
+        "  fluid: %zu stream(s), %llu fluid bytes, %llu re-materialised "
+        "frame(s), %llu transition(s), %llu fault window(s)\n",
+        fluidc->num_streams(),
+        static_cast<unsigned long long>(fluidc->fluid_bytes()),
+        static_cast<unsigned long long>(fluidc->packet_frames()),
+        static_cast<unsigned long long>(fluidc->transitions()),
+        static_cast<unsigned long long>(fluidc->windows_observed()));
+  }
+  if (!sc.schedule.empty()) {
+    std::printf("  faults: %llu injected, fault log digest %016llx\n",
+                static_cast<unsigned long long>(
+                    built.injector->faults_injected()),
+                static_cast<unsigned long long>(built.injector->digest()));
+  }
+}
+
+void print_allreduce(const vigil::Scenario& sc, const vigil::RunReport& report,
+                     vigil::Built& built) {
+  cluster::Cluster& cl = *built.cluster;
+  const cluster::AllreduceRun& run = built.allreduce;
+  const int workers = sc.cluster.total_workers();
+  std::printf("%d-rack x %d-worker cluster, %zu gradients/worker\n",
+              sc.cluster.racks, sc.cluster.workers_per_rack,
+              std::size_t(sc.blocks) * sc.cluster.grads_per_packet);
+  std::printf("  finished workers: %d/%d in %s simulated time\n",
+              run.finished, workers, report.finish.to_string().c_str());
+  std::printf("  allreduce: %.2f us, %.2f Gbps aggregate goodput\n",
+              run.duration_us(), run.goodput_gbps());
+  for (int r = 0; r < sc.cluster.racks; ++r) {
+    std::printf("  rack%d: leaf blocks %llu, uplink frames %llu\n", r,
+                static_cast<unsigned long long>(
+                    cl.leaf_app(r).stats().blocks_completed),
+                static_cast<unsigned long long>(
+                    cl.fabric_link(r).a_to_b().frames_sent()));
+  }
+  std::printf("  spine: blocks %llu\n",
+              static_cast<unsigned long long>(
+                  cl.spine_app().stats().blocks_completed));
+  if (sc.schedule.empty()) return;
+  std::uint64_t exhausted = 0;
+  for (int w = 0; w < workers; ++w) {
+    exhausted += cl.worker(w).retry_budget_exhausted();
+  }
+  std::printf(
+      "  faults: %llu injected, %llu recoveries, %d crashed worker(s)\n",
+      static_cast<unsigned long long>(built.injector->faults_injected()),
+      static_cast<unsigned long long>(built.injector->recoveries()),
+      report.crashed);
+  std::printf("  recovery: %llu retransmits, %llu budgets exhausted\n",
+              static_cast<unsigned long long>(report.retransmissions),
+              static_cast<unsigned long long>(exhausted));
+  std::printf("  fault log digest: %016llx\n",
+              static_cast<unsigned long long>(built.injector->digest()));
 }
 
 int run_cluster(const std::string& topo, int blocks, int shards,
@@ -145,94 +263,6 @@ int run_cluster(const std::string& topo, int blocks, int shards,
   const int wpr =
       x == std::string::npos ? 0 : std::atoi(topo.c_str() + x + 1);
   if (racks <= 0 || wpr <= 0 || blocks <= 0) return usage();
-
-  telemetry::Telemetry telem(!metrics_out.empty(), !trace_out.empty());
-  cluster::ClusterSpec spec;
-  spec.racks = racks;
-  spec.workers_per_rack = wpr;
-  if (shards <= 0) {
-    // Auto: one shard per hardware thread, capped by the router count
-    // inside Cluster::effective_shards.
-    const unsigned hw = std::thread::hardware_concurrency();
-    shards = hw > 0 ? int(hw) : 1;
-  }
-  if (!jobs_path.empty() || netrpc_demo || !trace_out.empty()) {
-    // The multi-tenant job manager and the Perfetto tracer keep
-    // cross-router state without per-shard synchronisation
-    // (docs/performance.md "when --shards 1 is required").
-    shards = 1;
-  }
-  spec.shards = shards;
-  if (telem.metrics.enabled() || telem.tracer.enabled()) {
-    spec.telemetry = &telem;
-  }
-  try {
-    spec.validate();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "trio-run: %s\n", e.what());
-    return 1;
-  }
-
-  jobs::JobsSpec jobs_spec;
-  if (!jobs_path.empty()) {
-    try {
-      jobs_spec = jobs::JobsSpec::load(jobs_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trio-run: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (netrpc_demo) {
-    bool have_netrpc = false;
-    for (const jobs::TenantSpec& t : jobs_spec.tenants) {
-      if (t.is_netrpc()) have_netrpc = true;
-    }
-    if (!have_netrpc) {
-      jobs::TenantSpec rpc;
-      rpc.id = 4;
-      rpc.kind = jobs::TenantKind::kNetRpc;
-      for (const jobs::TenantSpec& t : jobs_spec.tenants) {
-        if (t.id == rpc.id) {
-          std::fprintf(stderr,
-                       "trio-run: --netrpc wants tenant id 4 but --jobs "
-                       "already declares it\n");
-          return 1;
-        }
-      }
-      jobs_spec.tenants.push_back(rpc);
-    }
-  }
-
-  faults::FaultSchedule schedule;
-  if (!faults_path.empty()) {
-    try {
-      schedule = faults::FaultSchedule::load(faults_path);
-      // Validate against the declared tenants: a `tenant=` qualifier
-      // naming an unknown tenant, or kill/revive / crash/restart windows
-      // that overlap or fail to pair, is a spec error worth rejecting at
-      // startup rather than a silently inert (or doubly applied) fault.
-      std::vector<int> declared;
-      for (const jobs::TenantSpec& t : jobs_spec.tenants) {
-        declared.push_back(int(t.id));
-      }
-      schedule.validate(&declared);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trio-run: %s\n", e.what());
-      return 1;
-    }
-  }
-  sim::Time deadline = sim::Time::max();
-  if (!deadline_s.empty()) {
-    try {
-      deadline = sim::Time() + faults::parse_duration(deadline_s);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trio-run: %s\n", e.what());
-      return 1;
-    }
-  } else if (!schedule.empty() || !jobs_spec.empty()) {
-    deadline = sim::Time() + sim::Duration::millis(200);
-  }
-
   if (fluid && jobs_path.empty()) {
     std::fprintf(stderr,
                  "trio-run: --fluid needs --jobs (only best-effort tenants "
@@ -240,253 +270,66 @@ int run_cluster(const std::string& topo, int blocks, int shards,
     return 1;
   }
 
-  cluster::Cluster cl(spec);
-  std::unique_ptr<jobs::JobManager> mgr;
-  std::unique_ptr<jobs::FluidController> fluidc;
-  if (!jobs_spec.empty()) {
-    mgr = std::make_unique<jobs::JobManager>(cl);
-    if (isolation) mgr->enable_isolation();
-    const jobs::AdmissionResult adm = mgr->admit_all(jobs_spec);
-    if (!adm.admitted) {
-      std::fprintf(stderr, "trio-run: admission rejected: %s\n",
-                   adm.reason.c_str());
-      return 1;
-    }
-    if (fluid) {
-      fluidc = std::make_unique<jobs::FluidController>(cl);
-      mgr->enable_fluid(*fluidc);
-    }
+  telemetry::Telemetry telem(!metrics_out.empty(), !trace_out.empty());
+  vigil::Scenario sc;
+  sc.cluster.racks = racks;
+  sc.cluster.workers_per_rack = wpr;
+  if (shards <= 0) {
+    // Auto: one shard per hardware thread, capped by the router count
+    // inside Cluster::effective_shards.
+    const unsigned hw = std::thread::hardware_concurrency();
+    shards = hw > 0 ? int(hw) : 1;
   }
-  faults::FaultInjector injector(cl.simulator(), &telem);
-  if (!schedule.empty()) {
-    injector.bind(cl);
-    if (mgr) mgr->bind_fault_injector(injector);
-    injector.set_base_seed(seed);
-    try {
-      injector.arm(schedule);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trio-run: %s\n", e.what());
-      return 1;
-    }
-    // A faulted run needs the recovery machinery: hardened retransmits on
-    // every worker — with a give-up grace, so a block whose aggregation
-    // path died for good completes degraded instead of retrying forever —
-    // plus straggler aging so dead contributors age out.
-    for (int w = 0; w < spec.total_workers(); ++w) {
-      cl.worker(w).enable_hardened_retransmit(sim::Duration::millis(5),
-                                              /*retry_budget=*/10,
-                                              sim::Duration::millis(20));
-      cl.worker(w).enable_give_up(sim::Duration::millis(40));
-      cl.worker(w).reseed_jitter(seed ^ (0x74726f6eull + std::uint64_t(w)));
-    }
-    if (mgr) {
-      for (jobs::TenantId t : mgr->admitted()) {
-        for (int w = 0; w < spec.total_workers(); ++w) {
-          if (trioml::TrioMlWorker* worker = mgr->tenant_worker(t, w)) {
-            worker->enable_hardened_retransmit(sim::Duration::millis(5),
-                                               /*retry_budget=*/10,
-                                               sim::Duration::millis(20));
-            worker->enable_give_up(sim::Duration::millis(40));
-            worker->reseed_jitter(seed ^ (std::uint64_t(t) << 32) ^
-                                  std::uint64_t(w));
-          }
-        }
+  sc.cluster.shards = shards;
+  if (telem.metrics.enabled() || telem.tracer.enabled()) {
+    sc.cluster.telemetry = &telem;
+  }
+  sc.blocks = blocks;
+  sc.isolation = isolation;
+  sc.fluid = fluid;
+  sc.seed = seed;
+  vigil::Built built;
+  vigil::RunReport report;
+  try {
+    if (!jobs_path.empty()) sc.jobs = jobs::JobsSpec::load(jobs_path);
+    if (netrpc_demo) add_netrpc_demo(sc.jobs);
+    if (!faults_path.empty()) {
+      sc.schedule = faults::FaultSchedule::load(faults_path);
+      // Validate against the declared tenants: a `tenant=` qualifier
+      // naming an unknown tenant, or kill/revive / crash/restart windows
+      // that overlap or fail to pair, is a spec error worth rejecting at
+      // startup rather than a silently inert (or doubly applied) fault.
+      std::vector<int> declared;
+      for (const jobs::TenantSpec& t : sc.jobs.tenants) {
+        declared.push_back(int(t.id));
       }
+      sc.schedule.validate(&declared);
+      sc.hardening = vigil::Hardening{};
+      sc.hardening->seed_jitter = true;
     }
-    cl.start_straggler_detection(/*threads=*/10, sim::Duration::millis(1));
-    // Chaos windows are packet-fidelity regions: fluid streams
-    // re-materialise as real frames for each fault's active window.
-    if (fluidc) fluidc->observe(schedule);
+    if (!deadline_s.empty()) {
+      sc.deadline = sim::Time() + faults::parse_duration(deadline_s);
+    }
+    report = vigil::run_schedule(sc, &built);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trio-run: %s\n", e.what());
+    return 1;
   }
 
-  if (mgr) {
-    cl.sample_trace_counters();
-    const jobs::MultiTenantRun run = mgr->run(/*gen_id=*/1, deadline);
-    if (!schedule.empty()) cl.stop_straggler_detection();
-    cl.sample_trace_counters();
-
-    std::printf("%d-rack x %d-worker cluster, %zu tenant(s), isolation %s\n",
-                racks, wpr, run.tenants.size(), isolation ? "on" : "off");
-    bool all_finished = true;
-    for (const jobs::TenantRun& tr : run.tenants) {
-      if (tr.kind == jobs::TenantKind::kAllreduce) {
-        int crashed = 0;
-        for (int w = 0; w < spec.total_workers(); ++w) {
-          const trioml::TrioMlWorker* worker = mgr->tenant_worker(tr.id, w);
-          if (worker != nullptr && worker->crashes() > 0) ++crashed;
-        }
-        std::printf(
-            "  tenant %u %s: %d/%d workers finished in %.2f us, "
-            "digest %016llx\n",
-            unsigned(tr.id), jobs::kind_name(tr.kind), tr.finished,
-            spec.total_workers(), tr.duration_us(),
-            static_cast<unsigned long long>(tr.digest()));
-        // Crashed workers are expected casualties, as in the faulted
-        // single-job path; every survivor must finish.
-        if (tr.finished < spec.total_workers() - crashed) all_finished = false;
-      } else if (tr.kind == jobs::TenantKind::kNetRpc) {
-        const jobs::TenantSpec* ts = mgr->tenant_spec(tr.id);
-        const jobs::NetRpcRun& nr = tr.netrpc;
-        std::printf(
-            "  tenant %u %s: %d/%d clients finished in %.2f us, "
-            "digest %016llx\n",
-            unsigned(tr.id), jobs::kind_name(tr.kind), tr.finished,
-            ts != nullptr ? int(ts->rpc_clients) : tr.finished,
-            tr.duration_us(),
-            static_cast<unsigned long long>(tr.digest()));
-        std::printf(
-            "    calls %llu (%llu degraded), gets %llu (%llu cached, "
-            "%.0f%% hit), puts %llu\n",
-            static_cast<unsigned long long>(nr.calls),
-            static_cast<unsigned long long>(nr.degraded),
-            static_cast<unsigned long long>(nr.gets),
-            static_cast<unsigned long long>(nr.cached_gets),
-            nr.gets > 0 ? 100.0 * double(nr.cached_gets) / double(nr.gets)
-                        : 0.0,
-            static_cast<unsigned long long>(nr.puts));
-        if (nr.call_latency_us.count() > 0) {
-          sim::Samples lat = nr.call_latency_us;  // percentile() sorts
-          std::printf("    call latency: p50 %.2f us, p99 %.2f us\n",
-                      lat.percentile(50), lat.percentile(99));
-        }
-        if (nr.get_hit_latency_us.count() > 0 &&
-            nr.get_miss_latency_us.count() > 0) {
-          std::printf("    GET latency: cache hit %.2f us vs miss %.2f us\n",
-                      nr.get_hit_latency_us.mean(),
-                      nr.get_miss_latency_us.mean());
-        }
-        if (netrpc::NetRpcApp* app = mgr->netrpc_app()) {
-          std::printf(
-              "    PFE counters: merged %llu, completed %llu, hit %llu, "
-              "miss %llu, fill %llu, invalidate %llu, degraded %llu\n",
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrMerged)),
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrCompleted)),
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrCacheHit)),
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrCacheMiss)),
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrCacheFill)),
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrInvalidate)),
-              static_cast<unsigned long long>(
-                  app->counter_packets(tr.id, netrpc::kCtrDegraded)));
-        }
-        if (ts != nullptr && tr.finished < int(ts->rpc_clients)) {
-          // A crashed client is an expected casualty under --faults, like
-          // a crashed allreduce worker.
-          int crashed = 0;
-          for (int w = 0; w < spec.total_workers(); ++w) {
-            const netrpc::RpcClient* c = mgr->tenant_rpc_client(tr.id, w);
-            if (c != nullptr && c->crashed()) ++crashed;
-          }
-          if (tr.finished < int(ts->rpc_clients) - crashed) {
-            all_finished = false;
-          }
-        }
-      } else {
-        const jobs::TenantSpec* ts = mgr->tenant_spec(tr.id);
-        std::printf("  tenant %u %s: load %.2f background traffic\n",
-                    unsigned(tr.id), jobs::kind_name(tr.kind),
-                    ts != nullptr ? ts->load : 0.0);
-      }
-    }
-    if (fluidc) {
-      std::printf(
-          "  fluid: %zu stream(s), %llu fluid bytes, %llu re-materialised "
-          "frame(s), %llu transition(s), %llu fault window(s)\n",
-          fluidc->num_streams(),
-          static_cast<unsigned long long>(fluidc->fluid_bytes()),
-          static_cast<unsigned long long>(fluidc->packet_frames()),
-          static_cast<unsigned long long>(fluidc->transitions()),
-          static_cast<unsigned long long>(fluidc->windows_observed()));
-    }
-    if (!schedule.empty()) {
-      std::printf("  faults: %llu injected, fault log digest %016llx\n",
-                  static_cast<unsigned long long>(injector.faults_injected()),
-                  static_cast<unsigned long long>(injector.digest()));
-      for (const auto& entry : injector.log()) {
-        std::printf("    [%s] %s\n", entry.at.to_string().c_str(),
-                    entry.what.c_str());
-      }
-    }
-    if (!metrics_out.empty()) {
-      if (!telem.metrics.write_json_file(metrics_out, cl.simulator().now())) {
-        std::fprintf(stderr, "trio-run: cannot write %s\n",
-                     metrics_out.c_str());
-        return 1;
-      }
-      std::printf("  metrics: %s (%zu metrics)\n", metrics_out.c_str(),
-                  telem.metrics.metric_count());
-    }
-    if (!trace_out.empty()) {
-      if (!telem.tracer.write_json_file(trace_out)) {
-        std::fprintf(stderr, "trio-run: cannot write %s\n", trace_out.c_str());
-        return 1;
-      }
-      std::printf("  trace: %s (%zu events)\n", trace_out.c_str(),
-                  telem.tracer.event_count());
-    }
-    if (!check_invariants(cl, mgr.get(), jobs_spec, injector,
-                          !schedule.empty())) {
-      all_finished = false;
-    }
-    return all_finished ? 0 : 1;
+  if (built.jobs) {
+    print_tenants(sc, built);
+  } else {
+    print_allreduce(sc, report, built);
   }
-
-  const auto grads = cluster::patterned_gradients(
-      spec.total_workers(),
-      std::size_t(blocks) * spec.grads_per_packet);
-  cl.sample_trace_counters();
-  const cluster::AllreduceRun run =
-      cluster::run_allreduce(cl, grads, /*gen_id=*/1, deadline);
-  if (!schedule.empty()) cl.stop_straggler_detection();
-  cl.sample_trace_counters();
-
-  std::printf("%d-rack x %d-worker cluster, %zu gradients/worker\n", racks,
-              wpr, grads[0].size());
-  std::printf("  finished workers: %d/%d in %s simulated time\n",
-              run.finished, spec.total_workers(),
-              cl.simulator().now().to_string().c_str());
-  std::printf("  allreduce: %.2f us, %.2f Gbps aggregate goodput\n",
-              run.duration_us(), run.goodput_gbps());
-  for (int r = 0; r < racks; ++r) {
-    std::printf("  rack%d: leaf blocks %llu, uplink frames %llu\n", r,
-                static_cast<unsigned long long>(
-                    cl.leaf_app(r).stats().blocks_completed),
-                static_cast<unsigned long long>(
-                    cl.fabric_link(r).a_to_b().frames_sent()));
-  }
-  std::printf("  spine: blocks %llu\n",
-              static_cast<unsigned long long>(
-                  cl.spine_app().stats().blocks_completed));
-  int crashed_workers = 0;
-  if (!schedule.empty()) {
-    std::uint64_t retransmits = 0, exhausted = 0;
-    for (int w = 0; w < spec.total_workers(); ++w) {
-      retransmits += cl.worker(w).retransmissions();
-      exhausted += cl.worker(w).retry_budget_exhausted();
-      if (cl.worker(w).crashes() > 0) ++crashed_workers;
-    }
-    std::printf(
-        "  faults: %llu injected, %llu recoveries, %d crashed worker(s)\n",
-        static_cast<unsigned long long>(injector.faults_injected()),
-        static_cast<unsigned long long>(injector.recoveries()),
-        crashed_workers);
-    std::printf("  recovery: %llu retransmits, %llu budgets exhausted\n",
-                static_cast<unsigned long long>(retransmits),
-                static_cast<unsigned long long>(exhausted));
-    std::printf("  fault log digest: %016llx\n",
-                static_cast<unsigned long long>(injector.digest()));
-    for (const auto& entry : injector.log()) {
+  if (!sc.schedule.empty()) {
+    for (const auto& entry : built.injector->log()) {
       std::printf("    [%s] %s\n", entry.at.to_string().c_str(),
                   entry.what.c_str());
     }
   }
   if (!metrics_out.empty()) {
-    if (!telem.metrics.write_json_file(metrics_out, cl.simulator().now())) {
+    if (!telem.metrics.write_json_file(metrics_out,
+                                       built.cluster->simulator().now())) {
       std::fprintf(stderr, "trio-run: cannot write %s\n", metrics_out.c_str());
       return 1;
     }
@@ -501,12 +344,13 @@ int run_cluster(const std::string& topo, int blocks, int shards,
     std::printf("  trace: %s (%zu events)\n", trace_out.c_str(),
                 telem.tracer.event_count());
   }
-  // Workers that crashed are expected casualties; every survivor must
-  // have finished — and the cluster's runtime invariants must hold.
-  const bool clean = check_invariants(cl, mgr.get(), jobs_spec, injector,
-                                      !schedule.empty());
-  return clean && run.finished >= spec.total_workers() - crashed_workers ? 0
-                                                                         : 1;
+  for (const vigil::Violation& v : report.violations) {
+    std::printf("  invariant %s tripped at %s: %s\n", v.invariant.c_str(),
+                v.at.to_string().c_str(), v.detail.c_str());
+  }
+  // Crashed participants are expected casualties; every survivor must
+  // have finished, and the runner's invariants must hold.
+  return report.ok() ? 0 : 1;
 }
 
 net::Buffer make_frame(const std::string& kind) {
