@@ -8,10 +8,12 @@
 // point: detection latency (kill -> death declaration), failover latency
 // (death -> leaves re-homed), total recovery overhead (faulted finish -
 // fault-free finish), and the bit-identity of the recovered result
-// against the fault-free baseline. Every point runs twice and the
-// fault + recovery log digests are compared, so the bench doubles as a
-// determinism check; any non-finite recovery time, lost worker, broken
-// bit-identity or digest mismatch exits non-zero.
+// against the fault-free baseline. Every point runs twice, the second
+// time with one shard per router, and the fault + recovery log digests
+// are compared, so the bench doubles as a determinism check and a
+// shard-count oracle for heartbeat recovery; any non-finite recovery
+// time, lost worker, broken bit-identity or digest mismatch exits
+// non-zero.
 //
 //   fig_failover [--quick] [--json-out=<file>]   # BENCH_failover.json in CI
 #include <cstdio>
@@ -44,7 +46,8 @@ struct Outcome {
 
 
 // kill_us < 0 runs the fault-free baseline.
-Outcome run_point(double kill_us, std::size_t blocks) {
+Outcome run_point(double kill_us, std::size_t blocks,
+                  bool shard_per_router = false) {
   cluster::ClusterSpec spec;
   spec.racks = 2;
   spec.workers_per_rack = 4;
@@ -52,6 +55,7 @@ Outcome run_point(double kill_us, std::size_t blocks) {
   spec.slab_pool = 1024;
   spec.backup_spine = true;
   spec.host_link.gbps = 10.0;  // stretch the epoch across the kill sweep
+  if (shard_per_router) spec.shards = spec.routers();
 
   cluster::Cluster cl(spec);
   const int workers = spec.total_workers();
@@ -139,7 +143,7 @@ int main(int argc, char** argv) {
   if (baseline.finished != 8 || baseline.failovers != 0) ++failures;
   for (double kill_us : kill_sweep_us) {
     const Outcome a = run_point(kill_us, blocks);
-    const Outcome b = run_point(kill_us, blocks);
+    const Outcome b = run_point(kill_us, blocks, /*shard_per_router=*/true);
     const bool deterministic = a.log_digest == b.log_digest &&
                                a.result_digest == b.result_digest &&
                                a.finish_us == b.finish_us;

@@ -20,7 +20,9 @@
 // latency beats both baselines under the straggler, trio alone completes
 // every call after the crash, cache-hit GETs run well under the full
 // client-server RTT, a co-tenant Trio-ML allreduce stays bit-identical to
-// its solo run, and every digest is replay-identical (determinism).
+// its solo run, and every digest is replay-identical (determinism). The
+// replays run with one shard per router, so they double as the netrpc
+// shard-count oracle.
 //
 //   fig_netrpc [--quick] [--json-out=<file>]   # BENCH_netrpc.json in CI
 #include <algorithm>
@@ -116,8 +118,11 @@ struct TrioOutcome {
 };
 
 TrioOutcome run_trio(Scenario sc, bool host_merge, bool co_allreduce,
-                     int calls, int gets, int puts) {
-  cluster::Cluster cl(netrpc_spec());
+                     int calls, int gets, int puts,
+                     bool shard_per_router = false) {
+  cluster::ClusterSpec spec = netrpc_spec();
+  if (shard_per_router) spec.shards = spec.routers();
+  cluster::Cluster cl(spec);
   jobs::JobManager mgr(cl);
   mgr.set_netrpc_aging(kAging);
   if (co_allreduce && !mgr.admit(ml_tenant()).admitted) return {};
@@ -129,6 +134,7 @@ TrioOutcome run_trio(Scenario sc, bool host_merge, bool co_allreduce,
     netrpc::RpcServer* srv =
         mgr.tenant_rpc_server(kRpcTenant, netrpc_spec().workers_per_rack - 1);
     if (srv == nullptr) return {};
+    // Rack 0 is domain 0, which shard 0 runs at any shard count.
     cl.simulator().schedule_at(sim::Time() + kFaultAt, [srv, sc] {
       if (sc == Scenario::kCrash) {
         srv->crash();
@@ -457,8 +463,8 @@ int main(int argc, char** argv) {
   }
   const TrioOutcome co1 = run_trio(Scenario::kClean, false, true,
                                    calls, gets, puts);
-  const TrioOutcome co2 = run_trio(Scenario::kClean, false, true,
-                                   calls, gets, puts);
+  const TrioOutcome co2 = run_trio(Scenario::kClean, false, true, calls,
+                                   gets, puts, /*shard_per_router=*/true);
   const bool ml_identical = cluster::bit_identical(ml_solo, co1.ml_results);
   const bool co_deterministic =
       !co1.all_digests.empty() && co1.all_digests == co2.all_digests;
@@ -482,9 +488,10 @@ int main(int argc, char** argv) {
   const TrioOutcome g1 = run_trio(Scenario::kClean, false, false,
                                   calls, gets, puts);
   const TrioOutcome g2 = run_trio(Scenario::kClean, false, false,
-                                  calls, gets, puts);
+                                  calls, gets, puts, /*shard_per_router=*/true);
   const TrioOutcome f1 = run_trio(Scenario::kCrash, false, false, calls, 0, 0);
-  const TrioOutcome f2 = run_trio(Scenario::kCrash, false, false, calls, 0, 0);
+  const TrioOutcome f2 = run_trio(Scenario::kCrash, false, false, calls, 0, 0,
+                                  /*shard_per_router=*/true);
   const bool deterministic = g1.digest == g2.digest && f1.digest == f2.digest;
   std::printf("\ngolden digests: clean %016llx, crash %016llx, co-tenant",
               static_cast<unsigned long long>(g1.digest),

@@ -9,8 +9,9 @@
 // partitions + MQSS weighted per-tenant queues) the victim's p99 must
 // stay within 2x of its solo-run baseline at every point; with isolation
 // off the aggressor is free to degrade it. The 3-tenant point is run
-// twice and the per-tenant golden digests compared, so the bench doubles
-// as the multi-tenant determinism check, and every victim result is
+// twice, the second time with one shard per router, and the per-tenant
+// golden digests compared, so the bench doubles as the multi-tenant
+// determinism check and shard-count oracle, and every victim result is
 // checked bit-identical to the solo run.
 //
 //   fig_tenancy [--quick] [--json-out=<file>]   # BENCH_tenancy.json in CI
@@ -74,8 +75,11 @@ double victim_p99(jobs::JobManager& mgr, int workers) {
 }
 
 Outcome run_point(const Point& p,
-                  const std::vector<trioml::AllreduceResult>* solo_results) {
-  cluster::Cluster cl(tenancy_spec());
+                  const std::vector<trioml::AllreduceResult>* solo_results,
+                  bool shard_per_router = false) {
+  cluster::ClusterSpec spec = tenancy_spec();
+  if (shard_per_router) spec.shards = spec.routers();
+  cluster::Cluster cl(spec);
   jobs::JobManager mgr(cl);
   if (!mgr.admit(victim_tenant()).admitted) return {};
   for (int t = 1; t < p.allreduce_tenants; ++t) {
@@ -200,7 +204,8 @@ int main(int argc, char** argv) {
   // every tenant's result fingerprint.
   const Point golden{2, 0.9, true};
   const Outcome g1 = run_point(golden, &solo_results);
-  const Outcome g2 = run_point(golden, &solo_results);
+  const Outcome g2 =
+      run_point(golden, &solo_results, /*shard_per_router=*/true);
   const bool deterministic = !g1.digests.empty() && g1.digests == g2.digests;
   if (!deterministic) ++failures;
   std::printf("\n3-tenant golden digests:");

@@ -173,7 +173,7 @@ struct ClusterPpsResult {
   double events_per_sec = 0;
   std::uint64_t packets = 0;
   std::uint64_t events = 0;
-  int shards = 1;
+  int shards = 0;  // Cluster::num_shards()
 };
 
 ClusterPpsResult bench_cluster_pps(int blocks, int shards) {

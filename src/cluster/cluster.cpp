@@ -16,8 +16,7 @@ std::string rack_name(int r) { return "rack" + std::to_string(r); }
 std::uint32_t Cluster::effective_shards(const ClusterSpec& spec) {
   int s = spec.shards;
   if (s < 1) s = 1;
-  const int domains = int(num_domains(spec));
-  if (s > domains) s = domains;
+  if (s > spec.routers()) s = spec.routers();
   // The conservative window protocol needs positive lookahead, and the
   // Chrome tracer is single-threaded — both degrade gracefully to the
   // serial engine (same event order, so same digests).
@@ -29,7 +28,7 @@ std::uint32_t Cluster::effective_shards(const ClusterSpec& spec) {
 Cluster::Cluster(ClusterSpec spec)
     : spec_(std::move(spec)),
       tree_(build_aggregation_tree(spec_)),
-      engine_(num_domains(spec_), effective_shards(spec_),
+      engine_(std::uint32_t(spec_.routers()), effective_shards(spec_),
               spec_.fabric_link.latency) {
   const int racks = spec_.racks;
   const int wpr = spec_.workers_per_rack;

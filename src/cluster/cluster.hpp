@@ -137,9 +137,6 @@ class Cluster {
   }
   /// The simulator executing domain `d`'s events.
   sim::Simulator& dsim(std::uint32_t d) { return engine_.domain_sim(d); }
-  static std::uint32_t num_domains(const ClusterSpec& spec) {
-    return std::uint32_t(spec.racks + 1 + (spec.backup_spine ? 1 : 0));
-  }
   static std::uint32_t effective_shards(const ClusterSpec& spec);
 
   ClusterSpec spec_;

@@ -58,10 +58,9 @@ struct ClusterSpec {
   /// domain; domains are packed round-robin onto this many OS threads,
   /// synchronised conservatively with the fabric-link latency as
   /// lookahead. Results and digests are bit-identical at any value.
-  /// Clamped to [1, number of routers]; forced to 1 when the fabric
-  /// latency is zero or Chrome tracing is enabled (the tracer is
-  /// single-threaded).
-  int shards = 1;
+  /// Clamped to [1, routers()]; forced to 1 when the fabric latency is
+  /// zero or Chrome tracing is enabled (the tracer is single-threaded).
+  int shards{1};
 
   /// When set, every router is built observed by this bundle (which must
   /// outlive the Cluster) under a per-router trio::TelemetryScope
@@ -70,6 +69,9 @@ struct ClusterSpec {
   telemetry::Telemetry* telemetry = nullptr;
 
   int total_workers() const { return racks * workers_per_rack; }
+  /// Leaves, spine and standby spine: one simulation domain each, so
+  /// `shards = routers()` runs one shard per router.
+  int routers() const { return racks + 1 + (backup_spine ? 1 : 0); }
 
   /// Throws std::invalid_argument when the spec cannot materialize:
   /// workers must fit the fast-path source mask (<= 64 sources per

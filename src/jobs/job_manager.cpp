@@ -49,13 +49,6 @@ const TenantRun* MultiTenantRun::tenant(TenantId id) const {
 
 JobManager::JobManager(cluster::Cluster& cluster)
     : cluster_(cluster), sim_(cluster.simulator()) {
-  // run()'s completion callbacks count finished workers and clients in
-  // state shared by every tenant; at more than one shard they would fire
-  // on different shard threads (docs/performance.md "When `--shards 1` is
-  // required").
-  if (cluster_.num_shards() > 1) {
-    throw std::logic_error("JobManager: multi-tenant runs require --shards 1");
-  }
   // Re-target every host downlink at a mux; the built-in worker keeps
   // receiving the cluster's own job through it, additional tenants
   // register their workers as they are admitted.
@@ -189,7 +182,7 @@ AdmissionResult JobManager::admit(const TenantSpec& spec) {
           wc.grads_per_packet = cluster_.spec().grads_per_packet;
           wc.expected_sources = cluster_.tree().expected_sources;
           auto worker = std::make_unique<trioml::TrioMlWorker>(
-              sim_, wc, cluster_.link(g).a_to_b());
+              host_sim(g), wc, cluster_.link(g).a_to_b());
           if (cluster_.spec().telemetry) {
             worker->instrument(cluster_.spec().telemetry->metrics,
                                tenant_scope(spec.id).metric_prefix +
@@ -218,7 +211,7 @@ AdmissionResult JobManager::admit(const TenantSpec& spec) {
         bc.ip_dst = cluster_.tree().spine_ip;
         bc.load = spec.load;
         tenant.sources.push_back(std::make_unique<BestEffortSource>(
-            sim_, cluster_.link(g).a_to_b(), bc));
+            host_sim(g), cluster_.link(g).a_to_b(), bc));
       }
     }
   }
@@ -315,7 +308,7 @@ AdmissionResult JobManager::admit_netrpc(const TenantSpec& spec,
     sc.mac = server_macs[std::size_t(s)];
     sc.value_words = spec.rpc_value_words;
     auto server = std::make_unique<netrpc::RpcServer>(
-        sim_, sc, cluster_.link(g).a_to_b());
+        host_sim(g), sc, cluster_.link(g).a_to_b());
     // Seed the hot keys on every replica so first-touch GETs hit real
     // values regardless of which replica is a key's home.
     for (std::uint32_t k = 0; k < spec.rpc_hot_keys; ++k) {
@@ -340,7 +333,7 @@ AdmissionResult JobManager::admit_netrpc(const TenantSpec& spec,
     cc.window = spec.rpc_window;
     cc.retransmit = true;
     auto client = std::make_unique<netrpc::RpcClient>(
-        sim_, cc, cluster_.link(c).a_to_b());
+        host_sim(c), cc, cluster_.link(c).a_to_b());
     if (telem) {
       client->instrument(telem->metrics,
                          scope + "client" + std::to_string(c) + ".");
@@ -466,7 +459,6 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
   MultiTenantRun run;
   run.tenants.reserve(admission_order_.size());
   const int workers = cluster_.num_workers();
-  int remaining = 0;
 
   for (TenantId id : admission_order_) {
     const Tenant& tenant = tenants_.at(id);
@@ -476,12 +468,7 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
     tr.kind = tenant.spec.kind;
     tr.start = sim_.now();
     tr.finish = sim_.now();
-    if (tenant.spec.is_allreduce()) {
-      tr.results.resize(std::size_t(workers));
-      remaining += workers;
-    } else if (tenant.spec.is_netrpc()) {
-      remaining += int(tenant.spec.rpc_clients);
-    }
+    if (tenant.spec.is_allreduce()) tr.results.resize(std::size_t(workers));
     run.tenants.push_back(std::move(tr));
   }
 
@@ -489,7 +476,7 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
   // callbacks hold references into it).
   for (auto& tr : run.tenants) {
     if (tr.kind == TenantKind::kNetRpc) {
-      start_netrpc_tenant(tr, tenants_.at(tr.id), remaining);
+      start_netrpc_tenant(tr, tenants_.at(tr.id));
       continue;
     }
     if (tr.kind != TenantKind::kAllreduce) continue;
@@ -497,14 +484,12 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
     auto grads = tenant_gradients(tr.id, workers, tenant.spec.grads);
     for (int w = 0; w < workers; ++w) {
       trioml::TrioMlWorker* worker = tenant_worker(tr.id, w);
-      worker->start_allreduce(
-          std::move(grads[std::size_t(w)]), gen_id,
-          [this, &tr, &remaining, w](trioml::AllreduceResult res) {
-            tr.results[std::size_t(w)] = std::move(res);
-            ++tr.finished;
-            tr.finish = sim_.now();
-            --remaining;
-          });
+      // Runs on worker w's shard and writes only its own slot; tally()
+      // rolls the slots up with the engine parked.
+      worker->start_allreduce(std::move(grads[std::size_t(w)]), gen_id,
+                              [&tr, w](trioml::AllreduceResult res) {
+                                tr.results[std::size_t(w)] = std::move(res);
+                              });
     }
   }
   for (TenantId id : admission_order_) {
@@ -530,34 +515,41 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
     }
   }
 
-  // Best-effort sources (and fluid wakeups) keep the event queue
-  // non-empty, so poll the completion count instead of waiting for a
-  // drain.
-  sim_.run_until_done(deadline, [&remaining] { return remaining <= 0; });
+  // Rolls a tenant up; true once every participant finished. Best-effort
+  // sources (and fluid wakeups) keep the queue non-empty, so this is
+  // polled at the engine's parked slices instead of waiting for a drain.
+  const auto settled = [&](TenantRun& tr) {
+    if (tr.kind == TenantKind::kAllreduce) {
+      tr.tally();
+      return tr.finished >= workers;
+    }
+    return tr.kind != TenantKind::kNetRpc ||
+           tr.finished >= int(tenants_.at(tr.id).spec.rpc_clients);
+  };
+  sim_.run_until_done(deadline, [&] {
+    return std::all_of(run.tenants.begin(), run.tenants.end(), settled);
+  });
   for (TenantId id : admission_order_) {
     for (auto& source : tenants_.at(id).sources) source->stop();
   }
   if (fluid_) fluid_->stop();
   for (auto& tr : run.tenants) {
-    const bool incomplete =
-        (tr.kind == TenantKind::kAllreduce && tr.finished < workers) ||
-        (tr.kind == TenantKind::kNetRpc &&
-         tr.finished < int(tenants_.at(tr.id).spec.rpc_clients));
-    if (incomplete) tr.finish = sim_.now();
+    if (!settled(tr)) tr.finish = sim_.now();
   }
   run.finish = sim_.now();
   return run;
 }
 
-void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
-                                     int& remaining) {
+void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant) {
   const TenantSpec& spec = tenant.spec;
   // Closed-loop per client: PUTs (seed + cache invalidation), then GETs
   // over the hot keys (the cache-hit phase), then `calls` windowed
   // fan-out RPCs. Every completed op folds its returned values into the
-  // tenant's digest in completion order.
-  for (auto& client_ptr : tenant.rpc_clients) {
-    netrpc::RpcClient* client = client_ptr.get();
+  // tenant's digest in completion order. Every client sits in rack 0, one
+  // domain, so the tenant's tallies are written from one shard only.
+  for (std::size_t i = 0; i < tenant.rpc_clients.size(); ++i) {
+    netrpc::RpcClient* client = tenant.rpc_clients[i].get();
+    sim::Simulator& csim = host_sim(tenant.client_hosts[i]);
     struct Drive {
       std::uint32_t put_i = 0, get_i = 0, call_i = 0, inflight = 0;
       std::function<void()> pump;  // cleared at finish (breaks the cycle)
@@ -569,13 +561,12 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
     const std::uint32_t hot = spec.rpc_hot_keys;
     const std::uint16_t words = spec.rpc_value_words;
     const TenantId id = spec.id;
-    d->pump = [this, &tr, &remaining, client, d, puts, gets, calls, hot,
-               words, id] {
+    d->pump = [&tr, &csim, client, d, puts, gets, calls, hot, words, id] {
       if (d->put_i < puts) {
         const std::uint32_t seq = d->put_i++;
         const std::uint64_t key = seq % hot;
         client->put(key, netrpc_put_values(id, key, seq + 1, words),
-                    [this, &tr, d, key](netrpc::PutResult) {
+                    [&tr, d, key](netrpc::PutResult) {
                       ++tr.netrpc.puts;
                       tr.netrpc.value_digest.bytes(&key, sizeof(key));
                       d->pump();
@@ -584,7 +575,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
       }
       if (d->get_i < gets) {
         const std::uint64_t key = d->get_i++ % hot;
-        client->get(key, [this, &tr, d](netrpc::GetResult res) {
+        client->get(key, [&tr, d](netrpc::GetResult res) {
           ++tr.netrpc.gets;
           if (res.cached) {
             ++tr.netrpc.cached_gets;
@@ -601,7 +592,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
         const std::uint32_t seq = d->call_i++;
         ++d->inflight;
         client->call(netrpc_put_values(id, 0x1000 + seq % 16, seq, words),
-                     [this, &tr, d](netrpc::CallResult res) {
+                     [&tr, d](netrpc::CallResult res) {
                        --d->inflight;
                        ++tr.netrpc.calls;
                        if (res.degraded) ++tr.netrpc.degraded;
@@ -616,8 +607,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
       }
       if (d->call_i >= calls && d->inflight == 0) {
         ++tr.finished;
-        tr.finish = sim_.now();
-        --remaining;
+        tr.finish = csim.now();
         // Move the closure out before destroying it: `pump` IS the
         // currently-executing lambda, so it must stay alive to the end
         // of this scope while the shared cycle is broken.

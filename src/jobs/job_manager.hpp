@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/allreduce.hpp"
 #include "cluster/cluster.hpp"
 #include "jobs/best_effort.hpp"
 #include "jobs/host_mux.hpp"
@@ -61,21 +62,16 @@ struct NetRpcRun {
   sim::Samples get_miss_latency_us;
 };
 
-/// One tenant's outcome from JobManager::run().
-struct TenantRun {
+/// One tenant's outcome from JobManager::run(): the allreduce slots and
+/// rollups of cluster::AllreduceRun (`results` empty for best-effort and
+/// netrpc tenants; `finished` counts netrpc clients), plus the netrpc
+/// workload outcome.
+struct TenantRun : cluster::AllreduceRun {
   TenantId id = 0;
   TenantKind kind = TenantKind::kAllreduce;
-  /// Per-worker results in rack-major global order; empty grads for
-  /// workers that did not finish before the deadline. Empty for
-  /// best-effort and netrpc tenants.
-  std::vector<trioml::AllreduceResult> results;
   /// Populated for netrpc tenants only.
   NetRpcRun netrpc;
-  int finished = 0;
-  sim::Time start;
-  sim::Time finish;  // last result arrival (or the deadline)
 
-  double duration_us() const { return (finish - start).us(); }
   /// sim::Digest fingerprint: cluster::results_digest() for allreduce
   /// tenants, over every op's values in completion order for netrpc
   /// tenants (equal across deterministic replays).
@@ -93,8 +89,8 @@ class JobManager {
  public:
   /// Installs a HostMux on every host downlink (the Cluster's built-in
   /// workers keep receiving their job's traffic through it). The cluster
-  /// must outlive the manager and run on one shard (throws
-  /// std::logic_error otherwise).
+  /// must outlive the manager; it may run at any shard count: every
+  /// per-host endpoint lives on its host's domain simulator.
   explicit JobManager(cluster::Cluster& cluster);
 
   /// Admits one tenant. Allreduce tenants get a job record on every
@@ -118,7 +114,8 @@ class JobManager {
   /// Runs every admitted tenant concurrently: each allreduce tenant's
   /// workers stream tenant_gradients() for generation `gen_id`, each
   /// best-effort tenant offers its configured load, until every allreduce
-  /// finished or `deadline`.
+  /// worker and netrpc client finished or `deadline` (checked with the
+  /// engine parked, every 1 ms of simulated time).
   MultiTenantRun run(std::uint16_t gen_id, sim::Time deadline);
 
   /// The deterministic per-worker gradients tenant `id` streams — a
@@ -198,7 +195,12 @@ class JobManager {
   std::vector<trio::Router*> routers();
   void apply_weight(TenantId id, std::uint32_t weight);
   AdmissionResult admit_netrpc(const TenantSpec& spec, Tenant& tenant);
-  void start_netrpc_tenant(TenantRun& run, Tenant& tenant, int& remaining);
+  void start_netrpc_tenant(TenantRun& run, Tenant& tenant);
+  /// The simulator of host `host`'s domain (its leaf's).
+  sim::Simulator& host_sim(int host) {
+    return cluster_.engine().domain_sim(
+        std::uint32_t(host / cluster_.workers_per_rack()));
+  }
 
   cluster::Cluster& cluster_;
   sim::Simulator& sim_;

@@ -1,6 +1,8 @@
 #include "recovery/heartbeat.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/digest.hpp"
 #include "trio/pfe.hpp"
@@ -55,10 +57,10 @@ double PhiEstimator::phi(sim::Time now) const {
   return kLog10E * elapsed / mean_ns_;
 }
 
-HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& simulator,
+HeartbeatMonitor::HeartbeatMonitor(sim::ShardedSimulator& engine,
                                    telemetry::Telemetry* telem,
                                    HeartbeatConfig config)
-    : sim_(simulator), telem_(telem), config_(config) {
+    : engine_(engine), telem_(telem), config_(config) {
   if (config_.period.ns() <= 0 || config_.check_period.ns() <= 0 ||
       config_.timers <= 0 || config_.phi_threshold <= 0) {
     throw std::invalid_argument("HeartbeatMonitor: bad config");
@@ -100,19 +102,26 @@ void HeartbeatMonitor::start() {
           return std::make_unique<HeartbeatProgram>(*this, i);
         });
   }
-  check_event_ = sim_.schedule_in(config_.check_period, [this] { check(); });
+  schedule_check();
 }
 
 void HeartbeatMonitor::stop() {
   if (!running_) return;
   running_ = false;
-  sim_.cancel(check_event_);
+  ++epoch_;
   for (Watched& w : watched_) {
     if (w.timer_group >= 0) {
       w.router->pfe(0).timers().stop_group(w.timer_group);
       w.timer_group = -1;
     }
   }
+}
+
+void HeartbeatMonitor::schedule_check() {
+  engine_.schedule_global(engine_.now() + config_.check_period,
+                          [this, epoch = epoch_] {
+                            if (epoch == epoch_) check();
+                          });
 }
 
 const std::string& HeartbeatMonitor::name(int idx) const {
@@ -124,49 +133,69 @@ bool HeartbeatMonitor::dead(int idx) const {
 }
 
 double HeartbeatMonitor::phi_now(int idx) const {
-  return watched_.at(std::size_t(idx)).estimator.phi(sim_.now());
+  return watched_.at(std::size_t(idx)).estimator.phi(engine_.now());
 }
 
 const PhiEstimator& HeartbeatMonitor::estimator(int idx) const {
   return watched_.at(std::size_t(idx)).estimator;
 }
 
+std::uint64_t HeartbeatMonitor::heartbeats() const {
+  std::uint64_t n = 0;
+  for (const Watched& w : watched_) n += w.beats;
+  return n;
+}
+
 void HeartbeatMonitor::on_heartbeat(int idx) {
   Watched& w = watched_.at(std::size_t(idx));
-  ++heartbeats_;
+  const sim::Time now = w.router->simulator().now();
+  ++w.beats;
   heartbeat_ctr_.inc();
-  w.estimator.observe(sim_.now());
-  if (w.dead) {
-    // First heartbeat after a death declaration: the router is back.
-    w.dead = false;
-    ++revivals_;
-    revival_ctr_.inc();
-    record("revival " + w.name, /*recovery=*/true);
-    if (hook_) hook_(idx, /*dead=*/false);
-  }
+  w.estimator.observe(now);
+  // First heartbeat after a death declaration: the router is back. The
+  // next check logs the revival at this instant.
+  if (w.dead && w.revived_at == sim::Time::max()) w.revived_at = now;
 }
 
 void HeartbeatMonitor::check() {
-  if (!running_) return;
+  // Revivals first, in heartbeat order (then watch order): each happened
+  // before this check.
+  std::vector<std::pair<sim::Time, int>> revived;
+  for (int i = 0; i < watched(); ++i) {
+    const sim::Time at = watched_[std::size_t(i)].revived_at;
+    if (at != sim::Time::max()) revived.emplace_back(at, i);
+  }
+  std::sort(revived.begin(), revived.end());
+  for (const auto& [at, i] : revived) {
+    Watched& w = watched_[std::size_t(i)];
+    w.dead = false;
+    w.revived_at = sim::Time::max();
+    ++revivals_;
+    revival_ctr_.inc();
+    transition(i, /*dead=*/false, at);
+  }
+  const sim::Time now = engine_.now();
   for (int i = 0; i < watched(); ++i) {
     Watched& w = watched_[std::size_t(i)];
     if (w.dead || !w.estimator.primed()) continue;
-    if (w.estimator.phi(sim_.now()) >= config_.phi_threshold) {
+    if (w.estimator.phi(now) >= config_.phi_threshold) {
       w.dead = true;
       ++deaths_;
       death_ctr_.inc();
-      record("dead " + w.name, /*recovery=*/false);
-      if (hook_) hook_(i, /*dead=*/true);
+      transition(i, /*dead=*/true, now);
     }
   }
-  check_event_ = sim_.schedule_in(config_.check_period, [this] { check(); });
+  schedule_check();
 }
 
-void HeartbeatMonitor::record(const std::string& what, bool recovery) {
-  log_.push_back(LogEntry{sim_.now(), what});
+void HeartbeatMonitor::transition(int idx, bool dead, sim::Time at) {
+  const std::string what =
+      (dead ? "dead " : "revival ") + watched_[std::size_t(idx)].name;
+  log_.push_back(LogEntry{at, what});
   if (telem_ != nullptr) {
-    telem_->tracer.instant(kTracePid, recovery ? 1 : 0, what, sim_.now());
+    telem_->tracer.instant(kTracePid, dead ? 0 : 1, what, at);
   }
+  if (hook_) hook_(idx, dead, at);
 }
 
 std::uint64_t HeartbeatMonitor::digest() const {

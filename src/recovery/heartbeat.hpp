@@ -17,6 +17,11 @@
 // (after `revive`) is detected as a revival. All transitions land in a
 // deterministic event log with an FNV-1a digest, mirroring the fault
 // injector's replay fingerprint.
+//
+// At any shard count: a heartbeat touches only its router's own entry,
+// stamped with that router's clock; the phi check, every logged
+// transition and every hook run as engine global actions, all shards
+// parked (docs/recovery.md "At any shard count").
 #pragma once
 
 #include <cstdint>
@@ -24,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trio/router.hpp"
 
@@ -67,8 +72,9 @@ struct HeartbeatConfig {
 
 class HeartbeatMonitor {
  public:
-  /// `telem` may be null (no counters / trace rows).
-  HeartbeatMonitor(sim::Simulator& simulator, telemetry::Telemetry* telem,
+  /// `telem` may be null (no counters / trace rows). `engine` runs the
+  /// watched routers (Cluster::engine()).
+  HeartbeatMonitor(sim::ShardedSimulator& engine, telemetry::Telemetry* telem,
                    HeartbeatConfig config);
 
   /// Registers a router to watch. Call before start(); returns the
@@ -76,8 +82,9 @@ class HeartbeatMonitor {
   int watch(const std::string& name, trio::Router& router);
 
   /// Starts the heartbeat timer group on every watched router's PFE 0
-  /// and the monitor's periodic phi check. The check event keeps the
-  /// simulator's queue non-empty — pair with run_until() + stop().
+  /// and the monitor's periodic phi check. The check keeps the engine
+  /// from draining — pair with run_until() + stop(). A check still
+  /// pending after stop() does nothing when it fires.
   void start();
   void stop();
   bool running() const { return running_; }
@@ -88,13 +95,14 @@ class HeartbeatMonitor {
   double phi_now(int idx) const;
   const PhiEstimator& estimator(int idx) const;
 
-  /// Fires on every liveness transition: (watch index, now dead?).
-  /// Declared-dead fires from the phi check; revival fires from the first
-  /// heartbeat a dead-marked router produces.
-  using TransitionHook = std::function<void(int idx, bool dead)>;
+  /// Fires from the phi check on every liveness transition: (watch index,
+  /// now dead?, when). A death is stamped with the check's time, a
+  /// revival with the first heartbeat the dead-marked router produced.
+  using TransitionHook = std::function<void(int idx, bool dead, sim::Time at)>;
   void set_transition_hook(TransitionHook hook) { hook_ = std::move(hook); }
 
-  /// Called by the in-router heartbeat program on each execution.
+  /// Called by the in-router heartbeat program on each execution, on the
+  /// watched router's shard.
   void on_heartbeat(int idx);
 
   struct LogEntry {
@@ -106,7 +114,7 @@ class HeartbeatMonitor {
   /// FNV-1a fingerprint of the log — equal across deterministic replays.
   std::uint64_t digest() const;
 
-  std::uint64_t heartbeats() const { return heartbeats_; }
+  std::uint64_t heartbeats() const;
   std::uint64_t deaths_declared() const { return deaths_; }
   std::uint64_t revivals_detected() const { return revivals_; }
 
@@ -118,23 +126,27 @@ class HeartbeatMonitor {
     std::string name;
     trio::Router* router = nullptr;
     PhiEstimator estimator;
+    std::uint64_t beats = 0;
     bool dead = false;
+    /// First heartbeat since the death declaration; max() when none.
+    sim::Time revived_at = sim::Time::max();
     int timer_group = -1;
   };
 
+  void schedule_check();
   void check();
-  void record(const std::string& what, bool recovery);
+  void transition(int idx, bool dead, sim::Time at);
 
-  sim::Simulator& sim_;
+  sim::ShardedSimulator& engine_;
   telemetry::Telemetry* telem_;
   HeartbeatConfig config_;
   std::vector<Watched> watched_;
   TransitionHook hook_;
   bool running_ = false;
-  sim::EventId check_event_{};
+  /// Bumped by stop(): a check scheduled under an older epoch no-ops.
+  std::uint64_t epoch_ = 0;
 
   std::vector<LogEntry> log_;
-  std::uint64_t heartbeats_ = 0;
   std::uint64_t deaths_ = 0;
   std::uint64_t revivals_ = 0;
   telemetry::Counter heartbeat_ctr_;

@@ -1,7 +1,5 @@
 #include "recovery/recovery.hpp"
 
-#include <stdexcept>
-
 #include "sim/digest.hpp"
 
 namespace recovery {
@@ -10,8 +8,7 @@ RecoveryManager::RecoveryManager(cluster::Cluster& cluster,
                                  RecoveryConfig config)
     : cluster_(cluster),
       config_(config),
-      monitor_(cluster.simulator(), cluster.spec().telemetry,
-               config.heartbeat) {
+      monitor_(cluster.engine(), cluster.spec().telemetry, config.heartbeat) {
   telemetry::Telemetry* telem = cluster_.spec().telemetry;
   if (telem != nullptr) {
     failover_ctr_ = telem->metrics.counter("recovery.failovers");
@@ -26,30 +23,20 @@ RecoveryManager::RecoveryManager(cluster::Cluster& cluster,
   }
   // The backup spine is deliberately unwatched: it is the failover
   // *target*, and losing both spines has no further re-homing to do.
-  monitor_.set_transition_hook(
-      [this](int idx, bool dead) { on_transition(idx, dead); });
+  // Transitions fire from the phi check, a global action, so failover and
+  // rejoin below rewrite every leaf with all shards parked.
+  monitor_.set_transition_hook([this](int idx, bool dead, sim::Time at) {
+    on_transition(idx, dead, at);
+  });
 }
 
-void RecoveryManager::start() {
-  // The heartbeat programs report from every watched router's shard into
-  // the one monitor, and the phi check reads their estimators from shard
-  // 0 — an inherently cross-shard dataflow. Liveness detection therefore
-  // requires the serial engine (docs/performance.md "when --shards 1 is
-  // required"); scripted failover via FaultInjector global actions works
-  // at any shard count.
-  if (cluster_.num_shards() > 1) {
-    throw std::logic_error(
-        "RecoveryManager: heartbeat liveness detection requires --shards 1");
-  }
-  monitor_.start();
-}
+void RecoveryManager::start() { monitor_.start(); }
 void RecoveryManager::stop() { monitor_.stop(); }
 
-void RecoveryManager::on_transition(int idx, bool dead) {
-  const sim::Time now = cluster_.simulator().now();
+void RecoveryManager::on_transition(int idx, bool dead, sim::Time at) {
   if (idx == spine_idx_) {
     if (dead) {
-      last_death_at_ = now;
+      last_death_at_ = at;
       if (config_.auto_failover && cluster_.has_backup_spine() &&
           !cluster_.on_backup_spine()) {
         // Belt and braces: the injector's `kill` already bumped the
@@ -63,12 +50,12 @@ void RecoveryManager::on_transition(int idx, bool dead) {
         cluster_.fail_over_to_backup();
         ++failovers_;
         failover_ctr_.inc();
-        last_failover_at_ = now;
+        last_failover_at_ = at;
         record("failover spine->spine-b (" + std::to_string(inv) +
                    " blocks invalidated)",
-               /*recovery=*/true);
+               /*recovery=*/true, at);
       } else {
-        record("spine dead (no failover target)", /*recovery=*/false);
+        record("spine dead (no failover target)", /*recovery=*/false, at);
       }
     } else if (config_.auto_rejoin && cluster_.has_backup_spine() &&
                cluster_.on_backup_spine()) {
@@ -80,7 +67,7 @@ void RecoveryManager::on_transition(int idx, bool dead) {
       cluster_.restore_primary_spine();
       ++rejoins_;
       rejoin_ctr_.inc();
-      record("rejoin spine-b->spine", /*recovery=*/true);
+      record("rejoin spine-b->spine", /*recovery=*/true, at);
     }
     return;
   }
@@ -95,22 +82,22 @@ void RecoveryManager::on_transition(int idx, bool dead) {
       detach_ctr_.inc();
       record("subtree detached rack" + std::to_string(r) + " (" +
                  std::to_string(cluster_.workers_per_rack()) + " workers)",
-             /*recovery=*/false);
+             /*recovery=*/false, at);
     } else {
       record("subtree reattached rack" + std::to_string(r),
-             /*recovery=*/true);
+             /*recovery=*/true, at);
     }
     return;
   }
 }
 
-void RecoveryManager::record(const std::string& what, bool recovery) {
-  const sim::Time now = cluster_.simulator().now();
-  log_.push_back(LogEntry{now, what});
+void RecoveryManager::record(const std::string& what, bool recovery,
+                             sim::Time at) {
+  log_.push_back(LogEntry{at, what});
   telemetry::Telemetry* telem = cluster_.spec().telemetry;
   if (telem != nullptr) {
     telem->tracer.instant(HeartbeatMonitor::kTracePid, recovery ? 3 : 2, what,
-                          now);
+                          at);
   }
 }
 

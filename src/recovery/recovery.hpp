@@ -45,8 +45,8 @@ class RecoveryManager {
  public:
   RecoveryManager(cluster::Cluster& cluster, RecoveryConfig config = {});
 
-  /// Starts liveness detection (heartbeat groups + phi checks). The
-  /// check event keeps the simulator's queue non-empty — pair with
+  /// Starts liveness detection (heartbeat groups + phi checks) at any
+  /// shard count. The checks keep the engine from draining — pair with
   /// run_until() + stop(), like trace sampling.
   void start();
   void stop();
@@ -88,8 +88,8 @@ class RecoveryManager {
   std::uint64_t digest() const;
 
  private:
-  void on_transition(int idx, bool dead);
-  void record(const std::string& what, bool recovery);
+  void on_transition(int idx, bool dead, sim::Time at);
+  void record(const std::string& what, bool recovery, sim::Time at);
 
   cluster::Cluster& cluster_;
   RecoveryConfig config_;

@@ -34,6 +34,7 @@ struct Violation {
   std::string invariant;  // catalogue name, e.g. "link-conservation"
   std::string detail;     // what went wrong, with the numbers
   sim::Time at;           // simulated time the check tripped
+  bool operator==(const Violation&) const = default;
 };
 
 class InvariantEngine {

@@ -83,6 +83,9 @@ Scenario profile_scenario(Profile profile, int blocks_per_worker) {
   sc.cluster.racks = shape.racks;
   sc.cluster.workers_per_rack = shape.workers_per_rack;
   sc.cluster.backup_spine = shape.has_backup_spine;
+  // A constant, not the host's core count: a repro replays identically
+  // on any machine.
+  sc.cluster.shards = sc.cluster.routers();
   sc.blocks = blocks_per_worker;
   sc.deadline = sim::Time() + sim::Duration::millis(120);
   sc.hardening = Hardening{};
@@ -127,13 +130,7 @@ RunReport run_schedule(const Scenario& sc, Built* keep) {
   RunReport report;
 
   // --- Build --------------------------------------------------------------
-  cluster::ClusterSpec spec = sc.cluster;
-  if (!sc.jobs.empty() || sc.recovery) {
-    // JobManager and RecoveryManager keep cross-router state without
-    // per-shard synchronisation (docs/performance.md "When `--shards 1`
-    // is required").
-    spec.shards = 1;
-  }
+  const cluster::ClusterSpec& spec = sc.cluster;
   spec.validate();
   b.cluster = std::make_unique<cluster::Cluster>(spec);
   cluster::Cluster& cl = *b.cluster;

@@ -55,8 +55,8 @@ struct Hardening {
 };
 
 struct Scenario {
-  /// Topology, shard count and telemetry. The runner's one engine rule:
-  /// jobs (netrpc included) and recovery run on one shard.
+  /// Topology, shard count and telemetry. Every feature runs at any
+  /// shard count, with identical results.
   cluster::ClusterSpec cluster;
   /// Gradient blocks per worker of the cluster's built-in allreduce, which
   /// runs when `jobs` declares no tenants.
@@ -78,7 +78,8 @@ struct Scenario {
 
 /// The canonical scenario of a fuzz profile (docs/vigil.md "Profiles"):
 /// its topology and tenants, recovery for `failover`, the default
-/// Hardening and a 120 ms deadline. The caller sets seed and schedule.
+/// Hardening, a 120 ms deadline and one shard per router. The caller sets
+/// seed and schedule.
 Scenario profile_scenario(Profile profile, int blocks_per_worker = 2);
 
 /// Everything run_schedule() built, left readable for a front-end's own
@@ -119,6 +120,8 @@ struct RunReport {
   sim::Time finish;
 
   bool ok() const { return converged && violations.empty(); }
+  /// Field-wise: the 1-vs-N shard oracle compares whole reports.
+  bool operator==(const RunReport&) const = default;
 };
 
 /// Builds `scenario` fresh (the shrinker re-runs it dozens of times),

@@ -290,8 +290,8 @@ TEST(ShardInvariance, ChaosReplayIsShardCountInvariant) {
 TEST(ShardInvariance, ScriptedFailoverIsShardCountInvariant) {
   // Spine power loss at 100 us, scripted failover to the standby spine at
   // 160 us — the control plane as two global actions (the heartbeat-driven
-  // RecoveryManager is a --shards 1 feature; scripted failover is the
-  // shard-safe equivalent, docs/performance.md).
+  // RecoveryManager fails over from its phi check, also a global action;
+  // docs/recovery.md "At any shard count").
   std::vector<ShardOutcome> outcomes;
   for (const int shards : shard_counts(/*routers=*/4)) {
     cluster::ClusterSpec spec;

@@ -155,14 +155,16 @@ HeartbeatConfig fast_heartbeats() {
 }
 
 TEST(Heartbeat, DetectsDeathWithinBoundAndSeesRevival) {
-  auto run_once = [](std::uint64_t* digest) {
+  auto run_once = [](bool shard_per_router, std::uint64_t* digest) {
     ClusterSpec spec;
     spec.racks = 2;
     spec.workers_per_rack = 2;
     spec.grads_per_packet = 128;
     spec.slab_pool = 256;
+    if (shard_per_router) spec.shards = spec.routers();
     Cluster cl(spec);
-    recovery::HeartbeatMonitor monitor(cl.simulator(), nullptr,
+    ASSERT_EQ(cl.num_shards(), spec.shards);
+    recovery::HeartbeatMonitor monitor(cl.engine(), nullptr,
                                        fast_heartbeats());
     const int spine_idx = monitor.watch("spine", cl.spine());
     monitor.watch("rack0", cl.leaf(0));
@@ -191,10 +193,15 @@ TEST(Heartbeat, DetectsDeathWithinBoundAndSeesRevival) {
     monitor.stop();
     *digest = monitor.digest();
   };
-  std::uint64_t d1 = 0, d2 = 0;
-  run_once(&d1);
-  run_once(&d2);
-  EXPECT_EQ(d1, d2);  // deterministic replay
+  // Deterministic replay, and the same liveness log with every router on
+  // its own shard (heartbeats stamped by their router's clock, checks as
+  // global actions).
+  std::uint64_t d1 = 0, d2 = 0, dn = 0;
+  run_once(false, &d1);
+  run_once(false, &d2);
+  run_once(/*shard_per_router=*/true, &dn);
+  EXPECT_EQ(d1, d2);
+  EXPECT_EQ(d1, dn);
 }
 
 // --- Failover acceptance ---------------------------------------------------

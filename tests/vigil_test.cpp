@@ -160,14 +160,25 @@ TEST(Corpus, CorpusMatchesGenerator) {
 
 TEST(Corpus, CorpusReplaysClean) {
   // The robustness gate: every corpus schedule must converge with zero
-  // invariant violations on its profile's canonical topology.
+  // invariant violations on its profile's canonical topology, one shard
+  // per router. The differential oracle: the serial engine must replay it
+  // to the same report and the same event count.
   for (Profile p : kProfiles) {
     for (int seed = 1; seed <= 4; ++seed) {
       vigil::Scenario sc = vigil::profile_scenario(p);
       sc.seed = std::uint64_t(seed);
       sc.schedule = FaultSchedule::parse(
           read_file(corpus_path(corpus_file(p, seed))));
-      const vigil::RunReport rep = vigil::run_schedule(sc);
+      vigil::Built parallel;
+      const vigil::RunReport rep = vigil::run_schedule(sc, &parallel);
+      EXPECT_EQ(parallel.cluster->num_shards(), sc.cluster.routers());
+      sc.cluster.shards = 1;
+      vigil::Built serial;
+      EXPECT_TRUE(vigil::run_schedule(sc, &serial) == rep)
+          << corpus_file(p, seed) << ": 1 and N shards disagree";
+      EXPECT_EQ(serial.cluster->engine().events_executed(),
+                parallel.cluster->engine().events_executed())
+          << corpus_file(p, seed);
       EXPECT_TRUE(rep.converged)
           << corpus_file(p, seed) << ": " << rep.finished << "/"
           << rep.expected << " finished, " << rep.crashed << " crashed";

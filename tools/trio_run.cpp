@@ -47,10 +47,9 @@
 // --shards N (cluster mode) runs the cluster's discrete-event core on N
 // OS threads — one shard per router domain, conservative lookahead
 // windows (docs/performance.md). Results are bit-identical at every
-// shard count. Default: hardware concurrency, capped by the router
-// count. The one-shard rule lives in the runner (--jobs and --netrpc run
-// on one shard), and --trace-out's tracer forces one shard in
-// ClusterSpec.
+// shard count, for every feature. Default: hardware concurrency, capped
+// by the router count; --trace-out's tracer forces one shard. The first
+// line of the report says how many shards ran.
 //
 // --faults FILE (cluster mode) loads a chaos schedule in the faults DSL
 // (docs/faults.md), validates it (tenant= qualifiers must name tenants
@@ -136,9 +135,12 @@ void add_netrpc_demo(jobs::JobsSpec& jobs) {
 void print_tenants(const vigil::Scenario& sc, vigil::Built& built) {
   jobs::JobManager& mgr = *built.jobs;
   const int workers = sc.cluster.total_workers();
-  std::printf("%d-rack x %d-worker cluster, %zu tenant(s), isolation %s\n",
-              sc.cluster.racks, sc.cluster.workers_per_rack,
-              built.tenants.tenants.size(), sc.isolation ? "on" : "off");
+  std::printf(
+      "%d-rack x %d-worker cluster, %d shard(s), %zu tenant(s), "
+      "isolation %s\n",
+      sc.cluster.racks, sc.cluster.workers_per_rack,
+      built.cluster->num_shards(), built.tenants.tenants.size(),
+      sc.isolation ? "on" : "off");
   for (const jobs::TenantRun& tr : built.tenants.tenants) {
     const jobs::TenantSpec* ts = mgr.tenant_spec(tr.id);
     if (tr.kind == jobs::TenantKind::kAllreduce) {
@@ -218,9 +220,10 @@ void print_allreduce(const vigil::Scenario& sc, const vigil::RunReport& report,
   cluster::Cluster& cl = *built.cluster;
   const cluster::AllreduceRun& run = built.allreduce;
   const int workers = sc.cluster.total_workers();
-  std::printf("%d-rack x %d-worker cluster, %zu gradients/worker\n",
-              sc.cluster.racks, sc.cluster.workers_per_rack,
-              std::size_t(sc.blocks) * sc.cluster.grads_per_packet);
+  std::printf(
+      "%d-rack x %d-worker cluster, %d shard(s), %zu gradients/worker\n",
+      sc.cluster.racks, sc.cluster.workers_per_rack, cl.num_shards(),
+      std::size_t(sc.blocks) * sc.cluster.grads_per_packet);
   std::printf("  finished workers: %d/%d in %s simulated time\n",
               run.finished, workers, report.finish.to_string().c_str());
   std::printf("  allreduce: %.2f us, %.2f Gbps aggregate goodput\n",
