@@ -13,22 +13,10 @@ std::string rack_name(int r) { return "rack" + std::to_string(r); }
 
 }  // namespace
 
-std::uint32_t Cluster::effective_shards(const ClusterSpec& spec) {
-  int s = spec.shards;
-  if (s < 1) s = 1;
-  if (s > spec.routers()) s = spec.routers();
-  // The conservative window protocol needs positive lookahead, and the
-  // Chrome tracer is single-threaded — both degrade gracefully to the
-  // serial engine (same event order, so same digests).
-  if (spec.fabric_link.latency <= sim::Duration::zero()) s = 1;
-  if (spec.telemetry != nullptr && spec.telemetry->tracer.enabled()) s = 1;
-  return std::uint32_t(s);
-}
-
 Cluster::Cluster(ClusterSpec spec)
     : spec_(std::move(spec)),
       tree_(build_aggregation_tree(spec_)),
-      engine_(std::uint32_t(spec_.routers()), effective_shards(spec_),
+      engine_(std::uint32_t(spec_.routers()), std::uint32_t(spec_.shards),
               spec_.fabric_link.latency) {
   const int racks = spec_.racks;
   const int wpr = spec_.workers_per_rack;
@@ -343,8 +331,10 @@ void Cluster::start_trace_sampling(sim::Duration period) {
   trace_sampling_ = true;
   trace_period_ = period;
   sample_trace_counters();
-  trace_event_ = simulator().schedule_in(period, [this] {
-    if (!trace_sampling_) return;
+  // A global action: the sample reads every rack's counters, and the racks
+  // run on different shards.
+  engine_.schedule_global(engine_.now() + period, [this, epoch = trace_epoch_] {
+    if (epoch != trace_epoch_) return;
     trace_sampling_ = false;
     start_trace_sampling(trace_period_);
   });
@@ -353,7 +343,7 @@ void Cluster::start_trace_sampling(sim::Duration period) {
 void Cluster::stop_trace_sampling() {
   if (!trace_sampling_) return;
   trace_sampling_ = false;
-  simulator().cancel(trace_event_);
+  ++trace_epoch_;
   sample_trace_counters();  // closing sample so the tracks reach the end
 }
 

@@ -112,9 +112,9 @@ class Cluster {
   /// Emits one sample of the per-rack counter tracks (uplink tx bytes /
   /// drops, leaf blocks completed) plus the spine row. No-op untraced.
   void sample_trace_counters();
-  /// Recurring sampling on the simulated clock. The recurring event keeps
-  /// the simulator's queue non-empty — pair with run_until() +
-  /// stop_trace_sampling(), like registry snapshots.
+  /// Recurring sampling on the simulated clock, as an engine global
+  /// action. The recurring action keeps the engine pending — pair with
+  /// run_until() + stop_trace_sampling(), like registry snapshots.
   void start_trace_sampling(sim::Duration period);
   void stop_trace_sampling();
 
@@ -137,7 +137,6 @@ class Cluster {
   }
   /// The simulator executing domain `d`'s events.
   sim::Simulator& dsim(std::uint32_t d) { return engine_.domain_sim(d); }
-  static std::uint32_t effective_shards(const ClusterSpec& spec);
 
   ClusterSpec spec_;
   AggregationTree tree_;
@@ -160,7 +159,9 @@ class Cluster {
 
   bool trace_sampling_ = false;
   sim::Duration trace_period_ = sim::Duration::zero();
-  sim::EventId trace_event_{};
+  /// Bumped by stop_trace_sampling(): a sample scheduled under an older
+  /// epoch no-ops.
+  std::uint64_t trace_epoch_ = 0;
 };
 
 }  // namespace cluster

@@ -30,8 +30,8 @@ void ClusterSpec::validate() const {
   if (racks < 1) fail("need at least one rack");
   if (workers_per_rack < 1) fail("need at least one worker per rack");
   // Each aggregation level tracks its contributors in the job record's
-  // fast-path source mask (64 bits): workers-per-rack at the leaves,
-  // racks at the spine.
+  // source mask (64 bits): workers-per-rack at the leaves, racks at the
+  // spine.
   if (workers_per_rack > 64) fail("more than 64 workers per rack");
   if (racks > 64) fail("more than 64 racks");
   // Workers divide full results by expected_sources, a uint8 on the wire.
@@ -41,6 +41,7 @@ void ClusterSpec::validate() const {
   }
   if (window == 0) fail("window must be >= 1");
   if (slab_pool == 0) fail("slab pool must be non-empty");
+  if (shards < 0) fail("shards must be >= 0");
   validate_link(host_link, "host");
   validate_link(fabric_link, "fabric");
 }

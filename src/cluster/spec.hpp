@@ -57,9 +57,9 @@ struct ClusterSpec {
   /// discrete-event core"). Each router and its hosts form one simulation
   /// domain; domains are packed round-robin onto this many OS threads,
   /// synchronised conservatively with the fabric-link latency as
-  /// lookahead. Results and digests are bit-identical at any value.
-  /// Clamped to [1, routers()]; forced to 1 when the fabric latency is
-  /// zero or Chrome tracing is enabled (the tracer is single-threaded).
+  /// lookahead. Results, digests and traces are bit-identical at any
+  /// value. Must be >= 0; clamped to [1, routers()]. More than one shard
+  /// needs a positive fabric latency (ShardedSimulator throws otherwise).
   int shards{1};
 
   /// When set, every router is built observed by this bundle (which must
@@ -74,9 +74,9 @@ struct ClusterSpec {
   int routers() const { return racks + 1 + (backup_spine ? 1 : 0); }
 
   /// Throws std::invalid_argument when the spec cannot materialize:
-  /// workers must fit the fast-path source mask (<= 64 sources per
-  /// aggregation level), the uint8 contributor counts, and the address
-  /// plan of trioml/addressing.hpp.
+  /// workers must fit the source mask (<= 64 sources per aggregation
+  /// level), the uint8 contributor counts, and the address plan of
+  /// trioml/addressing.hpp.
   void validate() const;
 };
 

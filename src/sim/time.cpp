@@ -8,7 +8,7 @@ namespace {
 
 std::string format_ns(std::int64_t ns) {
   char buf[64];
-  if (ns < 0) return "-" + format_ns(-ns);
+  if (ns < 0) return std::string(1, '-').append(format_ns(-ns));
   if (ns < 1'000) {
     std::snprintf(buf, sizeof(buf), "%lldns", static_cast<long long>(ns));
   } else if (ns < 1'000'000) {

@@ -1,6 +1,8 @@
 #include "telemetry/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <tuple>
 
 #include "telemetry/json.hpp"
 
@@ -8,41 +10,53 @@ namespace telemetry {
 
 void Tracer::set_process_name(int pid, const std::string& name) {
   if (!enabled_) return;
+  std::lock_guard<std::mutex> lk(mu_);
   meta_.push_back(Event{'M', pid, 0, 0, 0, "process_name", name, 0});
 }
 
 void Tracer::set_thread_name(int pid, int tid, const std::string& name) {
   if (!enabled_) return;
+  std::lock_guard<std::mutex> lk(mu_);
   meta_.push_back(Event{'M', pid, tid, 0, 0, "thread_name", name, 0});
 }
 
-bool Tracer::admit() {
+void Tracer::record(Event e) {
+  std::lock_guard<std::mutex> lk(mu_);
   if (events_.size() >= max_events_) {
     ++dropped_;
-    return false;
+    return;
   }
-  return true;
+  events_.push_back(std::move(e));
 }
 
 void Tracer::complete(int pid, int tid, const std::string& name,
                       sim::Time start, sim::Time end) {
-  if (!enabled_ || !admit()) return;
-  events_.push_back(
-      Event{'X', pid, tid, start.ns(), (end - start).ns(), name, {}, 0});
+  if (!enabled_) return;
+  record(Event{'X', pid, tid, start.ns(), (end - start).ns(), name, {}, 0});
 }
 
 void Tracer::instant(int pid, int tid, const std::string& name, sim::Time ts) {
-  if (!enabled_ || !admit()) return;
-  events_.push_back(Event{'i', pid, tid, ts.ns(), 0, name, {}, 0});
+  if (enabled_) record(Event{'i', pid, tid, ts.ns(), 0, name, {}, 0});
 }
 
 void Tracer::counter(int pid, const std::string& name,
                      const std::string& series, sim::Time ts, double value) {
-  if (!enabled_ || !admit()) return;
-  events_.push_back(Event{'C', pid, 0, ts.ns(), 0, name, series, value});
+  if (enabled_) record(Event{'C', pid, 0, ts.ns(), 0, name, series, value});
 }
 
 void Tracer::write_json(std::ostream& os) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  // Shard threads append in whatever order they run: a key over every
+  // field makes the order a function of the simulation alone.
+  std::vector<const Event*> sorted;
+  for (const Event& e : events_) sorted.push_back(&e);
+  std::sort(sorted.begin(), sorted.end(), [](const Event* a, const Event* b) {
+    return std::tie(a->ts_ns, a->pid, a->tid, a->phase, a->name, a->arg_key,
+                    a->dur_ns, a->arg_value) <
+           std::tie(b->ts_ns, b->pid, b->tid, b->phase, b->name, b->arg_key,
+                    b->dur_ns, b->arg_value);
+  });
+
   os << "{\"traceEvents\": [";
   bool first = true;
   const auto emit = [&](const Event& e) {
@@ -83,7 +97,7 @@ void Tracer::write_json(std::ostream& os) const {
     os << "}";
   };
   for (const Event& e : meta_) emit(e);
-  for (const Event& e : events_) emit(e);
+  for (const Event* e : sorted) emit(*e);
   os << "\n], \"displayTimeUnit\": \"ns\"}\n";
 }
 

@@ -11,9 +11,12 @@
 // Like the metrics registry, the tracer is zero-overhead when disabled:
 // instrumented code keeps a Tracer* that is null when tracing is off, so
 // the hot path pays one null check and no argument marshalling.
+// Shard threads record under one mutex and export sorts the events, so
+// the file is the same at any shard count (docs/telemetry.md).
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -31,7 +34,9 @@ class Tracer {
   bool enabled() const { return enabled_; }
 
   /// Safety valve for long runs: events beyond the cap are counted and
-  /// dropped (metadata is exempt). Default 4M events (~500 MB JSON).
+  /// dropped (metadata is exempt). Default 4M events (~500 MB JSON). At
+  /// more than one shard, thread timing picks which events are kept, not
+  /// how many. Read the counts between runs.
   void set_max_events(std::size_t n) { max_events_ = n; }
   std::uint64_t dropped_events() const { return dropped_; }
   std::size_t event_count() const { return events_.size(); }
@@ -54,6 +59,8 @@ class Tracer {
   // --- Export -------------------------------------------------------------
   /// Writes {"traceEvents": [...]} — the JSON-object flavour of the
   /// format, which both chrome://tracing and Perfetto load directly.
+  /// Metadata comes first in the order it was set, then the events sorted
+  /// by (ts, pid, tid, phase, name, series, dur, value).
   void write_json(std::ostream& os) const;
   bool write_json_file(const std::string& path) const;
 
@@ -69,10 +76,11 @@ class Tracer {
     double arg_value = 0;  // C only
   };
 
-  bool admit();
+  void record(Event e);  // appends under mu_, unless at the cap
 
   bool enabled_;
   std::size_t max_events_ = 4'000'000;
+  mutable std::mutex mu_;  // guards dropped_, events_ and meta_
   std::uint64_t dropped_ = 0;
   std::vector<Event> events_;
   std::vector<Event> meta_;

@@ -97,19 +97,18 @@ void AggregationProgram::queue_add_slices(std::size_t grad_byte_off,
   }
 }
 
-trio::Action AggregationProgram::claim_source(trio::ThreadContext& ctx) {
+trio::Action AggregationProgram::claim_source() {
   // Claim this source BEFORE aggregating. The rcvd_mask bit is only set
   // after the adds drain (completion depends on that order), so two
   // threads for the same source — a retransmission racing the original,
   // e.g. released together by a router-stall replay — can both pass the
   // snapshot check above and double the contribution. The slab's unused
-  // rcvd_mask_1 word (fast path serves <= 64 sources) is the claim mask:
+  // rcvd_mask_1 word (jobs have <= 64 sources) is the claim mask:
   // exactly one FetchOr64 per source sees its bit clear.
-  if (hdr_.src_id / 64 != 0) return begin_aggregation(ctx);
   trio::ActSyncXtxn claim;
   claim.req.op = trio::XtxnOp::kFetchOr64;
   claim.req.addr = record_addr_ + BlockRecord::kRcvdMask0Off + 8;
-  claim.req.arg0 = 1ull << (hdr_.src_id % 64);
+  claim.req.arg0 = 1ull << hdr_.src_id;
   claim.instructions = 2;
   state_ = State::kClaimReply;
   return claim;
@@ -181,6 +180,11 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       }
       key_ = block_key(hdr_.job_id, hdr_.gen_id, hdr_.block_id);
       ++app_.stats().packets;
+      if (hdr_.src_id >= 64) {
+        // No job has such a source (configure_job): a damaged frame.
+        ++app_.stats().dropped_no_job;
+        return finish(ctx, 2);
+      }
       trio::ActSyncXtxn lu;
       lu.req.op = trio::XtxnOp::kHashLookup;
       lu.req.arg0 = key_;
@@ -226,14 +230,13 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       record_ = BlockRecord::unpack(ctx.reply.data);
       job_addr_ = record_.job_ctx_paddr;
       job_src_cnt_ = ctx.reply.data[63];
-      const std::uint64_t bit = 1ull << (hdr_.src_id % 64);
-      if ((record_.rcvd_mask[hdr_.src_id / 64] & bit) != 0) {
+      if ((record_.rcvd_mask[0] >> hdr_.src_id & 1) != 0) {
         // Retransmission: this source already contributed (§4 "recognize
         // retransmissions by the servers").
         ++app_.stats().duplicates;
         return finish(ctx, 4);
       }
-      return claim_source(ctx);
+      return claim_source();
     }
 
     case State::kJobLookup: {
@@ -362,11 +365,11 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         return pop_pending();
       }
       ++app_.stats().blocks_created;
-      return claim_source(ctx);
+      return claim_source();
     }
 
     case State::kClaimReply: {
-      if ((ctx.reply.value & (1ull << (hdr_.src_id % 64))) != 0) {
+      if ((ctx.reply.value >> hdr_.src_id & 1) != 0) {
         // Lost the claim race: a concurrent thread for this same source
         // is already aggregating (or finished after our record snapshot).
         ++app_.stats().duplicates;
@@ -425,17 +428,15 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
     case State::kAccumReply: {
       trio::ActSyncXtxn orq;
       orq.req.op = trio::XtxnOp::kFetchOr64;
-      orq.req.addr = record_addr_ + BlockRecord::kRcvdMask0Off +
-                     std::uint64_t(hdr_.src_id / 64) * 8;
-      orq.req.arg0 = 1ull << (hdr_.src_id % 64);
+      orq.req.addr = record_addr_ + BlockRecord::kRcvdMask0Off;
+      orq.req.arg0 = 1ull << hdr_.src_id;
       orq.instructions = 2;
       state_ = State::kMaskReply;
       return orq;
     }
 
     case State::kMaskReply: {
-      const std::uint64_t new_mask =
-          ctx.reply.value | (1ull << (hdr_.src_id % 64));
+      const std::uint64_t new_mask = ctx.reply.value | 1ull << hdr_.src_id;
       const int count = std::popcount(new_mask);
       // Keep the record's rcvd_cnt field current (posted byte write).
       trio::ActAsyncXtxn cnt;
@@ -445,9 +446,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       cnt.instructions = 1;
       pending_.push_back(std::move(cnt));
 
-      // Jobs with more than 64 sources would consult rcvd_mask_1..3; the
-      // datapath fast path serves <= 64 sources (masks 1..3 stay zero).
-      if (hdr_.src_id / 64 != 0 || count < job_src_cnt_) {
+      if (count < job_src_cnt_) {
         state_ = State::kFinish;
         return pop_pending();
       }

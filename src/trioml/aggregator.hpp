@@ -58,7 +58,7 @@ class AggregationProgram : public trio::PpeProgram {
 
   trio::Action do_step(trio::ThreadContext& ctx);
   trio::Action pop_pending();
-  trio::Action claim_source(trio::ThreadContext& ctx);
+  trio::Action claim_source();
   trio::Action begin_aggregation(trio::ThreadContext& ctx);
   trio::Action next_tail_action(trio::ThreadContext& ctx);
   trio::Action finish(trio::ThreadContext& ctx, std::uint32_t instructions);

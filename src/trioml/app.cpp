@@ -47,8 +47,8 @@ void TrioMlApp::configure_job(const JobSetup& setup) {
   rec.out_src_id = setup.out_src_id;
   rec.src_cnt = static_cast<std::uint8_t>(setup.src_ids.size());
   for (std::uint8_t src : setup.src_ids) {
-    if (src >= 255) throw std::invalid_argument("source id out of range");
-    rec.src_mask[src / 64] |= 1ull << (src % 64);
+    if (src >= 64) throw std::invalid_argument("source id out of range");
+    rec.src_mask[0] |= 1ull << src;
   }
 
   auto& sms = pfe_.sms();

@@ -36,7 +36,7 @@ class TrioMlApp {
   /// One aggregation job (paper Fig 9 "Control Plane Job Records").
   struct JobSetup {
     std::uint8_t job_id = 1;
-    std::vector<std::uint8_t> src_ids;  // bit positions in src_mask
+    std::vector<std::uint8_t> src_ids;  // bit positions in src_mask_0, < 64
     std::uint16_t block_grad_max = kMaxGradsPerPacket;
     std::uint16_t block_cnt_max = 4095;
     std::uint8_t block_exp_ms = 10;

@@ -191,58 +191,89 @@ TEST(ClusterTest, SlowWorkerPatternInjection) {
 
 // Cluster telemetry: per-tier link counters (shared registry cells =
 // tier totals), per-router metric scopes, and the per-rack trace process
-// rows with sampled counter tracks (docs/telemetry.md).
+// rows with sampled counter tracks (docs/telemetry.md). The trace is the
+// same file at one shard and at one shard per router.
 TEST(ClusterTest, TelemetryTiersScopesAndRackTraceRows) {
-  telemetry::Telemetry telem(/*metrics=*/true, /*trace=*/true);
-  ClusterSpec spec;
-  spec.racks = 2;
-  spec.workers_per_rack = 2;
-  spec.grads_per_packet = 64;
-  spec.telemetry = &telem;
-  Cluster cl(spec);
+  std::string serial_json;
+  for (const int shards : {1, 3}) {
+    telemetry::Telemetry telem(/*metrics=*/true, /*trace=*/true);
+    ClusterSpec spec;
+    spec.racks = 2;
+    spec.workers_per_rack = 2;
+    spec.grads_per_packet = 64;
+    spec.shards = shards;
+    spec.telemetry = &telem;
+    Cluster cl(spec);
+    ASSERT_EQ(cl.num_shards(), shards);
 
-  cl.start_trace_sampling(sim::Duration::micros(20));
-  const auto run =
-      run_allreduce(cl, patterned_gradients(4, 64), /*gen_id=*/1,
-                    sim::Time(sim::Duration::millis(5).ns()));
-  cl.stop_trace_sampling();
-  ASSERT_EQ(run.finished, 4);
+    cl.start_trace_sampling(sim::Duration::micros(20));
+    const auto run =
+        run_allreduce(cl, patterned_gradients(4, 64), /*gen_id=*/1,
+                      sim::Time(sim::Duration::millis(5).ns()));
+    cl.stop_trace_sampling();
+    ASSERT_EQ(run.finished, 4);
 
-  // Per-tier totals equal the sum of the member links' own counters.
-  std::uint64_t host_up = 0, fabric_up = 0, fabric_down = 0;
-  for (int w = 0; w < 4; ++w) host_up += cl.link(w).a_to_b().frames_sent();
-  for (int r = 0; r < 2; ++r) {
-    fabric_up += cl.fabric_link(r).a_to_b().frames_sent();
-    fabric_down += cl.fabric_link(r).b_to_a().frames_sent();
+    // Per-tier totals equal the sum of the member links' own counters.
+    std::uint64_t host_up = 0, fabric_up = 0, fabric_down = 0;
+    for (int w = 0; w < 4; ++w) host_up += cl.link(w).a_to_b().frames_sent();
+    for (int r = 0; r < 2; ++r) {
+      fabric_up += cl.fabric_link(r).a_to_b().frames_sent();
+      fabric_down += cl.fabric_link(r).b_to_a().frames_sent();
+    }
+    EXPECT_EQ(telem.metrics.counter("cluster.tier.host.up.tx_frames").value(),
+              host_up);
+    EXPECT_EQ(telem.metrics.counter("cluster.tier.fabric.up.tx_frames").value(),
+              fabric_up);
+    EXPECT_EQ(
+        telem.metrics.counter("cluster.tier.fabric.down.tx_frames").value(),
+        fabric_down);
+    EXPECT_EQ(telem.metrics.counter("cluster.tier.fabric.up.drops").value(),
+              0u);
+
+    // Per-router telemetry scopes keep every router's PFE metrics distinct.
+    EXPECT_GT(telem.metrics.counter("rack0.pfe0.packets_in").value(), 0u);
+    EXPECT_GT(telem.metrics.counter("rack1.pfe0.packets_in").value(), 0u);
+    EXPECT_GT(telem.metrics.counter("spine.pfe0.packets_in").value(), 0u);
+    EXPECT_GT(telem.metrics.counter("rack0.router.packets_received").value(),
+              0u);
+
+    // The trace carries per-router PFE processes plus the per-rack summary
+    // rows with their sampled counter tracks.
+    std::ostringstream os;
+    telem.tracer.write_json(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"rack0.pfe0\""), std::string::npos);
+    EXPECT_NE(json.find("\"rack1.pfe0\""), std::string::npos);
+    EXPECT_NE(json.find("\"spine.pfe0\""), std::string::npos);
+    EXPECT_NE(json.find("\"rack0\""), std::string::npos);
+    EXPECT_NE(json.find("\"rack1\""), std::string::npos);
+    EXPECT_NE(json.find("\"blocks_completed\""), std::string::npos);
+    EXPECT_NE(json.find("\"uplink\""), std::string::npos);
+    if (shards == 1) serial_json = json;
+    EXPECT_EQ(json, serial_json) << "trace diverges at " << shards << " shards";
   }
-  EXPECT_EQ(telem.metrics.counter("cluster.tier.host.up.tx_frames").value(),
-            host_up);
-  EXPECT_EQ(telem.metrics.counter("cluster.tier.fabric.up.tx_frames").value(),
-            fabric_up);
-  EXPECT_EQ(
-      telem.metrics.counter("cluster.tier.fabric.down.tx_frames").value(),
-      fabric_down);
-  EXPECT_EQ(telem.metrics.counter("cluster.tier.fabric.up.drops").value(), 0u);
+}
 
-  // Per-router telemetry scopes keep every router's PFE metrics distinct.
-  EXPECT_GT(telem.metrics.counter("rack0.pfe0.packets_in").value(), 0u);
-  EXPECT_GT(telem.metrics.counter("rack1.pfe0.packets_in").value(), 0u);
-  EXPECT_GT(telem.metrics.counter("spine.pfe0.packets_in").value(), 0u);
-  EXPECT_GT(telem.metrics.counter("rack0.router.packets_received").value(),
-            0u);
+// The engine clamps the shard count to [1, routers()]; nothing else
+// overrides it. Parallel windows need positive lookahead, so a zero
+// fabric latency at more than one shard is rejected, not run serially.
+TEST(ClusterTest, ShardCountIsTakenAsGiven) {
+  ClusterSpec spec;
+  spec.shards = 0;
+  EXPECT_EQ(Cluster(spec).num_shards(), 1);
+  spec.shards = 8;
+  EXPECT_EQ(Cluster(spec).num_shards(), spec.routers());
 
-  // The trace carries per-router PFE processes plus the per-rack summary
-  // rows with their sampled counter tracks.
-  std::ostringstream os;
-  telem.tracer.write_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"rack0.pfe0\""), std::string::npos);
-  EXPECT_NE(json.find("\"rack1.pfe0\""), std::string::npos);
-  EXPECT_NE(json.find("\"spine.pfe0\""), std::string::npos);
-  EXPECT_NE(json.find("\"rack0\""), std::string::npos);
-  EXPECT_NE(json.find("\"rack1\""), std::string::npos);
-  EXPECT_NE(json.find("\"blocks_completed\""), std::string::npos);
-  EXPECT_NE(json.find("\"uplink\""), std::string::npos);
+  ClusterSpec negative;
+  negative.shards = -1;
+  EXPECT_THROW(negative.validate(), std::invalid_argument);
+
+  ClusterSpec zero_lookahead;
+  zero_lookahead.fabric_link.latency = sim::Duration::zero();
+  zero_lookahead.shards = 2;
+  EXPECT_THROW(Cluster{zero_lookahead}, std::invalid_argument);
+  zero_lookahead.shards = 1;
+  EXPECT_NO_THROW(Cluster{zero_lookahead});
 }
 
 }  // namespace

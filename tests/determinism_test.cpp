@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/allreduce.hpp"
@@ -163,7 +165,7 @@ struct ShardOutcome {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
   std::uint64_t fault_digest = 0;
-  int effective_shards = 0;
+  int shards = 0;
 };
 
 /// The shard counts every invariance scenario runs at: serial, two-way,
@@ -174,13 +176,13 @@ void expect_invariant(const std::vector<ShardOutcome>& outcomes) {
   ASSERT_GE(outcomes.size(), 2u);
   for (std::size_t i = 1; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].digest, outcomes[0].digest)
-        << "result digest diverges at " << outcomes[i].effective_shards
+        << "result digest diverges at " << outcomes[i].shards
         << " shards";
     EXPECT_EQ(outcomes[i].events, outcomes[0].events)
-        << "event count diverges at " << outcomes[i].effective_shards
+        << "event count diverges at " << outcomes[i].shards
         << " shards";
     EXPECT_EQ(outcomes[i].fault_digest, outcomes[0].fault_digest)
-        << "fault log diverges at " << outcomes[i].effective_shards
+        << "fault log diverges at " << outcomes[i].shards
         << " shards";
   }
 }
@@ -247,7 +249,8 @@ TEST(ShardInvariance, ChaosReplayIsShardCountInvariant) {
   // A chaos schedule exercising every windowed-fault recovery path: the
   // injector runs each fault as a global action with all shards parked,
   // so the fault log digest — the replay fingerprint — must match the
-  // serial engine's exactly.
+  // serial engine's exactly. Tracing is on, and runs at every shard
+  // count: the exported trace must be the same file too.
   const faults::FaultSchedule schedule = faults::FaultSchedule::parse(R"(
     at 50us  flap fabric:0 for 40us
     at 30us  burst host:* p_enter=0.02 p_exit=0.3 for 100us
@@ -257,7 +260,9 @@ TEST(ShardInvariance, ChaosReplayIsShardCountInvariant) {
     at 120us drop-buckets spine job=1
   )");
   std::vector<ShardOutcome> outcomes;
+  std::vector<std::string> traces;
   for (const int shards : shard_counts(/*routers=*/3)) {
+    telemetry::Telemetry telem(/*metrics=*/true, /*trace=*/true);
     cluster::ClusterSpec spec;
     spec.racks = 2;
     spec.workers_per_rack = 2;
@@ -265,8 +270,10 @@ TEST(ShardInvariance, ChaosReplayIsShardCountInvariant) {
     spec.slab_pool = 1024;
     spec.fabric_link.latency = sim::Duration::micros(2);
     spec.shards = shards;
+    spec.telemetry = &telem;
     cluster::Cluster cl(spec);
-    faults::FaultInjector injector(cl.simulator(), nullptr);
+    EXPECT_EQ(cl.num_shards(), shards);
+    faults::FaultInjector injector(cl.simulator(), &telem);
     injector.bind(cl);
     injector.arm(schedule);
     for (int w = 0; w < 4; ++w) {
@@ -283,8 +290,15 @@ TEST(ShardInvariance, ChaosReplayIsShardCountInvariant) {
     outcomes.push_back({run_digest(run, cl.engine().now()),
                         cl.engine().events_executed(), injector.digest(),
                         cl.num_shards()});
+    std::ostringstream trace;
+    telem.tracer.write_json(trace);
+    traces.push_back(trace.str());
   }
   expect_invariant(outcomes);
+  for (std::size_t i = 1; i < traces.size(); ++i) {
+    EXPECT_TRUE(traces[i] == traces[0])
+        << "trace diverges at " << outcomes[i].shards << " shards";
+  }
 }
 
 TEST(ShardInvariance, ScriptedFailoverIsShardCountInvariant) {

@@ -146,7 +146,8 @@ TEST(MicrocodeFuzzChains, RandomGotoChainsTerminateCorrectly) {
     for (int pos = 0; pos < n; ++pos) {
       const int block = order[static_cast<std::size_t>(pos)];
       expected = expected * 3 + static_cast<std::uint64_t>(block);
-      source += "b" + std::to_string(block) + ":\nbegin\n  ir0 = ir0 * 3 + " +
+      source += "b";
+      source += std::to_string(block) + ":\nbegin\n  ir0 = ir0 * 3 + " +
                 std::to_string(block) + ";\n";
       if (pos + 1 < n) {
         source += "  goto b" +

@@ -4,8 +4,10 @@
 // deterministic counter values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "net/headers.hpp"
 #include "net/packet.hpp"
@@ -238,6 +240,29 @@ TEST(Tracer, EventCapCountsDrops) {
   std::ostringstream os;
   tracer.write_json(os);
   EXPECT_NE(os.str().find("\"row\""), std::string::npos);
+}
+
+TEST(Tracer, ExportSortsEventsByTimePidAndTid) {
+  // Shard threads record in whatever order they run; the export must not
+  // depend on it. Metadata keeps its recording order, ahead of the events.
+  telemetry::Tracer tracer(true);
+  tracer.instant(2, 1, "late", sim::Time(300));
+  tracer.set_process_name(2, "second");
+  tracer.instant(2, 3, "tid3", sim::Time(100));
+  tracer.instant(2, 0, "tid0", sim::Time(100));
+  tracer.complete(1, 5, "pid1", sim::Time(100), sim::Time(150));
+  tracer.counter(1, "early", "s", sim::Time(50), 3);
+  tracer.set_process_name(1, "first");
+  std::ostringstream os;
+  tracer.write_json(os);
+  const std::string json = os.str();
+  std::vector<std::size_t> at;
+  for (const char* name : {"\"second\"", "\"first\"", "\"early\"", "\"pid1\"",
+                           "\"tid0\"", "\"tid3\"", "\"late\""}) {
+    at.push_back(json.find(name));
+    ASSERT_NE(at.back(), std::string::npos) << name;
+  }
+  EXPECT_TRUE(std::is_sorted(at.begin(), at.end())) << json;
 }
 
 /// Two IPv4/UDP packets through a 1-PFE router with full telemetry:

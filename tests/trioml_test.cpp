@@ -468,6 +468,34 @@ TEST(Aggregation, OversizedBlockRejected) {
   EXPECT_EQ(tb.app(0).stats().dropped_no_job, 1u);
 }
 
+// Contributors are tracked in one 64-bit mask: a job cannot name a source
+// beyond it, and a (damaged) frame claiming one is dropped at parse.
+TEST(Aggregation, SourceIdsBeyondTheMaskRejected) {
+  TestbedConfig cfg;
+  cfg.num_workers = 2;
+  Testbed tb(cfg);
+
+  TrioMlApp::JobSetup job;
+  job.job_id = 2;
+  job.src_ids = {0, 64};
+  EXPECT_THROW(tb.app(0).configure_job(job), std::invalid_argument);
+
+  TrioMlHeader hdr;
+  hdr.job_id = cfg.job_id;
+  hdr.block_id = 0;
+  hdr.src_id = 64;
+  hdr.grad_cnt = 4;
+  std::vector<std::uint32_t> grads{1, 2, 3, 4};
+  auto frame = build_aggregation_frame(
+      {1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2},
+      net::Ipv4Addr::from_string("10.0.0.1"),
+      net::Ipv4Addr::from_string("10.0.0.254"), 20000, hdr, grads);
+  tb.router().receive(net::Packet::make(std::move(frame)), 0);
+  tb.simulator().run();
+  EXPECT_EQ(tb.app(0).stats().dropped_no_job, 1u);
+  EXPECT_EQ(tb.app(0).stats().blocks_created, 0u);
+}
+
 TEST(Aggregation, GenerationsKeptSeparate) {
   TestbedConfig cfg;
   cfg.num_workers = 2;

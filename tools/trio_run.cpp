@@ -46,10 +46,10 @@
 //
 // --shards N (cluster mode) runs the cluster's discrete-event core on N
 // OS threads — one shard per router domain, conservative lookahead
-// windows (docs/performance.md). Results are bit-identical at every
-// shard count, for every feature. Default: hardware concurrency, capped
-// by the router count; --trace-out's tracer forces one shard. The first
-// line of the report says how many shards ran.
+// windows (docs/performance.md). Results and traces are bit-identical at
+// every shard count, for every feature. Default: hardware concurrency,
+// capped by the router count. The first line of the report says how many
+// shards ran.
 //
 // --faults FILE (cluster mode) loads a chaos schedule in the faults DSL
 // (docs/faults.md), validates it (tenant= qualifiers must name tenants
@@ -130,6 +130,36 @@ void add_netrpc_demo(jobs::JobsSpec& jobs) {
     }
   }
   jobs.tenants.push_back(rpc);
+}
+
+/// Writes whichever telemetry files were requested and reports them.
+/// False, after printing the error, when a file cannot be written.
+bool write_outputs(const telemetry::Telemetry& telem,
+                   const std::string& metrics_out,
+                   const std::string& trace_out, sim::Time now) {
+  if (!metrics_out.empty()) {
+    if (!telem.metrics.write_json_file(metrics_out, now)) {
+      std::fprintf(stderr, "trio-run: cannot write %s\n", metrics_out.c_str());
+      return false;
+    }
+    std::printf("  metrics: %s (%zu metrics)\n", metrics_out.c_str(),
+                telem.metrics.metric_count());
+  }
+  if (!trace_out.empty()) {
+    if (!telem.tracer.write_json_file(trace_out)) {
+      std::fprintf(stderr, "trio-run: cannot write %s\n", trace_out.c_str());
+      return false;
+    }
+    std::printf("  trace: %s (%zu events)\n", trace_out.c_str(),
+                telem.tracer.event_count());
+    // Past the cap, thread timing decides which events were kept at more
+    // than one shard; the count dropped does not depend on it.
+    if (const std::uint64_t dropped = telem.tracer.dropped_events()) {
+      std::printf("  trace: %llu events dropped at the event cap\n",
+                  static_cast<unsigned long long>(dropped));
+    }
+  }
+  return true;
 }
 
 void print_tenants(const vigil::Scenario& sc, vigil::Built& built) {
@@ -279,7 +309,7 @@ int run_cluster(const std::string& topo, int blocks, int shards,
   sc.cluster.workers_per_rack = wpr;
   if (shards <= 0) {
     // Auto: one shard per hardware thread, capped by the router count
-    // inside Cluster::effective_shards.
+    // inside the engine.
     const unsigned hw = std::thread::hardware_concurrency();
     shards = hw > 0 ? int(hw) : 1;
   }
@@ -330,22 +360,9 @@ int run_cluster(const std::string& topo, int blocks, int shards,
                   entry.what.c_str());
     }
   }
-  if (!metrics_out.empty()) {
-    if (!telem.metrics.write_json_file(metrics_out,
-                                       built.cluster->simulator().now())) {
-      std::fprintf(stderr, "trio-run: cannot write %s\n", metrics_out.c_str());
-      return 1;
-    }
-    std::printf("  metrics: %s (%zu metrics)\n", metrics_out.c_str(),
-                telem.metrics.metric_count());
-  }
-  if (!trace_out.empty()) {
-    if (!telem.tracer.write_json_file(trace_out)) {
-      std::fprintf(stderr, "trio-run: cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("  trace: %s (%zu events)\n", trace_out.c_str(),
-                telem.tracer.event_count());
+  if (!write_outputs(telem, metrics_out, trace_out,
+                     built.cluster->simulator().now())) {
+    return 1;
   }
   for (const vigil::Violation& v : report.violations) {
     std::printf("  invariant %s tripped at %s: %s\n", v.invariant.c_str(),
@@ -506,21 +523,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sms.peek_u64(word * 8)),
                 static_cast<unsigned long long>(sms.peek_u64(word * 8 + 8)));
   }
-  if (!metrics_out.empty()) {
-    if (!telem.metrics.write_json_file(metrics_out, sim.now())) {
-      std::fprintf(stderr, "trio-run: cannot write %s\n", metrics_out.c_str());
-      return 1;
-    }
-    std::printf("  metrics: %s (%zu metrics)\n", metrics_out.c_str(),
-                telem.metrics.metric_count());
-  }
-  if (!trace_out.empty()) {
-    if (!telem.tracer.write_json_file(trace_out)) {
-      std::fprintf(stderr, "trio-run: cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("  trace: %s (%zu events)\n", trace_out.c_str(),
-                telem.tracer.event_count());
-  }
-  return 0;
+  return write_outputs(telem, metrics_out, trace_out, sim.now()) ? 0 : 1;
 }
