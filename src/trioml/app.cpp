@@ -252,13 +252,7 @@ void TrioMlApp::free_slab(const Slab& slab) {
   // Zero the aggregation buffer so the next block starts clean. In
   // hardware this is done by an init-on-allocate background engine; here
   // it is functional-only (no time charged) — see DESIGN.md.
-  auto& sms = pfe_.sms();
-  for (std::size_t off = 0; off < std::size_t(kMaxGradsPerPacket) * 4;
-       off += 8) {
-    if (sms.peek_u64(slab.buffer_addr + off) != 0) {
-      sms.poke_u64(slab.buffer_addr + off, 0);
-    }
-  }
+  pfe_.sms().clear(slab.buffer_addr, std::size_t(kMaxGradsPerPacket) * 4);
   free_slabs_.push_back(slab);
 }
 
