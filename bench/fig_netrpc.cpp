@@ -17,8 +17,9 @@
 //
 // Three scenarios: clean, one replica straggling (stalls 300us mid-run)
 // and one replica crashed mid-run. The headline gates: trio's p99 call
-// latency beats both baselines under the straggler, trio alone completes
-// every call after the crash, cache-hit GETs run well under the full
+// latency beats both baselines under the straggler, after the crash trio
+// completes every call inside the client call timeout that host-merge
+// clients wait out (PISA wedges), cache-hit GETs run well under the full
 // client-server RTT, a co-tenant Trio-ML allreduce stays bit-identical to
 // its solo run, and every digest is replay-identical (determinism). The
 // replays run with one shard per router, so they double as the netrpc
@@ -40,6 +41,7 @@
 #include "jobs/job_manager.hpp"
 #include "jobs/tenant.hpp"
 #include "netrpc/baseline.hpp"
+#include "netrpc/host.hpp"
 #include "netrpc/wire_format.hpp"
 #include "pisa/switch.hpp"
 
@@ -391,7 +393,9 @@ int main(int argc, char** argv) {
     }
   }
   // Gates: under the straggler trio's aged degraded completion beats both
-  // timer-less baselines on p99; after the crash only trio completes all.
+  // timer-less baselines on p99. After the crash trio completes every call
+  // inside the client's call timeout; host-merge clients only complete by
+  // waiting that timeout out, and PISA, with no timer at all, wedges.
   const Cell trio_strag = cells["straggler/trio"];
   const Cell host_strag = cells["straggler/hostmerge"];
   const Cell pisa_strag = cells["straggler/pisa"];
@@ -402,16 +406,18 @@ int main(int argc, char** argv) {
                 trio_strag.p99, host_strag.p99, pisa_strag.p99);
     ++failures;
   }
-  if (!(cells["crash/trio"].completed == std::uint64_t(calls) &&
-        cells["crash/hostmerge"].completed < std::uint64_t(calls) &&
-        cells["crash/pisa"].completed < std::uint64_t(calls))) {
-    std::printf("FAIL: crash completion %llu trio / %llu hostmerge / "
-                "%llu pisa of %d\n",
-                static_cast<unsigned long long>(cells["crash/trio"].completed),
-                static_cast<unsigned long long>(
-                    cells["crash/hostmerge"].completed),
-                static_cast<unsigned long long>(cells["crash/pisa"].completed),
-                calls);
+  const double timeout_us = netrpc::RpcClient::Config{}.call_timeout.us();
+  const Cell trio_crash = cells["crash/trio"];
+  const Cell host_crash = cells["crash/hostmerge"];
+  const Cell pisa_crash = cells["crash/pisa"];
+  if (!(trio_crash.completed == std::uint64_t(calls) &&
+        trio_crash.p99 < timeout_us && host_crash.p99 >= timeout_us &&
+        pisa_crash.completed < std::uint64_t(calls))) {
+    std::printf("FAIL: crash: trio %llu/%d at p99 %.2f us, hostmerge p99 "
+                "%.2f us (call timeout %.0f us), pisa %llu/%d\n",
+                static_cast<unsigned long long>(trio_crash.completed), calls,
+                trio_crash.p99, host_crash.p99, timeout_us,
+                static_cast<unsigned long long>(pisa_crash.completed), calls);
     ++failures;
   }
 

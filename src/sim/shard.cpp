@@ -53,7 +53,7 @@ void ShardedSimulator::post(std::uint32_t src_domain, std::uint32_t dst_domain,
   const std::uint64_t seq = ++domain_seq_[src_domain];
   const std::uint32_t dst_shard = shard_of(dst_domain);
   if (in_global_ || dst_shard == shard_of(src_domain)) {
-    // Same thread executes both domains: straight into the band. The
+    // Same thread executes both domains: straight into its queue. The
     // (at, src, seq) stamp — not the route taken — decides execution
     // order, so this shortcut cannot perturb digests.
     shards_[dst_shard]->sim.post_delivery(at, src_domain, seq, std::move(fn));
@@ -71,7 +71,7 @@ void ShardedSimulator::schedule_global(Time at, Callback fn) {
 
 void ShardedSimulator::run_globals_at(Time tg) {
   // Every shard is parked while a global action runs, so cross-shard
-  // post() calls made by the action go straight into the destination band
+  // post() calls made by the action go straight into the destination queue
   // (the outbox would not drain until after the next window).
   in_global_ = true;
   while (true) {
@@ -103,7 +103,7 @@ std::uint64_t ShardedSimulator::run_to(Time deadline,
   const std::uint64_t before = raw_events_total();
   deadline_ = deadline;
   if (num_shards_ == 1) {
-    run_serial(deadline);
+    run_serial();
   } else {
     std::unique_lock<std::mutex> lk(mu_);
     finished_ = 0;
@@ -123,31 +123,13 @@ std::uint64_t ShardedSimulator::run_to(Time deadline,
   return raw_events_total() - before;
 }
 
-std::uint64_t ShardedSimulator::run_serial(Time deadline) {
-  Simulator& sim = shards_[0]->sim;
-  std::uint64_t n = 0;
+void ShardedSimulator::run_serial() {
+  Shard& sh = *shards_[0];
   while (true) {
-    const Time t = sim.next_event_time();
-    const Time tg = next_global_time();
-    if (tg != Time::max() && tg <= t && tg <= deadline) {
-      sim.advance_to(tg);
-      run_globals_at(tg);
-      continue;
-    }
-    if (t == Time::max() || t > deadline) break;
-    // Same window formula as the parallel planner so both paths batch the
-    // same cohorts (not that order depends on it — the band rule does not
-    // care how instants are grouped into windows).
-    Time we = lookahead_ > Duration::zero() ? t + lookahead_
-                                            : t + Duration::nanos(1);
-    if (tg < we) we = tg;
-    if (deadline != Time::max() && we > deadline) {
-      we = deadline + Duration::nanos(1);
-    }
-    ++rounds_;
-    n += sim.run_window(we);
+    sh.next = sh.sim.next_event_time();
+    if (!plan_window()) return;
+    sh.sim.run_window(window_end_);
   }
-  return n;
 }
 
 void ShardedSimulator::worker_main(std::uint32_t me) {
@@ -203,40 +185,38 @@ void ShardedSimulator::drain_inbox(std::uint32_t me) {
 
 void ShardedSimulator::plan_next_window() noexcept {
   try {
-    if (abort_.load(std::memory_order_relaxed)) {
-      stop_round_ = true;
-      return;
-    }
-    while (true) {
-      Time t = Time::max();
-      for (auto& sh : shards_) t = std::min(t, sh->next);
-      const Time tg = next_global_time();
-      if (tg != Time::max() && tg <= t && tg <= deadline_) {
-        // All events before tg have executed and every shard is parked:
-        // fire the global actions with the clocks reading tg, then re-plan
-        // (they may have scheduled new work anywhere).
-        for (auto& sh : shards_) sh->sim.advance_to(tg);
-        run_globals_at(tg);
-        for (auto& sh : shards_) sh->next = sh->sim.next_event_time();
-        continue;
-      }
-      if (t == Time::max() || t > deadline_) {
-        stop_round_ = true;
-        return;
-      }
-      Time we = t + lookahead_;
-      if (tg < we) we = tg;
-      if (deadline_ != Time::max() && we > deadline_) {
-        we = deadline_ + Duration::nanos(1);
-      }
-      window_end_ = we;
-      stop_round_ = false;
-      ++rounds_;
-      return;
-    }
+    stop_round_ = abort_.load(std::memory_order_relaxed) || !plan_window();
   } catch (...) {
     record_error();
     stop_round_ = true;
+  }
+}
+
+bool ShardedSimulator::plan_window() {
+  while (true) {
+    Time t = Time::max();
+    for (auto& sh : shards_) t = std::min(t, sh->next);
+    const Time tg = next_global_time();
+    if (tg != Time::max() && tg <= t && tg <= deadline_) {
+      // All events before tg have executed and every shard is parked:
+      // fire the global actions with the clocks reading tg, then re-plan
+      // (they may have scheduled new work anywhere).
+      for (auto& sh : shards_) sh->sim.advance_to(tg);
+      run_globals_at(tg);
+      for (auto& sh : shards_) sh->next = sh->sim.next_event_time();
+      continue;
+    }
+    if (t == Time::max() || t > deadline_) return false;
+    // A zero lookahead (one shard only) still advances a nanosecond per
+    // window.
+    Time we = t + std::max(lookahead_, Duration::nanos(1));
+    if (tg < we) we = tg;
+    if (deadline_ != Time::max() && we > deadline_) {
+      we = deadline_ + Duration::nanos(1);
+    }
+    window_end_ = we;
+    ++rounds_;
+    return true;
   }
 }
 

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,76 +7,16 @@
 
 namespace sim {
 
-// The clock must advance to the event's time *before* its callback runs,
-// so callbacks observe a consistent now() and may schedule relative work.
-//
-// Ordering rule shared by every loop below (the *band rule*): at each
-// instant, local queue events run first (FIFO, including same-instant
-// follow-ups they schedule), then boundary deliveries one at a time in
-// (at, src, seq) order — re-preferring the queue after each delivery, since
-// a delivery may schedule same-instant local work. The serial loops and
-// run_window() produce the same total order, which is what the shard-count
-// invariance tests pin down.
-
 std::uint64_t Simulator::run() {
   if (engine_ != nullptr) return engine_->run();
-  std::uint64_t n = 0;
-  while (pending()) {
-    const Time tq = queue_.next_time();
-    const Time td = next_delivery_time();
-    if (tq <= td) {
-      now_ = tq;
-      queue_.pop_and_run();
-    } else {
-      now_ = td;
-      pop_delivery_and_run();
-    }
-    ++n;
-  }
-  events_executed_ += n;
-  return n;
+  return run_window(Time::max());
 }
 
 std::uint64_t Simulator::run_until(Time deadline) {
   if (engine_ != nullptr) return engine_->run_until(deadline);
-  std::uint64_t n = 0;
-  while (pending() && next_event_time() <= deadline) {
-    const Time tq = queue_.next_time();
-    const Time td = next_delivery_time();
-    if (tq <= td) {
-      now_ = tq;
-      queue_.pop_and_run();
-    } else {
-      now_ = td;
-      pop_delivery_and_run();
-    }
-    ++n;
-  }
-  if (now_ < deadline) now_ = deadline;
-  events_executed_ += n;
-  return n;
-}
-
-std::uint64_t Simulator::run_events(std::uint64_t max_events) {
-  if (engine_ != nullptr) {
-    throw std::logic_error(
-        "Simulator::run_events: not available on a sharded-engine shard "
-        "(per-shard event counts are not globally meaningful)");
-  }
-  std::uint64_t n = 0;
-  while (n < max_events && pending()) {
-    const Time tq = queue_.next_time();
-    const Time td = next_delivery_time();
-    if (tq <= td) {
-      now_ = tq;
-      queue_.pop_and_run();
-    } else {
-      now_ = td;
-      pop_delivery_and_run();
-    }
-    ++n;
-  }
-  events_executed_ += n;
+  const std::uint64_t n = run_window(
+      deadline == Time::max() ? deadline : deadline + Duration::nanos(1));
+  advance_to(deadline);
   return n;
 }
 
@@ -88,39 +27,20 @@ std::uint64_t Simulator::events_executed() const {
 
 void Simulator::post_delivery(Time at, std::uint32_t src_domain,
                               std::uint64_t seq, EventQueue::Callback fn) {
-  if (at < now_) {
-    throw std::logic_error(
-        "Simulator::post_delivery: delivery scheduled in the past "
-        "(lookahead violated?)");
+  if (src_domain >= kMaxDomains || (seq >> kSeqBits) != 0) {
+    throw std::out_of_range(
+        "Simulator::post_delivery: source domain or sequence too wide for "
+        "the delivery stamp");
   }
-  deliveries_.push_back(Delivery{at, src_domain, seq, std::move(fn)});
-  std::push_heap(deliveries_.begin(), deliveries_.end(), delivery_after);
-}
-
-void Simulator::pop_delivery_and_run() {
-  std::pop_heap(deliveries_.begin(), deliveries_.end(), delivery_after);
-  EventQueue::Callback fn = std::move(deliveries_.back().fn);
-  deliveries_.pop_back();
-  fn();
+  queue_.schedule_ranked(at, (std::uint64_t{src_domain} << kSeqBits) | seq,
+                         std::move(fn));
 }
 
 std::uint64_t Simulator::run_window(Time end) {
   std::uint64_t n = 0;
-  while (true) {
-    const Time tq = queue_.next_time();
-    const Time td = next_delivery_time();
-    const Time t = tq <= td ? tq : td;
-    if (t >= end) break;
-    now_ = t;
-    if (tq <= td) {
-      // The cohort also drains same-instant follow-ups, so after this call
-      // every queue event at t scheduled before the first delivery at t
-      // has run — exactly the serial band order.
-      n += queue_.pop_cohort_and_run();
-    } else {
-      pop_delivery_and_run();
-      ++n;
-    }
+  while (queue_.next_time() < end) {
+    queue_.pop_and_run();
+    ++n;
   }
   events_executed_ += n;
   return n;

@@ -132,31 +132,31 @@ TEST(AllocCount, CancelAndRescheduleIsAllocationFree) {
   EXPECT_EQ(allocs() - before, 0u);
 }
 
-TEST(AllocCount, CohortPopSteadyStateIsAllocationFree) {
-  // run_window() dispatches same-instant events as cohorts through a
-  // reused batch buffer; once that buffer and the heap are warm, crowded
-  // timestamps must not allocate.
+TEST(AllocCount, SameInstantBurstSteadyStateIsAllocationFree) {
+  // Crowded timestamps: once the heap and the slot table are warm, bursts
+  // of same-instant events dispatched by run() must not allocate.
   sim::Simulator sim;
   std::uint64_t sink = 0;
   const LinkSizedWork work{&sink, nullptr, 3, 1, 2, 3};
   auto batch = [&] {
     for (int i = 0; i < 1024; ++i) {
-      // 1024 events crowded onto 4 distinct instants: big cohorts.
+      // 1024 events crowded onto 4 distinct instants.
       sim.schedule_in(sim::Duration(1 + i % 4), work);
     }
-    sim.run_window(sim::Time::max());
+    sim.run();
   };
   for (int round = 0; round < 4; ++round) batch();  // warm-up
   const std::uint64_t before = allocs();
   for (int round = 0; round < 16; ++round) batch();
-  EXPECT_EQ(allocs() - before, 0u) << "cohort dispatch should allocate nothing";
+  EXPECT_EQ(allocs() - before, 0u)
+      << "same-instant bursts should allocate nothing";
   EXPECT_GT(sink, 0u);
 }
 
 TEST(AllocCount, DeliveryBandSteadyStateIsAllocationFree) {
-  // The cross-shard mailbox path: post() -> delivery band heap -> banded
-  // pop. With link-sized captures and warm vectors the per-message cost
-  // must be zero allocations.
+  // The cross-shard mailbox path: post() -> the destination's queue ->
+  // band-ordered pop. With link-sized captures and warm vectors the
+  // per-message cost must be zero allocations.
   sim::ShardedSimulator engine(/*num_domains=*/2, /*num_shards=*/1,
                                sim::Duration::micros(1));
   sim::Simulator& s = engine.domain_sim(0);

@@ -75,65 +75,6 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   EXPECT_EQ(q.next_time(), sim::Time(20));
 }
 
-TEST(EventQueue, CohortPopRunsWholeInstantInFifoOrder) {
-  // pop_cohort_and_run() dispatches every event at the earliest instant
-  // as one batch; FIFO order within the batch must match pop_and_run().
-  sim::EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 50; ++i) {
-    q.schedule(sim::Time(5), [&order, i] { order.push_back(i); });
-  }
-  q.schedule(sim::Time(9), [&order] { order.push_back(999); });
-  const std::size_t n = q.pop_cohort_and_run();
-  EXPECT_EQ(n, 50u);  // the t=9 event is not part of the t=5 cohort
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_EQ(q.pop_cohort_and_run(), 1u);
-  EXPECT_EQ(order.back(), 999);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CohortMemberCanCancelUnfiredSibling) {
-  // A cohort member cancelling a later member of the same batch: the
-  // sibling is already extracted from the heap, so cancel() must reach
-  // into the cohort buffer and the sibling must not fire.
-  sim::EventQueue q;
-  std::vector<int> order;
-  sim::EventId victim;
-  q.schedule(sim::Time(5), [&] {
-    order.push_back(0);
-    EXPECT_TRUE(q.cancel(victim));
-    EXPECT_FALSE(q.cancel(victim));  // double-cancel still reports false
-  });
-  victim = q.schedule(sim::Time(5), [&] { order.push_back(1); });
-  q.schedule(sim::Time(5), [&] { order.push_back(2); });
-  q.pop_cohort_and_run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CohortFollowUpsAtSameInstantRunAfterTheBatch) {
-  // Same-instant follow-ups scheduled by cohort members run within the
-  // same pop_cohort_and_run() call, after all original members — the
-  // band rule's "local events first, FIFO including cascades".
-  sim::EventQueue q;
-  std::vector<int> order;
-  q.schedule(sim::Time(5), [&] {
-    order.push_back(0);
-    q.schedule(sim::Time(5), [&] {
-      order.push_back(10);
-      q.schedule(sim::Time(5), [&] { order.push_back(20); });
-    });
-  });
-  q.schedule(sim::Time(5), [&] { order.push_back(1); });
-  const std::size_t n = q.pop_cohort_and_run();
-  EXPECT_EQ(n, 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 20}));
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(Simulator, ClockAdvancesWithEvents) {
   sim::Simulator s;
   sim::Time seen;
@@ -164,6 +105,70 @@ TEST(Simulator, RunUntilAdvancesClockToDeadline) {
   EXPECT_FALSE(late_ran);
   s.run_until(sim::Time(200));
   EXPECT_TRUE(late_ran);
+}
+
+TEST(Simulator, RejectsSchedulingBeforeNow) {
+  // The clock can move past the last event (run_until, advance_to); work
+  // scheduled behind it would run with the clock going backwards.
+  sim::Simulator s;
+  s.schedule_at(sim::Time(10), [] {});
+  s.run_until(sim::Time(100));
+  EXPECT_THROW(s.schedule_at(sim::Time(50), [] {}), std::logic_error);
+  EXPECT_THROW(s.schedule_in(sim::Duration(-1), [] {}), std::logic_error);
+  EXPECT_THROW(s.post_delivery(sim::Time(99), 0, 1, [] {}), std::logic_error);
+  s.advance_to(sim::Time(200));
+  EXPECT_THROW(s.schedule_at(sim::Time(150), [] {}), std::logic_error);
+  EXPECT_FALSE(s.pending());
+  s.schedule_at(sim::Time(200), [] {});
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(s.now(), sim::Time(200));
+}
+
+TEST(Simulator, DeliveriesRunAfterLocalEventsInStampOrder) {
+  // The band rule on one simulator. At an instant every local event runs
+  // first, FIFO with same-instant cascades; then deliveries in (src, seq)
+  // order, each followed by the local work it schedules for that instant.
+  sim::Simulator s;
+  const sim::Time t(10);
+  std::vector<int> order;
+  auto note = [&order](int v) { return [&order, v] { order.push_back(v); }; };
+  // Posted out of stamp order, and before the local events they follow.
+  s.post_delivery(t, 2, 1, note(14));
+  s.post_delivery(t, 0, 5, note(12));
+  s.post_delivery(t, sim::Simulator::kMaxDomains - 1,
+                  (std::uint64_t{1} << sim::Simulator::kSeqBits) - 1,
+                  note(15));
+  s.post_delivery(t, 1, 3, note(13));
+  s.post_delivery(t, 0, 2, [&] {
+    order.push_back(10);
+    s.schedule_at(t, note(11));
+  });
+  s.post_delivery(sim::Time(5), 3, 9, note(0));
+  s.schedule_at(sim::Time(20), note(30));
+  sim::EventId victim;
+  s.schedule_at(t, [&] {
+    order.push_back(1);
+    EXPECT_TRUE(s.cancel(victim));
+    EXPECT_FALSE(s.cancel(victim));
+    s.schedule_at(t, [&] {
+      order.push_back(3);
+      s.schedule_at(t, note(4));
+    });
+  });
+  victim = s.schedule_at(t, note(99));
+  s.schedule_at(t, note(2));
+  // A stamp field too wide for its width is rejected, not wrapped into
+  // another stamp's order.
+  EXPECT_THROW(s.post_delivery(t, sim::Simulator::kMaxDomains, 1, [] {}),
+               std::out_of_range);
+  EXPECT_THROW(s.post_delivery(t, 0,
+                               std::uint64_t{1} << sim::Simulator::kSeqBits,
+                               [] {}),
+               std::out_of_range);
+  EXPECT_EQ(s.run(), 12u);
+  EXPECT_EQ(order,
+            (std::vector<int>{0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 30}));
+  EXPECT_EQ(s.now(), sim::Time(20));
 }
 
 TEST(Rng, DeterministicForSeed) {
