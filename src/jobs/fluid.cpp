@@ -9,31 +9,24 @@
 namespace jobs {
 namespace {
 
+constexpr std::size_t kFrameBytes =
+    net::UdpFrameLayout::kPayloadOff + FluidController::kFramePayloadBytes;
+
 /// Pacing interval for a re-materialised stream: one frame every
 /// wire-time / load, computed from the *line* rate (the fluid demand cap
 /// is load * line rate, so the two modes offer identical byte rates).
-sim::Duration pace_interval(double line_gbps, std::size_t frame_bytes,
-                            double load) {
-  const double wire_ns = double(frame_bytes) * 8.0 / line_gbps;
+sim::Duration pace_interval(double line_gbps, double load) {
+  const double wire_ns = double(kFrameBytes) * 8.0 / line_gbps;
   return sim::Duration(static_cast<std::int64_t>(wire_ns / load + 0.5));
 }
 
 }  // namespace
 
 FluidController::FluidController(cluster::Cluster& cluster)
-    : FluidController(cluster, Config{}) {}
-
-FluidController::FluidController(cluster::Cluster& cluster, Config config)
-    : cluster_(cluster),
-      config_(config),
-      fluid_(cluster.simulator(), &cluster.engine(), config.engine) {
+    : cluster_(cluster), fluid_(cluster.engine()) {
   host_up_.assign(std::size_t(cluster_.num_workers()), -1);
-  host_down_.assign(std::size_t(cluster_.num_workers()), -1);
   trunk_up_.assign(std::size_t(cluster_.num_racks()), -1);
-  trunk_down_.assign(std::size_t(cluster_.num_racks()), -1);
 }
-
-FluidController::~FluidController() = default;
 
 sim::FluidEngine::LinkId FluidController::map_endpoint(net::LinkEndpoint& ep,
                                                        std::vector<int>& table,
@@ -41,55 +34,15 @@ sim::FluidEngine::LinkId FluidController::map_endpoint(net::LinkEndpoint& ep,
   if (table[index] < 0) {
     const sim::FluidEngine::LinkId id = fluid_.add_link(ep.gbps());
     fluid_.set_packet_probe(id, [&ep] { return ep.bytes_sent(); });
-    fluid_.set_rate_observer(
-        id, [&ep](double gbps, std::uint64_t) { ep.set_fluid_load(gbps); });
+    fluid_.set_rate_observer(id,
+                             [&ep](double gbps) { ep.set_fluid_load(gbps); });
     table[index] = int(id);
   }
   return sim::FluidEngine::LinkId(table[index]);
 }
 
-sim::FluidEngine::LinkId FluidController::host_up(int host) {
-  return map_endpoint(cluster_.link(host).a_to_b(), host_up_,
-                      std::size_t(host));
-}
-
-sim::FluidEngine::LinkId FluidController::host_down(int host) {
-  return map_endpoint(cluster_.link(host).b_to_a(), host_down_,
-                      std::size_t(host));
-}
-
-sim::FluidEngine::LinkId FluidController::trunk_up(int rack) {
-  return map_endpoint(cluster_.fabric_link(rack).a_to_b(), trunk_up_,
-                      std::size_t(rack));
-}
-
-sim::FluidEngine::LinkId FluidController::trunk_down(int rack) {
-  return map_endpoint(cluster_.fabric_link(rack).b_to_a(), trunk_down_,
-                      std::size_t(rack));
-}
-
-int FluidController::add_stream(Stream stream) {
-  const int idx = int(streams_.size());
-  streams_.push_back(std::move(stream));
-  if (packet_depth_ > 0) {
-    // Born inside a packet-fidelity region: start re-materialised.
-    Stream& s = streams_.back();
-    fluid_.pause_flow(s.flow);
-    s.emitter->budget = fluid_.flow_remaining(s.flow);
-    s.emitter->window_bytes = 0;
-    s.emitter->start(cluster_.engine().now());
-  }
-  return idx;
-}
-
-int FluidController::add_background_stream(int host, std::uint8_t tenant,
-                                           double load) {
-  return add_bulk_transfer(host, tenant, load, /*bytes=*/0, nullptr);
-}
-
-int FluidController::add_bulk_transfer(int host, std::uint8_t tenant,
-                                       double load, std::uint64_t bytes,
-                                       std::function<void(sim::Time)> done) {
+void FluidController::add_background_stream(int host, std::uint8_t tenant,
+                                            double load) {
   if (load <= 0.0 || load > 1.0) {
     throw std::invalid_argument("fluid stream load must be in (0, 1]");
   }
@@ -97,12 +50,9 @@ int FluidController::add_bulk_transfer(int host, std::uint8_t tenant,
   const int rack = host / wpr;
   const int local = host % wpr;
   net::LinkEndpoint& tx = cluster_.link(host).a_to_b();
-  const std::size_t frame_bytes =
-      net::UdpFrameLayout::kPayloadOff + config_.frame_payload_bytes;
 
-  Stream s;
-  s.emitter = std::make_unique<Emitter>();
-  Emitter& e = *s.emitter;
+  Stream& s = streams_.emplace_back();
+  Emitter& e = s.emitter;
   e.sim = &cluster_.engine().domain_sim(std::uint32_t(rack));
   e.tx = &tx;
   e.eth_src = trioml::worker_mac(rack, local);
@@ -110,75 +60,25 @@ int FluidController::add_bulk_transfer(int host, std::uint8_t tenant,
   e.ip_src = trioml::worker_ip(rack, local);
   e.ip_dst = cluster_.tree().spine_ip;
   e.tenant = tenant;
-  e.payload_bytes = config_.frame_payload_bytes;
-  e.interval = pace_interval(tx.gbps(), frame_bytes, load);
+  e.interval = pace_interval(tx.gbps(), load);
 
-  sim::FluidEngine::FlowSpec spec;
-  spec.route = {host_up(host), trunk_up(rack)};
-  spec.demand_gbps = load * tx.gbps();
-  spec.total_bytes = bytes;
-  spec.on_complete = std::move(done);
-  s.flow = fluid_.add_flow(std::move(spec));
-  return add_stream(std::move(s));
-}
-
-int FluidController::add_response_stream(int host, std::uint8_t tenant,
-                                         double load) {
-  if (load <= 0.0 || load > 1.0) {
-    throw std::invalid_argument("fluid stream load must be in (0, 1]");
+  const auto up = map_endpoint(tx, host_up_, std::size_t(host));
+  const auto trunk = map_endpoint(cluster_.fabric_link(rack).a_to_b(),
+                                  trunk_up_, std::size_t(rack));
+  s.flow = fluid_.add_flow({{up, trunk}, load * tx.gbps()});
+  if (packet_depth_ > 0) {
+    // Born inside a packet-fidelity region: start re-materialised.
+    fluid_.pause_flow(s.flow);
+    e.start();
   }
-  const int wpr = cluster_.workers_per_rack();
-  const int rack = host / wpr;
-  const int local = host % wpr;
-  net::LinkEndpoint& tx = cluster_.fabric_link(rack).b_to_a();
-  const std::size_t frame_bytes =
-      net::UdpFrameLayout::kPayloadOff + config_.frame_payload_bytes;
-  const double host_gbps = cluster_.link(host).b_to_a().gbps();
-
-  Stream s;
-  s.emitter = std::make_unique<Emitter>();
-  Emitter& e = *s.emitter;
-  // The spine end of the trunk transmits, so the emitter runs on the
-  // spine's domain; frames reach the host through the leaf's forwarding
-  // table (and the delivery band on the way into the leaf's domain).
-  e.sim = &cluster_.engine().domain_sim(std::uint32_t(cluster_.num_racks()));
-  e.tx = &tx;
-  e.eth_src = trioml::spine_mac();
-  e.eth_dst = trioml::aggregator_mac(rack);
-  e.ip_src = cluster_.tree().spine_ip;
-  e.ip_dst = trioml::worker_ip(rack, local);
-  e.tenant = tenant;
-  e.payload_bytes = config_.frame_payload_bytes;
-  // Paced to the host downlink (the model's bottleneck), not the trunk.
-  e.interval = pace_interval(host_gbps, frame_bytes, load);
-
-  sim::FluidEngine::FlowSpec spec;
-  spec.route = {trunk_down(rack), host_down(host)};
-  spec.demand_gbps = load * host_gbps;
-  s.flow = fluid_.add_flow(std::move(spec));
-  return add_stream(std::move(s));
-}
-
-std::uint64_t FluidController::stream_bytes(int s) const {
-  return fluid_.flow_bytes(streams_[std::size_t(s)].flow);
-}
-
-bool FluidController::stream_done(int s) const {
-  return fluid_.flow_done(streams_[std::size_t(s)].flow);
 }
 
 void FluidController::enter_packet_mode() {
   if (++packet_depth_ != 1) return;
   ++transitions_;
-  const sim::Time at = cluster_.engine().now();
   for (Stream& s : streams_) {
-    if (fluid_.flow_done(s.flow)) continue;
-    // Pause first: it advances fluid accrual to `at`, so the emitter's
-    // byte budget is the exact remainder.
-    fluid_.pause_flow(s.flow);
-    s.emitter->budget = fluid_.flow_remaining(s.flow);
-    s.emitter->window_bytes = 0;
-    s.emitter->start(at);
+    fluid_.pause_flow(s.flow);  // accrues fluid bytes up to now first
+    s.emitter.start();
   }
 }
 
@@ -186,11 +86,7 @@ void FluidController::exit_packet_mode() {
   if (packet_depth_ == 0 || --packet_depth_ != 0) return;
   ++transitions_;
   for (Stream& s : streams_) {
-    s.emitter->stop();
-    if (fluid_.flow_done(s.flow)) continue;
-    // The frames' wire bytes count as flow progress (byte-exact round
-    // trip), then the flow picks its fluid rate back up.
-    fluid_.credit_flow(s.flow, s.emitter->window_bytes);
+    s.emitter.stop();
     fluid_.resume_flow(s.flow);
   }
 }
@@ -202,7 +98,7 @@ void FluidController::observe(const faults::FaultSchedule& schedule) {
       if (!stopped_) enter_packet_mode();
     });
     if (w.end == sim::Time::max()) continue;  // never clears
-    sim::Time end = w.end + config_.window_padding;
+    sim::Time end = w.end + kWindowPadding;
     if (end <= w.start) end = w.start + sim::Duration(1);
     cluster_.engine().schedule_global(end, [this] {
       if (!stopped_) exit_packet_mode();
@@ -210,58 +106,30 @@ void FluidController::observe(const faults::FaultSchedule& schedule) {
   }
 }
 
-void FluidController::set_packet_mode_probe(std::function<bool()> probe) {
-  probe_ = std::move(probe);
-  if (!probe_ticking_ && !stopped_) {
-    probe_ticking_ = true;
-    schedule_probe_tick();
-  }
-}
-
-void FluidController::schedule_probe_tick() {
-  cluster_.engine().schedule_global(
-      cluster_.engine().now() + config_.probe_period,
-      [this] { probe_tick(); });
-}
-
-void FluidController::probe_tick() {
-  if (stopped_) return;  // no reschedule: lets the run drain
-  const bool want = probe_ && probe_();
-  if (want && !probe_holds_) {
-    probe_holds_ = true;
-    enter_packet_mode();
-  } else if (!want && probe_holds_) {
-    probe_holds_ = false;
-    exit_packet_mode();
-  }
-  schedule_probe_tick();
-}
-
 void FluidController::stop() {
   stopped_ = true;
   fluid_.stop();
-  for (Stream& s : streams_) s.emitter->stop();
+  for (Stream& s : streams_) s.emitter.stop();
 }
 
 std::uint64_t FluidController::packet_frames() const {
   std::uint64_t n = 0;
-  for (const Stream& s : streams_) n += s.emitter->frames_total;
+  for (const Stream& s : streams_) n += s.emitter.frames_total;
   return n;
 }
 
 std::uint64_t FluidController::packet_bytes() const {
   std::uint64_t n = 0;
-  for (const Stream& s : streams_) n += s.emitter->bytes_total;
+  for (const Stream& s : streams_) n += s.emitter.bytes_total;
   return n;
 }
 
 // --- Emitter ---------------------------------------------------------------
 
-void FluidController::Emitter::start(sim::Time at) {
+void FluidController::Emitter::start() {
   if (running) return;
   running = true;
-  const sim::Time first = at < sim->now() ? sim->now() : at;
-  next = sim->schedule_at(first, [this] { emit(); });
+  next = sim->schedule_at(sim->now(), [this] { emit(); });
 }
 
 void FluidController::Emitter::stop() {
@@ -272,26 +140,13 @@ void FluidController::Emitter::stop() {
 
 void FluidController::Emitter::emit() {
   if (!running) return;
-  const std::size_t frame_bytes =
-      net::UdpFrameLayout::kPayloadOff + payload_bytes;
-  const bool finite = budget != 0;
-  std::vector<std::uint8_t> payload(payload_bytes, 0xbe);
+  std::vector<std::uint8_t> payload(kFramePayloadBytes, 0xbe);
   auto frame = net::build_udp_frame(eth_src, eth_dst, ip_src, ip_dst,
                                     trioml::best_effort_src_port(tenant),
                                     /*udp_dst=*/9, payload);
   tx->send(net::Packet::make(std::move(frame)));
   ++frames_total;
-  bytes_total += frame_bytes;
-  window_bytes += frame_bytes;
-  if (finite) {
-    budget -= budget > frame_bytes ? frame_bytes : budget;
-    if (budget == 0) {
-      // Transfer exhausted mid-window: the credit on window exit will
-      // complete the fluid flow at the right byte count.
-      running = false;
-      return;
-    }
-  }
+  bytes_total += kFrameBytes;
   next = sim->schedule_in(interval, [this] { emit(); });
 }
 

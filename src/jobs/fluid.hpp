@@ -2,52 +2,34 @@
 // modelling on a Cluster (docs/fluid.md).
 //
 // The sim::FluidEngine knows nothing about topology; this layer maps the
-// cluster's physical links (host access links, leaf->spine trunks) onto
-// fluid-engine links — wiring each one's packet-occupancy probe
-// (LinkEndpoint::bytes_sent) and rate observer
-// (LinkEndpoint::set_fluid_load) — and owns the *streams*: bulk traffic
-// that is eligible to run in fluid mode. Three stream shapes cover the
-// demotion-eligible traffic classes (docs/fluid.md "Eligibility"):
-//
-//   background  — a best-effort aggressor: an open-ended paced UDP stream
-//                 up one host link and its rack trunk, byte-compatible
-//                 with jobs::BestEffortSource.
-//   bulk        — the same path, but a finite transfer with a completion
-//                 callback (background checkpoint/shuffle traffic).
-//   response    — a cache-warm GET response stream flowing *down* from
-//                 the spine to one host (NetRPC's steady-state hot-key
-//                 hit traffic, which never touches a pending slot).
+// cluster's host uplinks and leaf->spine trunks onto fluid-engine links —
+// wiring each one's packet-occupancy probe (LinkEndpoint::bytes_sent) and
+// rate observer (LinkEndpoint::set_fluid_load) — and owns the *streams*:
+// best-effort aggressors demoted to fluid mode (docs/fluid.md
+// "Eligibility"). A stream is an open-ended paced UDP stream up one host
+// link and its rack trunk, byte-compatible with jobs::BestEffortSource.
 //
 // Packet-fidelity regions demote nothing and re-materialise everything:
 // while any region is active (enter_packet_mode/exit_packet_mode nest),
-// every stream's fluid flow is paused and a per-stream PacketEmitter
-// injects real net::Packet frames — built exactly like the packet-mode
+// every stream's fluid flow is paused and a per-stream Emitter injects
+// real net::Packet frames — built exactly like the packet-mode
 // generators, sent on the stream's real LinkEndpoint, crossing domains
-// through the PR 8 ordered delivery band — so losses, QoS and RMW effects
-// inside the region are packet-exact. On exit the frames' wire bytes are
-// credited back to the fluid flow (byte-exact round trip) and the flow
-// resumes. Regions come from two sources:
-//
-//   observe(FaultSchedule)   — static: every fault's active window is
-//                              precomputed and entered/exited via
-//                              deterministic global actions, padded by
-//                              Config::window_padding for loss tails.
-//   set_packet_mode_probe()  — dynamic: a predicate (e.g. "recovery epoch
-//                              open", src/recovery/) polled every
-//                              Config::probe_period on the global-action
-//                              lane; entry latency is at most one period.
+// as ordinary cross-domain deliveries — so losses, QoS and RMW effects
+// inside the region are packet-exact. On exit the flow resumes its fluid
+// rate. observe(FaultSchedule) precomputes every fault's active window
+// and enters/exits it via deterministic global actions, padded by
+// kWindowPadding for loss tails.
 //
 // Every transition runs as a ShardedSimulator global action, so the
 // fluid/packet hand-off happens at a deterministic simulated time with
 // all shards parked — digests are bit-identical at any --shards count.
-// The controller's wakeups (and any open-ended stream) keep the event
-// queue non-empty: drive the run with run_until(deadline) and call
-// stop() at the end, like trace sampling and the RecoveryManager.
+// The controller's wakeups and open-ended streams keep the event queue
+// non-empty: drive the run with run_until(deadline) and call stop() at
+// the end, like trace sampling and the RecoveryManager.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -60,63 +42,39 @@ namespace jobs {
 
 class FluidController {
  public:
-  struct Config {
-    sim::FluidEngine::Config engine;
-    /// Cadence of the dynamic packet-mode probe (recovery epochs).
-    sim::Duration probe_period = sim::Duration::micros(50);
-    /// Grace period appended to every fault window before flows demote
-    /// back to fluid mode: retransmits and queue drain caused *inside*
-    /// the window still see packet fidelity.
-    sim::Duration window_padding = sim::Duration::micros(100);
-    /// Frame payload of re-materialised streams (matches
-    /// BestEffortSource::Config::frame_payload_bytes).
-    std::size_t frame_payload_bytes = 1400;
-  };
+  /// Grace period appended to every fault window before streams demote
+  /// back to fluid mode: retransmits and queue drain caused *inside* the
+  /// window still see packet fidelity.
+  static constexpr sim::Duration kWindowPadding = sim::Duration::micros(100);
+  /// Frame payload of re-materialised streams (matches
+  /// BestEffortSource::Config::frame_payload_bytes).
+  static constexpr std::size_t kFramePayloadBytes = 1400;
 
   explicit FluidController(cluster::Cluster& cluster);
-  FluidController(cluster::Cluster& cluster, Config config);
-  ~FluidController();
   FluidController(const FluidController&) = delete;
   FluidController& operator=(const FluidController&) = delete;
 
-  sim::FluidEngine& engine() { return fluid_; }
-
-  // --- Stream registration (before the run or from global context) -------
   /// Open-ended best-effort aggressor on `host`'s uplink + rack trunk at
-  /// `load` (fraction of the host line rate). Returns the stream index.
-  int add_background_stream(int host, std::uint8_t tenant, double load);
-  /// Finite bulk transfer of `bytes` wire bytes on the same path;
-  /// `done` fires at the latency-correct completion instant.
-  int add_bulk_transfer(int host, std::uint8_t tenant, double load,
-                        std::uint64_t bytes,
-                        std::function<void(sim::Time)> done = nullptr);
-  /// Open-ended cache-warm GET response stream: spine -> `host`'s rack
-  /// trunk (downlink direction) -> host downlink.
-  int add_response_stream(int host, std::uint8_t tenant, double load);
-
+  /// `load` (fraction of the host line rate). Call before the run or from
+  /// global context.
+  void add_background_stream(int host, std::uint8_t tenant, double load);
   std::size_t num_streams() const { return streams_.size(); }
-  /// Total wire bytes stream `s` has carried, fluid accrual + packet
-  /// frames combined.
-  std::uint64_t stream_bytes(int s) const;
-  bool stream_done(int s) const;
 
   // --- Fidelity regions ---------------------------------------------------
   /// Precomputes every fault's active window (faults::packet_windows) and
   /// schedules the enter/exit transitions as global actions. Call before
   /// the run starts.
   void observe(const faults::FaultSchedule& schedule);
-  /// Dynamic region predicate, polled every Config::probe_period: while
-  /// it returns true the controller holds packet mode (one extra nesting
-  /// level). Starts the polling tick; pair the run with stop().
-  void set_packet_mode_probe(std::function<bool()> probe);
-  /// Manual region nesting (the observe()/probe transitions use these).
+  /// Manual region nesting (the observe() transitions use these).
   void enter_packet_mode();
   void exit_packet_mode();
   bool packet_mode() const { return packet_depth_ > 0; }
 
-  /// Stops probe polling and fluid wakeups; pending ticks no-op. The
-  /// run cannot drain before this is called.
+  /// Stops fluid wakeups and emitters; pending transitions no-op. The run
+  /// cannot drain before this is called, and a stopped controller stays
+  /// stopped.
   void stop();
+  bool stopped() const { return stopped_; }
 
   // --- Stats --------------------------------------------------------------
   /// Fluid->packet + packet->fluid transitions executed.
@@ -132,9 +90,12 @@ class FluidController {
  private:
   /// One re-materialisation emitter: a paced frame generator bound to the
   /// stream's injection endpoint, running on that endpoint's domain
-  /// simulator (frames then take the normal send path, including the
-  /// delivery band on boundary links).
+  /// simulator (frames then take the normal send path).
   struct Emitter {
+    Emitter() = default;
+    Emitter(const Emitter&) = delete;  // scheduled callbacks hold `this`
+    Emitter& operator=(const Emitter&) = delete;
+
     sim::Simulator* sim = nullptr;
     net::LinkEndpoint* tx = nullptr;
     net::MacAddr eth_src{};
@@ -142,49 +103,35 @@ class FluidController {
     net::Ipv4Addr ip_src;
     net::Ipv4Addr ip_dst;
     std::uint8_t tenant = 0;
-    std::size_t payload_bytes = 1400;
     sim::Duration interval;  // frame wire time at line rate / load
     bool running = false;
     sim::EventId next{};
-    std::uint64_t budget = 0;       // remaining bytes; 0 = unlimited
-    std::uint64_t window_bytes = 0; // offered since the last start()
     std::uint64_t frames_total = 0;
     std::uint64_t bytes_total = 0;
 
-    void start(sim::Time at);
+    /// Transitions run with every shard parked at the engine's clock, so
+    /// the first frame leaves at the domain simulator's now().
+    void start();
     void stop();
     void emit();
   };
   struct Stream {
-    sim::FluidEngine::FlowId flow = sim::FluidEngine::kInvalidFlow;
-    std::unique_ptr<Emitter> emitter;
+    sim::FluidEngine::FlowId flow = 0;
+    Emitter emitter;
   };
 
-  sim::FluidEngine::LinkId host_up(int host);
-  sim::FluidEngine::LinkId host_down(int host);
-  sim::FluidEngine::LinkId trunk_up(int rack);
-  sim::FluidEngine::LinkId trunk_down(int rack);
   sim::FluidEngine::LinkId map_endpoint(net::LinkEndpoint& ep,
                                         std::vector<int>& table,
                                         std::size_t index);
-  int add_stream(Stream stream);
-  void probe_tick();
-  void schedule_probe_tick();
 
   cluster::Cluster& cluster_;
-  Config config_;
   sim::FluidEngine fluid_;
   // Lazily-built physical-endpoint -> fluid-link tables (-1 = unmapped).
   std::vector<int> host_up_;
-  std::vector<int> host_down_;
   std::vector<int> trunk_up_;
-  std::vector<int> trunk_down_;
-  std::vector<Stream> streams_;
+  std::deque<Stream> streams_;  // a deque keeps emitter addresses stable
   int packet_depth_ = 0;
-  bool probe_holds_ = false;
-  bool probe_ticking_ = false;
   bool stopped_ = false;
-  std::function<bool()> probe_;
   std::uint64_t transitions_ = 0;
   std::uint64_t windows_observed_ = 0;
 };

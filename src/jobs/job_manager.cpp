@@ -456,6 +456,13 @@ void JobManager::enable_fluid(FluidController& controller) {
 }
 
 MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
+  if (fluid_ && fluid_->stopped()) {
+    // The previous run stopped the controller: its streams no longer
+    // accrue, so a second run would see a frozen background.
+    throw std::logic_error(
+        "JobManager::run: the fluid controller was stopped by an earlier "
+        "run; enable a fresh one");
+  }
   MultiTenantRun run;
   run.tenants.reserve(admission_order_.size());
   const int workers = cluster_.num_workers();
@@ -498,15 +505,11 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
     if (fluid_ && tenant.spec.kind == TenantKind::kBestEffort &&
         tenant.spec.fluid) {
       // Demoted to fluid mode (docs/fluid.md): one background stream per
-      // host instead of per-host packet sources. Registration happens
-      // once; the controller's fidelity boundaries re-materialise the
-      // stream as real frames inside fault/recovery windows.
-      if (std::find(fluid_adopted_.begin(), fluid_adopted_.end(), id) ==
-          fluid_adopted_.end()) {
-        for (int g = 0; g < workers; ++g) {
-          fluid_->add_background_stream(g, id, tenant.spec.load);
-        }
-        fluid_adopted_.push_back(id);
+      // host instead of per-host packet sources. The controller's
+      // fidelity boundaries re-materialise the stream as real frames
+      // inside fault windows.
+      for (int g = 0; g < workers; ++g) {
+        fluid_->add_background_stream(g, id, tenant.spec.load);
       }
       continue;
     }

@@ -151,8 +151,9 @@ class JobManager {
   /// run() demotes every eligible best-effort tenant (spec.fluid, the
   /// default) to a fluid background stream per host instead of starting
   /// its packet sources, and stops the controller when the run ends.
-  /// Ineligible (`fluid=0`) tenants keep their packet sources. The
-  /// controller must outlive the manager's runs.
+  /// Ineligible (`fluid=0`) tenants keep their packet sources. A
+  /// controller serves one run: once a run has stopped it, run() throws
+  /// std::logic_error until a fresh controller is enabled.
   void enable_fluid(FluidController& controller);
   bool fluid_enabled() const { return fluid_ != nullptr; }
 
@@ -205,9 +206,6 @@ class JobManager {
   cluster::Cluster& cluster_;
   sim::Simulator& sim_;
   FluidController* fluid_ = nullptr;
-  /// Tenants whose background streams are already registered with the
-  /// fluid controller (registration is once, on the first run).
-  std::vector<TenantId> fluid_adopted_;
   std::vector<std::unique_ptr<HostMux>> muxes_;  // by global worker
   std::map<TenantId, Tenant> tenants_;           // ordered: admission replay
   std::vector<TenantId> admission_order_;

@@ -1,33 +1,17 @@
 #include "sim/fluid.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 #include "sim/shard.hpp"
 
 namespace sim {
-namespace {
 
-// Rates below this are treated as zero when computing completion times:
-// 1e-9 Gbps is one byte per ~8 simulated seconds, far beyond any run
-// horizon, and guarding here keeps ceil(remaining / rate) finite.
-constexpr double kMinRateGbps = 1e-9;
+FluidEngine::FluidEngine(ShardedSimulator& engine)
+    : engine_(engine),
+      last_advance_(engine.now()),
+      last_probe_(engine.now()) {}
 
-}  // namespace
-
-FluidEngine::FluidEngine(Simulator& simulator, ShardedSimulator* engine)
-    : FluidEngine(simulator, engine, Config{}) {}
-
-FluidEngine::FluidEngine(Simulator& simulator, ShardedSimulator* engine,
-                         Config config)
-    : sim_(simulator),
-      engine_(engine),
-      config_(config),
-      last_advance_(simulator.now()),
-      last_probe_(simulator.now()) {}
-
-Time FluidEngine::now() const { return engine_ ? engine_->now() : sim_.now(); }
+Time FluidEngine::now() const { return engine_.now(); }
 
 FluidEngine::LinkId FluidEngine::add_link(double capacity_gbps) {
   LinkState ls;
@@ -42,9 +26,8 @@ void FluidEngine::set_packet_probe(LinkId link,
   links_[link].probe = std::move(probe);
 }
 
-void FluidEngine::set_rate_observer(
-    LinkId link,
-    std::function<void(double fluid_gbps, std::uint64_t fluid_bytes)> obs) {
+void FluidEngine::set_rate_observer(LinkId link,
+                                    std::function<void(double)> obs) {
   links_[link].observer = std::move(obs);
 }
 
@@ -53,75 +36,31 @@ FluidEngine::FlowId FluidEngine::add_flow(FlowSpec spec) {
   FlowState fs;
   fs.route = std::move(spec.route);
   fs.demand_gbps = spec.demand_gbps;
-  fs.total_bytes = spec.total_bytes;
-  fs.on_complete = std::move(spec.on_complete);
-  fs.in_use = true;
-  // Reuse a retired slot if one exists so long sweeps don't grow the
-  // table without bound; ids of live flows are stable.
-  FlowId id = kInvalidFlow;
-  for (FlowId i = 0; i < flows_.size(); ++i) {
-    if (!flows_[i].in_use) {
-      id = i;
-      break;
-    }
-  }
-  if (id == kInvalidFlow) {
-    id = FlowId(flows_.size());
-    flows_.push_back(std::move(fs));
-  } else {
-    flows_[id] = std::move(fs);
-  }
+  flows_.push_back(std::move(fs));
   update();
-  return id;
-}
-
-void FluidEngine::remove_flow(FlowId id) {
-  advance_to_now();
-  flows_[id] = FlowState{};
-  update();
+  return FlowId(flows_.size() - 1);
 }
 
 void FluidEngine::pause_flow(FlowId id) {
   FlowState& f = flows_[id];
-  if (f.paused || f.done || !f.in_use) return;
+  if (f.paused) return;
   advance_to_now();
   f.paused = true;
   f.rate_gbps = 0;
-  f.complete_at = Time::max();
   update();
 }
 
 void FluidEngine::resume_flow(FlowId id) {
   FlowState& f = flows_[id];
-  if (!f.paused || f.done || !f.in_use) return;
+  if (!f.paused) return;
   advance_to_now();
   f.paused = false;
   update();
 }
 
-void FluidEngine::credit_flow(FlowId id, std::uint64_t bytes) {
-  FlowState& f = flows_[id];
-  if (f.done || !f.in_use) return;
-  advance_to_now();
-  f.carried += bytes;
-  if (f.total_bytes > 0 && f.carried >= f.total_bytes) {
-    f.carried = f.total_bytes;
-    complete_flow(id, now());
-  }
-  update();
-}
-
-std::uint64_t FluidEngine::flow_remaining(FlowId id) const {
-  const FlowState& f = flows_[id];
-  if (f.total_bytes == 0) return 0;
-  return f.total_bytes > f.carried ? f.total_bytes - f.carried : 0;
-}
-
 bool FluidEngine::any_running() const {
-  for (const FlowState& f : flows_) {
-    if (f.in_use && !f.paused && !f.done) return true;
-  }
-  return false;
+  return std::any_of(flows_.begin(), flows_.end(),
+                     [](const FlowState& f) { return !f.paused; });
 }
 
 void FluidEngine::advance_to_now() {
@@ -131,43 +70,15 @@ void FluidEngine::advance_to_now() {
     return;
   }
   const double dt_ns = double((t - last_advance_).ns());
-  for (FlowId id = 0; id < flows_.size(); ++id) {
-    FlowState& f = flows_[id];
-    if (!f.in_use || f.paused || f.done || f.rate_gbps <= 0) continue;
-    if (f.total_bytes > 0 && t >= f.complete_at) {
-      // Completion instant reached within this advance: the scheduled
-      // completion time already accounts for the exact remaining bytes,
-      // so force byte-exactness instead of trusting float accrual.
-      const std::uint64_t gained = f.total_bytes - f.carried;
-      f.carried = f.total_bytes;
-      f.frac = 0;
-      fluid_bytes_total_ += gained;
-      for (LinkId l : f.route) links_[l].fluid_bytes += gained;
-      complete_flow(id, f.complete_at);
-      continue;
-    }
+  for (FlowState& f : flows_) {
+    if (f.paused || f.rate_gbps <= 0) continue;
     // rate [Gbps] = bits/ns, so bytes = rate * dt / 8.
     const double exact = f.rate_gbps * dt_ns / 8.0 + f.frac;
     const auto whole = std::uint64_t(exact);
     f.frac = exact - double(whole);
-    f.carried += whole;
     fluid_bytes_total_ += whole;
-    for (LinkId l : f.route) links_[l].fluid_bytes += whole;
   }
   last_advance_ = t;
-}
-
-void FluidEngine::complete_flow(FlowId id, Time at) {
-  FlowState& f = flows_[id];
-  f.done = true;
-  f.rate_gbps = 0;
-  f.complete_at = Time::max();
-  ++completions_;
-  if (f.on_complete) {
-    auto cb = std::move(f.on_complete);
-    f.on_complete = nullptr;
-    cb(at);
-  }
 }
 
 void FluidEngine::sample_probes(Time at) {
@@ -185,7 +96,6 @@ void FluidEngine::sample_probes(Time at) {
 }
 
 void FluidEngine::recompute_rates() {
-  ++updates_;
   // Demand-capped max-min fairness by progressive filling: repeatedly
   // find the bottleneck link (smallest equal-share of its residual
   // capacity among its unfrozen flows), freeze those flows at that
@@ -204,13 +114,8 @@ void FluidEngine::recompute_rates() {
   std::vector<FlowId> unfrozen;
   for (FlowId id = 0; id < flows_.size(); ++id) {
     FlowState& f = flows_[id];
-    if (!f.in_use || f.paused || f.done) {
+    if (f.paused) {
       f.rate_gbps = 0;
-      continue;
-    }
-    if (f.route.empty()) {
-      // Routeless flow: only its demand cap limits it (used by tests).
-      f.rate_gbps = f.demand_gbps > 0 ? f.demand_gbps : 0;
       continue;
     }
     unfrozen.push_back(id);
@@ -277,40 +182,20 @@ void FluidEngine::recompute_rates() {
 
   for (LinkState& l : links_) l.fluid_gbps = 0;
   for (const FlowState& f : flows_) {
-    if (!f.in_use || f.paused || f.done) continue;
+    if (f.paused) continue;
     for (LinkId l : f.route) links_[l].fluid_gbps += f.rate_gbps;
-  }
-}
-
-void FluidEngine::refresh_completions(Time at) {
-  for (FlowState& f : flows_) {
-    if (!f.in_use || f.paused || f.done || f.total_bytes == 0) {
-      if (f.in_use && !f.done) f.complete_at = Time::max();
-      continue;
-    }
-    if (f.rate_gbps < kMinRateGbps) {
-      f.complete_at = Time::max();
-      continue;
-    }
-    const std::uint64_t remaining = f.total_bytes - f.carried;
-    const double bits = double(remaining) * 8.0 - f.frac * 8.0;
-    const double ns = std::max(0.0, bits) / f.rate_gbps;
-    f.complete_at = at + Duration(std::int64_t(std::ceil(ns)));
-    if (f.complete_at <= at) f.complete_at = at + Duration(1);
   }
 }
 
 void FluidEngine::push_observers() {
   for (LinkState& l : links_) {
-    if (l.observer) l.observer(l.fluid_gbps, l.fluid_bytes);
+    if (l.observer) l.observer(l.fluid_gbps);
   }
 }
 
 void FluidEngine::update() {
-  const Time t = now();
-  sample_probes(t);
+  sample_probes(now());
   recompute_rates();
-  refresh_completions(t);
   push_observers();
   schedule_wakeup();
 }
@@ -318,13 +203,7 @@ void FluidEngine::update() {
 void FluidEngine::schedule_wakeup() {
   if (stopped_ || !any_running()) return;
   const Time t = now();
-  Time want = t + config_.tick;
-  for (const FlowState& f : flows_) {
-    if (f.in_use && !f.paused && !f.done && f.complete_at < want) {
-      want = f.complete_at;
-    }
-  }
-  if (want <= t) want = t + Duration(1);
+  const Time want = t + kTick;
   // Wakeups are never cancelled (globals can't be); if one is already
   // pending at or before `want` it will re-evaluate then. A stale
   // wakeup after state changed just advances accrual (possibly dt=0)
@@ -333,16 +212,10 @@ void FluidEngine::schedule_wakeup() {
     return;
   }
   next_wake_ = want;
-  auto fire = [this] { on_wake(); };
-  if (engine_) {
-    engine_->schedule_global(want, fire);
-  } else {
-    sim_.schedule_at(want, fire);
-  }
+  engine_.schedule_global(want, [this] { on_wake(); });
 }
 
 void FluidEngine::on_wake() {
-  ++wakeups_;
   next_wake_ = Time::max();
   if (stopped_) return;
   advance_to_now();

@@ -1,43 +1,41 @@
-// FluidEngine: flow-level (fluid) traffic modelling for bulk steady-state
-// streams (docs/fluid.md).
+// FluidEngine: flow-level (fluid) traffic modelling for open-ended
+// background streams (docs/fluid.md).
 //
 // Packet-level simulation pays one event per frame per hop; a saturating
 // background stream on a 100 Gbps link is ~8.5M frames per simulated
 // second before it ever reaches a router. The fluid engine advances
-// *designated* flows as rate-shared transfers instead: each flow is a
-// route (a list of FluidEngine links), a demand cap, and an optional byte
-// total. Rates are the demand-capped max-min fair allocation over the
-// link graph (progressive filling, the same congestion-aware link sharing
-// tt-npe applies to NoC transfers) and are recomputed only at *fluid
-// events* — flow arrival, departure, pause/resume at a fidelity boundary,
-// a completion, or the periodic tick that re-samples packet occupancy.
-// Between events every flow just accrues rate x time bytes; nothing is
-// simulated per frame.
+// *designated* flows as rate-shared streams instead: each flow is a route
+// (a list of FluidEngine links) and a demand cap. Rates are the
+// demand-capped max-min fair allocation over the link graph (progressive
+// filling, the same congestion-aware link sharing tt-npe applies to NoC
+// transfers) and are recomputed only at *fluid events* — flow arrival,
+// pause/resume at a fidelity boundary, or the periodic tick that
+// re-samples packet occupancy. Between events every flow just accrues
+// rate x time bytes; nothing is simulated per frame.
 //
 // Coexistence with packet traffic is two-way (docs/fluid.md "Shared
 // capacity"): each link can carry a packet-occupancy probe (cumulative
-// bytes transmitted by real frames); the measured packet rate over the
-// last tick is subtracted from the capacity the fluid allocation may use,
-// and every recomputation pushes the link's total fluid rate to a rate
-// observer so the packet side (net::LinkEndpoint::set_fluid_load) can
-// stretch its serialization delay by the bandwidth the fluid flows hold.
+// bytes transmitted by real frames); the measured packet rate since the
+// last update is subtracted from the capacity the fluid allocation may
+// use, and every recomputation pushes the link's total fluid rate to a
+// rate observer so the packet side (net::LinkEndpoint::set_fluid_load)
+// can stretch its serialization delay by the bandwidth the fluid flows
+// hold.
 //
-// Determinism (the non-negotiable): all fluid state is global, so on a
-// sharded simulation every wakeup runs as a ShardedSimulator *global
-// action* — at a deterministic simulated time, with every shard parked
-// and every earlier event executed. Nothing in a rate update depends on
-// thread timing or shard packing, so golden digests are bit-identical at
-// any --shards count. On a standalone Simulator the same wakeups are
-// ordinary events. All engine methods must be called from that same
-// serialized context: before the run starts, between runs, or from a
-// global action / standalone event (never from a shard event handler).
+// Determinism (the non-negotiable): all fluid state is global, so every
+// wakeup runs as a ShardedSimulator *global action* — at a deterministic
+// simulated time, with every shard parked and every earlier event
+// executed. Nothing in a rate update depends on thread timing or shard
+// packing, so golden digests are bit-identical at any --shards count.
+// All engine methods must be called from that same serialized context:
+// before the run starts, between runs, or from a global action (never
+// from a shard event handler).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace sim {
@@ -48,20 +46,12 @@ class FluidEngine {
  public:
   using LinkId = std::uint32_t;
   using FlowId = std::uint32_t;
-  static constexpr FlowId kInvalidFlow = 0xffffffffu;
 
-  struct Config {
-    /// Rate-update cadence while any flow is running: packet-occupancy
-    /// probes are re-sampled and rates recomputed every tick. Smaller
-    /// ticks track packet bursts more closely and cost more updates.
-    Duration tick = Duration::micros(20);
-  };
+  /// Rate-update cadence while any flow is running: packet-occupancy
+  /// probes are re-sampled and rates recomputed every tick.
+  static constexpr Duration kTick = Duration::micros(20);
 
-  /// `engine` null = standalone mode (wakeups are plain simulator events
-  /// on `simulator`); non-null = sharded mode (wakeups are global actions
-  /// and `simulator` must be one of the engine's shard simulators).
-  FluidEngine(Simulator& simulator, ShardedSimulator* engine);
-  FluidEngine(Simulator& simulator, ShardedSimulator* engine, Config config);
+  explicit FluidEngine(ShardedSimulator& engine);
   FluidEngine(const FluidEngine&) = delete;
   FluidEngine& operator=(const FluidEngine&) = delete;
 
@@ -69,54 +59,37 @@ class FluidEngine {
   /// Registers a link of `capacity_gbps` (1 Gbps == 1 bit/ns) and returns
   /// its id. Links are never removed.
   LinkId add_link(double capacity_gbps);
-  std::size_t num_links() const { return links_.size(); }
 
-  /// Installs the packet-occupancy probe: sampled at every tick, must
+  /// Installs the packet-occupancy probe: sampled at every update, must
   /// return the cumulative bytes real frames have transmitted on the
-  /// link. The delta across the tick window is reserved away from the
+  /// link. The rate since the previous sample is reserved away from the
   /// fluid capacity.
   void set_packet_probe(LinkId link, std::function<std::uint64_t()> probe);
 
   /// Observer pushed after every recomputation with the link's new total
-  /// fluid rate and cumulative fluid bytes carried — the hook that feeds
-  /// net::LinkEndpoint::set_fluid_load.
-  void set_rate_observer(
-      LinkId link,
-      std::function<void(double fluid_gbps, std::uint64_t fluid_bytes)> obs);
+  /// fluid rate — the hook that feeds net::LinkEndpoint::set_fluid_load.
+  void set_rate_observer(LinkId link, std::function<void(double)> obs);
 
   // --- Flows -------------------------------------------------------------
   struct FlowSpec {
     /// Links traversed, in order (order is irrelevant to the allocation).
+    /// Must not be empty.
     std::vector<LinkId> route;
     /// Source pacing cap in Gbps; <= 0 means unbounded (share-limited).
     double demand_gbps = 0.0;
-    /// Wire bytes to transfer; 0 = open-ended (runs until removed).
-    std::uint64_t total_bytes = 0;
-    /// Fired (from the engine's serialized update context) when a finite
-    /// flow's last byte is carried.
-    std::function<void(Time)> on_complete;
   };
 
-  /// Registers a flow and recomputes rates. The flow starts accruing now.
+  /// Registers an open-ended flow and recomputes rates. The flow starts
+  /// accruing now and runs until the engine stops.
   FlowId add_flow(FlowSpec spec);
-  /// Removes a flow (no completion fires). Safe on completed flows.
-  void remove_flow(FlowId id);
 
   /// Fidelity boundary (docs/fluid.md "Demotion and re-materialisation"):
   /// pause stops accrual and releases the flow's bandwidth — the caller
   /// re-materialises it as real frames; resume returns it to fluid mode.
   void pause_flow(FlowId id);
   void resume_flow(FlowId id);
-  /// Credits bytes the re-materialised flow carried as real frames while
-  /// paused, so a demote -> re-materialise -> demote round trip stays
-  /// byte-exact. May complete a finite flow (fires on_complete).
-  void credit_flow(FlowId id, std::uint64_t bytes);
 
   bool flow_paused(FlowId id) const { return flows_[id].paused; }
-  bool flow_done(FlowId id) const { return flows_[id].done; }
-  /// Bytes carried so far (fluid accrual + packet credits).
-  std::uint64_t flow_bytes(FlowId id) const { return flows_[id].carried; }
-  std::uint64_t flow_remaining(FlowId id) const;
   double flow_rate_gbps(FlowId id) const { return flows_[id].rate_gbps; }
 
   /// Stops scheduling wakeups; a pending wakeup no-ops. Call when the
@@ -125,69 +98,44 @@ class FluidEngine {
   void stop() { stopped_ = true; }
 
   // --- Introspection / bench counters ------------------------------------
-  double link_capacity_gbps(LinkId link) const {
-    return links_[link].capacity_gbps;
-  }
   double link_fluid_gbps(LinkId link) const { return links_[link].fluid_gbps; }
   double link_packet_gbps(LinkId link) const {
     return links_[link].packet_gbps;
   }
-  std::uint64_t link_fluid_bytes(LinkId link) const {
-    return links_[link].fluid_bytes;
-  }
   /// Total bytes advanced in fluid mode across all flows.
   std::uint64_t fluid_bytes_total() const { return fluid_bytes_total_; }
-  /// Rate recomputations / wakeups executed / completions fired.
-  std::uint64_t updates() const { return updates_; }
-  std::uint64_t wakeups() const { return wakeups_; }
-  std::uint64_t completions() const { return completions_; }
-  const Config& config() const { return config_; }
 
  private:
   struct LinkState {
     double capacity_gbps = 0.0;
-    double packet_gbps = 0.0;  // measured over the last probe window
+    double packet_gbps = 0.0;  // measured since the previous probe sample
     double fluid_gbps = 0.0;   // sum of current flow rates through it
-    std::uint64_t fluid_bytes = 0;
     std::uint64_t probe_last = 0;
     std::function<std::uint64_t()> probe;
-    std::function<void(double, std::uint64_t)> observer;
+    std::function<void(double)> observer;
   };
   struct FlowState {
     std::vector<LinkId> route;
     double demand_gbps = 0.0;
-    std::uint64_t total_bytes = 0;
-    std::function<void(Time)> on_complete;
     double rate_gbps = 0.0;
-    std::uint64_t carried = 0;
     double frac = 0.0;  // sub-byte accrual remainder
-    Time complete_at = Time::max();
     bool paused = false;
-    bool done = false;
-    bool in_use = false;
   };
 
   Time now() const;
   bool any_running() const;
-  /// Accrues rate x dt onto every running flow, completing flows whose
-  /// completion instant has been reached (byte-exact: `carried` is forced
-  /// to `total_bytes` at the completion instant).
+  /// Accrues rate x dt onto every running flow.
   void advance_to_now();
-  /// Re-samples packet probes (when a full probe window elapsed),
-  /// recomputes the max-min allocation, refreshes per-flow completion
-  /// times and pushes rate observers.
+  /// Re-samples packet probes, recomputes the max-min allocation and
+  /// pushes rate observers.
   void update();
   void sample_probes(Time at);
   void recompute_rates();
-  void refresh_completions(Time at);
   void push_observers();
   void schedule_wakeup();
   void on_wake();
-  void complete_flow(FlowId id, Time at);
 
-  Simulator& sim_;
-  ShardedSimulator* engine_;
-  Config config_;
+  ShardedSimulator& engine_;
   std::vector<LinkState> links_;
   std::vector<FlowState> flows_;
   Time last_advance_;
@@ -195,9 +143,6 @@ class FluidEngine {
   Time next_wake_ = Time::max();
   bool stopped_ = false;
   std::uint64_t fluid_bytes_total_ = 0;
-  std::uint64_t updates_ = 0;
-  std::uint64_t wakeups_ = 0;
-  std::uint64_t completions_ = 0;
 };
 
 }  // namespace sim

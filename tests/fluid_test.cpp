@@ -1,12 +1,15 @@
 // Fluid fidelity-boundary tests (docs/fluid.md): the max-min allocator,
-// byte-exact completion and pause/credit round trips at the engine level;
-// demote/re-materialise byte identity, digest invariance of a lossy run
-// with fluid vs packet background traffic, chaos windows forcing packet
-// mode, and shard-count invariance at the FluidController level.
+// pause/resume and sub-byte accrual at the engine level; digest
+// invariance of a lossy run with fluid vs packet background traffic,
+// chaos windows forcing packet mode, the load a windowed stream offers,
+// JobManager's one-run-per-controller rule and shard-count invariance at
+// the FluidController level.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/allreduce.hpp"
@@ -14,10 +17,10 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "jobs/fluid.hpp"
-#include "recovery/recovery.hpp"
+#include "jobs/job_manager.hpp"
 #include "sim/digest.hpp"
 #include "sim/fluid.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 
 namespace {
 
@@ -31,33 +34,44 @@ Time ms(int v) { return Time(Duration::millis(v).ns()); }
 Time us(int v) { return Time(Duration::micros(v).ns()); }
 
 // --- FluidEngine: the max-min allocator --------------------------------
+//
+// Each engine runs on a one-shard ShardedSimulator, so its wakeups and the
+// tests' mid-run calls are global actions.
 
 // A lone demand-capped flow gets its demand; an uncapped one takes the
 // residual.
 TEST(FluidEngine, SingleFlowRates) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
+  sim::ShardedSimulator s(/*num_domains=*/1, /*num_shards=*/1,
+                          Duration::zero());
+  FluidEngine eng(s);
   const auto l = eng.add_link(100.0);
-  const auto a = eng.add_flow({{l}, 40.0, 0, nullptr});
+  const auto a = eng.add_flow({{l}, 40.0});
   EXPECT_NEAR(eng.flow_rate_gbps(a), 40.0, 1e-9);
-  const auto b = eng.add_flow({{l}, 0.0, 0, nullptr});
+  const auto b = eng.add_flow({{l}, 0.0});
   EXPECT_NEAR(eng.flow_rate_gbps(a), 40.0, 1e-9);
   EXPECT_NEAR(eng.flow_rate_gbps(b), 60.0, 1e-9);
   EXPECT_NEAR(eng.link_fluid_gbps(l), 100.0, 1e-9);
   eng.stop();
 }
 
-// Two uncapped flows split a link evenly; removing one returns its share.
+// Two uncapped flows split a link evenly; pausing one hands its share to
+// the other, and resuming it splits the link again.
 TEST(FluidEngine, FairShareAndDeparture) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
+  sim::ShardedSimulator s(1, 1, Duration::zero());
+  FluidEngine eng(s);
   const auto l = eng.add_link(100.0);
-  const auto a = eng.add_flow({{l}, 0.0, 0, nullptr});
-  const auto b = eng.add_flow({{l}, 0.0, 0, nullptr});
+  const auto a = eng.add_flow({{l}, 0.0});
+  const auto b = eng.add_flow({{l}, 0.0});
   EXPECT_NEAR(eng.flow_rate_gbps(a), 50.0, 1e-9);
   EXPECT_NEAR(eng.flow_rate_gbps(b), 50.0, 1e-9);
-  eng.remove_flow(b);
+  eng.pause_flow(b);
+  EXPECT_TRUE(eng.flow_paused(b));
   EXPECT_NEAR(eng.flow_rate_gbps(a), 100.0, 1e-9);
+  EXPECT_NEAR(eng.flow_rate_gbps(b), 0.0, 1e-9);
+  eng.resume_flow(b);
+  EXPECT_FALSE(eng.flow_paused(b));
+  EXPECT_NEAR(eng.flow_rate_gbps(a), 50.0, 1e-9);
+  EXPECT_NEAR(eng.flow_rate_gbps(b), 50.0, 1e-9);
   eng.stop();
 }
 
@@ -65,12 +79,12 @@ TEST(FluidEngine, FairShareAndDeparture) {
 // max-min gives it 30 and hands flow A the 70 left on the shared link —
 // not the 50/50 a naive equal split would produce.
 TEST(FluidEngine, MaxMinBottleneck) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
+  sim::ShardedSimulator s(1, 1, Duration::zero());
+  FluidEngine eng(s);
   const auto wide = eng.add_link(100.0);
   const auto narrow = eng.add_link(30.0);
-  const auto a = eng.add_flow({{wide}, 0.0, 0, nullptr});
-  const auto b = eng.add_flow({{wide, narrow}, 0.0, 0, nullptr});
+  const auto a = eng.add_flow({{wide}, 0.0});
+  const auto b = eng.add_flow({{wide, narrow}, 0.0});
   EXPECT_NEAR(eng.flow_rate_gbps(b), 30.0, 1e-9);
   EXPECT_NEAR(eng.flow_rate_gbps(a), 70.0, 1e-9);
   EXPECT_NEAR(eng.link_fluid_gbps(wide), 100.0, 1e-9);
@@ -78,113 +92,70 @@ TEST(FluidEngine, MaxMinBottleneck) {
   eng.stop();
 }
 
-// A finite flow completes at the latency-correct instant — exactly
-// ceil(bytes * 8 / rate) ns after it starts — carrying exactly its byte
-// total (no drift from fractional accrual).
-TEST(FluidEngine, ByteExactCompletion) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
-  const auto l = eng.add_link(100.0);
-  const std::uint64_t total = 1'000'000;  // 8 Mbit at 100 Gbps = 80 us
-  Time done_at;
-  bool done = false;
-  const auto f = eng.add_flow({{l}, 0.0, total, [&](Time at) {
-                                 done_at = at;
-                                 done = true;
-                               }});
-  s.run_until(ms(10));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(done_at, us(80));
-  EXPECT_TRUE(eng.flow_done(f));
-  EXPECT_EQ(eng.flow_bytes(f), total);
-  EXPECT_EQ(eng.flow_remaining(f), 0u);
-  EXPECT_EQ(eng.completions(), 1u);
-  eng.stop();
-}
-
-// An odd rate whose per-tick byte accrual is fractional must still carry
-// exactly total_bytes by the completion instant.
+// Accrual is rate x time with the sub-byte remainder carried across
+// updates: at 1.23456 Gbps each 20 us tick is worth 3086.4 bytes, so
+// truncating every tick would lose 200 bytes over 10 ms.
 TEST(FluidEngine, FractionalRateStaysByteExact) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
+  sim::ShardedSimulator s(1, 1, Duration::zero());
+  FluidEngine eng(s);
   const auto l = eng.add_link(100.0);
-  const std::uint64_t total = 999'983;  // prime
-  bool done = false;
-  const auto f = eng.add_flow({{l}, 3.7, total, [&](Time) { done = true; }});
-  s.run_until(ms(100));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(eng.flow_bytes(f), total);
+  const double gbps = 1.23456;
+  eng.add_flow({{l}, gbps});
+  s.run_until(ms(10));  // the last tick lands on the deadline
+  const double exact = gbps * double(Duration::millis(10).ns()) / 8.0;
+  EXPECT_LE(std::abs(double(eng.fluid_bytes_total()) - exact), 1.0);
   eng.stop();
 }
 
-// Pause releases bandwidth to the remaining flows; credit_flow counts
-// re-materialised packet bytes toward the total; resume continues from
-// the credited position. The round trip ends with carried == total and a
-// single completion — byte identity across the fidelity boundary.
+// A paused flow releases its share and accrues nothing; the other flow
+// picks the share up, and the paused flow resumes where it stopped.
 TEST(FluidEngine, PauseCreditResumeRoundTrip) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
+  sim::ShardedSimulator s(1, 1, Duration::zero());
+  FluidEngine eng(s);
   const auto l = eng.add_link(100.0);
-  const auto bg = eng.add_flow({{l}, 0.0, 0, nullptr});
-  const std::uint64_t total = 2'000'000;
-  int completions = 0;
-  const auto f = eng.add_flow({{l}, 0.0, total, [&](Time) { ++completions; }});
-  EXPECT_NEAR(eng.flow_rate_gbps(bg), 50.0, 1e-9);
-
-  s.schedule_at(us(40), [&] {
+  const auto bg = eng.add_flow({{l}, 0.0});
+  const auto f = eng.add_flow({{l}, 0.0});
+  int checks = 0;
+  s.schedule_global(us(40), [&] {
     eng.pause_flow(f);  // advances accrual to now, then releases the share
-    EXPECT_TRUE(eng.flow_paused(f));
-    EXPECT_EQ(eng.flow_bytes(f), 250'000u);  // 40 us at 50 Gbps
+    EXPECT_EQ(eng.fluid_bytes_total(), 500'000u);  // 40 us at 2 x 50 Gbps
     EXPECT_NEAR(eng.flow_rate_gbps(bg), 100.0, 1e-9);
     EXPECT_NEAR(eng.flow_rate_gbps(f), 0.0, 1e-9);
+    ++checks;
   });
-  s.schedule_at(us(60), [&] {
-    EXPECT_EQ(eng.flow_bytes(f), 250'000u);  // no accrual while paused
-    eng.credit_flow(f, 750'000);             // packet frames carried these
+  s.schedule_global(us(60), [&] {
     eng.resume_flow(f);
-    EXPECT_EQ(eng.flow_bytes(f), 1'000'000u);
+    // 20 us of the background flow alone at 100 Gbps.
+    EXPECT_EQ(eng.fluid_bytes_total(), 750'000u);
+    EXPECT_NEAR(eng.flow_rate_gbps(f), 50.0, 1e-9);
+    ++checks;
   });
-  s.run_until(ms(10));
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(eng.flow_bytes(f), total);
-  eng.stop();
-}
-
-// Crediting the full remainder while paused completes the flow without a
-// resume — the re-materialised stream finished the transfer on its own.
-TEST(FluidEngine, CreditWhilePausedCompletes) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr);
-  const auto l = eng.add_link(100.0);
-  int completions = 0;
-  const auto f = eng.add_flow({{l}, 0.0, 1000, [&](Time) { ++completions; }});
-  s.schedule_at(Time(Duration::nanos(100).ns()), [&] {
-    eng.pause_flow(f);
-    eng.credit_flow(f, eng.flow_remaining(f));
-  });
-  s.run_until(ms(1));
-  EXPECT_EQ(completions, 1);
-  EXPECT_TRUE(eng.flow_done(f));
+  s.run_until(us(100));
+  EXPECT_EQ(checks, 2);
+  EXPECT_EQ(eng.fluid_bytes_total(), 1'250'000u);  // + 40 us at 2 x 50
   eng.stop();
 }
 
 // The packet-occupancy probe reserves measured packet bandwidth away from
 // the fluid allocation on the next tick.
 TEST(FluidEngine, PacketProbeReservesCapacity) {
-  sim::Simulator s;
-  FluidEngine eng(s, nullptr, FluidEngine::Config{Duration::micros(10)});
+  sim::ShardedSimulator s(1, 1, Duration::zero());
+  FluidEngine eng(s);
   const auto l = eng.add_link(100.0);
   std::uint64_t packet_bytes = 0;
   eng.set_packet_probe(l, [&] { return packet_bytes; });
-  const auto f = eng.add_flow({{l}, 0.0, 0, nullptr});
+  const auto f = eng.add_flow({{l}, 0.0});
   EXPECT_NEAR(eng.flow_rate_gbps(f), 100.0, 1e-9);
-  // 25 KB over the [0, 10 us) probe window = 20 Gbps of packet traffic.
-  s.schedule_at(us(5), [&] { packet_bytes = 25'000; });
-  s.schedule_at(us(12), [&] {  // after the 10 us tick re-sampled the probe
+  // 50 KB over the [0, 20 us) tick = 20 Gbps of packet traffic.
+  s.schedule_global(us(5), [&] { packet_bytes = 50'000; });
+  bool checked = false;
+  s.schedule_global(us(25), [&] {  // after the 20 us tick sampled the probe
     EXPECT_NEAR(eng.link_packet_gbps(l), 20.0, 1e-6);
     EXPECT_NEAR(eng.flow_rate_gbps(f), 80.0, 1e-6);
+    checked = true;
   });
-  s.run_until(us(15));
+  s.run_until(us(30));
+  EXPECT_TRUE(checked);
   eng.stop();
 }
 
@@ -356,101 +327,74 @@ TEST(FluidController, ChaosWindowForcesPacketMode) {
   EXPECT_GT(cl.fabric_link(0).a_to_b().frames_dropped(), 0u);
 }
 
-// Demote/re-materialise round trip is byte-exact: a finite bulk transfer
-// that crosses a packet window completes carrying exactly its byte
-// total, every byte counted once — fluid accrual plus credited emitter
-// frames.
-TEST(FluidController, BulkTransferRoundTripByteIdentity) {
-  auto spec = small_spec();
+// A stream that crosses a fault window still offers its full load: fluid
+// accrual outside the window plus re-materialised frames inside it add up
+// to load x line rate x horizon. The faulted link (host 1's uplink) is
+// not the stream's path, so the window demotes the stream without eating
+// its frames.
+TEST(FluidController, WindowedStreamOffersItsLoad) {
   faults::FaultSchedule schedule;
-  // The faulted link (host 1's uplink) is not the stream's path: the
-  // window demotes the stream without eating its frames.
   schedule.burst_loss(ms(1),
                       {faults::TargetKind::kHostLink, 1, faults::LinkDir::kUp},
                       net::GilbertElliott{0.01, 0.5, 0.0, 1.0},
                       Duration::millis(1), /*seed=*/3);
 
-  Cluster cl(spec);
+  Cluster cl(small_spec());
   jobs::FluidController fluid(cl);
-  const std::uint64_t total = 40'000'000;  // ~4 ms at load 0.8: spans the
-                                           // [1 ms, 2 ms] window
-  Time done_at;
-  bool done = false;
-  const int s = fluid.add_bulk_transfer(/*host=*/0, /*tenant=*/9,
-                                        /*load=*/0.8, total, [&](Time at) {
-                                          done_at = at;
-                                          done = true;
-                                        });
+  const double load = 0.8;
+  fluid.add_background_stream(/*host=*/0, /*tenant=*/9, load);
   faults::FaultInjector injector(cl.simulator());
   injector.bind(cl);
   injector.arm(schedule);
   fluid.observe(schedule);
 
-  cl.engine().run_until(ms(20));
+  cl.engine().run_until(ms(5));
   fluid.stop();
 
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(fluid.stream_done(s));
-  EXPECT_EQ(fluid.stream_bytes(s), total);
-  EXPECT_EQ(fluid.transitions(), 2u);
+  EXPECT_EQ(fluid.transitions(), 2u);    // one enter + one exit
   EXPECT_GT(fluid.packet_frames(), 0u);  // the window really re-materialised
   EXPECT_GT(fluid.fluid_bytes(), 0u);    // and fluid carried the rest
-  // Fluid bytes + credited packet bytes account for every byte once.
-  EXPECT_EQ(fluid.fluid_bytes() + fluid.packet_bytes(), total);
-  EXPECT_GT(done_at, ms(2));  // the window pause pushes completion past it
+  const double offered = load * cl.link(0).a_to_b().gbps() *
+                         double(Duration::millis(5).ns()) / 8.0;
+  const double carried = double(fluid.fluid_bytes() + fluid.packet_bytes());
+  EXPECT_LE(std::abs(carried - offered) / offered, 0.005)
+      << "carried " << carried << " of " << offered << " offered bytes";
 }
 
-// The dynamic region: a spine kill opens a recovery epoch, and the
-// polled recovery_epoch_open() predicate re-materialises every stream
-// within one probe period — no static fault window needed. The epoch
-// never closes (no rejoin), so the controller holds packet mode to the
-// end and the allreduce still completes via failover.
-TEST(FluidController, RecoveryEpochProbeForcesPacketMode) {
-  cluster::ClusterSpec spec;
+// JobManager::run stops its fluid controller when the run ends. A second
+// run with that controller would face a frozen background, so it throws
+// before starting anything.
+TEST(FluidController, SecondRunWithStoppedControllerThrows) {
+  ClusterSpec spec;
   spec.racks = 2;
   spec.workers_per_rack = 2;
-  spec.grads_per_packet = 128;
-  spec.slab_pool = 1024;
-  spec.backup_spine = true;
-  spec.host_link.gbps = 10.0;  // stretch the epoch past the kill + detect
   Cluster cl(spec);
-  for (int w = 0; w < cl.num_workers(); ++w) {
-    cl.worker(w).enable_hardened_retransmit(Duration::millis(1),
-                                            /*retry_budget=*/50,
-                                            Duration::millis(8));
-  }
-
-  recovery::RecoveryConfig rc;
-  rc.heartbeat.period = Duration::micros(20);
-  rc.heartbeat.check_period = Duration::micros(10);
-  rc.heartbeat.phi_threshold = 4.0;
-  recovery::RecoveryManager mgr(cl, rc);
-  mgr.start();
-
+  jobs::JobManager mgr(cl);
   jobs::FluidController fluid(cl);
-  for (int h = 0; h < cl.num_workers(); ++h) {
-    fluid.add_background_stream(h, 9, 0.3);
-  }
-  fluid.set_packet_mode_probe([&mgr] { return mgr.recovery_epoch_open(); });
+  mgr.enable_fluid(fluid);
 
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
-  faults::FaultSchedule schedule;
-  schedule.kill(us(100), faults::FaultSchedule::spine_router());
-  injector.arm(schedule);
+  jobs::TenantSpec training;
+  training.id = 2;
+  training.kind = jobs::TenantKind::kAllreduce;
+  training.grads = 128 * 8;
+  jobs::TenantSpec aggressor;
+  aggressor.id = 4;
+  aggressor.kind = jobs::TenantKind::kBestEffort;
+  aggressor.load = 0.5;
+  ASSERT_TRUE(mgr.admit(training).admitted);
+  ASSERT_TRUE(mgr.admit(aggressor).admitted);
 
-  const auto run = cluster::run_allreduce(
-      cl, cluster::patterned_gradients(4, 128 * 8), 1, ms(50));
-  const bool held = fluid.packet_mode();
-  fluid.stop();
-  mgr.stop();
+  const jobs::MultiTenantRun first =
+      mgr.run(/*gen_id=*/1, cl.simulator().now() + Duration::millis(5));
+  ASSERT_NE(first.tenant(2), nullptr);
+  EXPECT_EQ(first.tenant(2)->finished, cl.num_workers());
+  EXPECT_GT(fluid.fluid_bytes(), 0u);
+  EXPECT_TRUE(fluid.stopped());
 
-  ASSERT_EQ(run.finished, 4);
-  EXPECT_EQ(mgr.failovers(), 1u);
-  EXPECT_TRUE(held);                   // the epoch never closed
-  EXPECT_EQ(fluid.transitions(), 1u);  // one enter, no exit
-  EXPECT_GT(fluid.fluid_bytes(), 0u);  // fluid before the kill...
-  EXPECT_GT(fluid.packet_frames(), 0u);  // ...re-materialised after
+  const std::uint64_t events = cl.engine().events_executed();
+  EXPECT_THROW(mgr.run(/*gen_id=*/2, cl.simulator().now() + Duration::millis(5)),
+               std::logic_error);
+  EXPECT_EQ(cl.engine().events_executed(), events);
 }
 
 // The digest of a fluid-enabled chaos run — allreduce under fluid

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Documentation checks (run by the `docs` CI job).
+"""Documentation checks (run by the `docs` CI job and by tier-1 as the
+`docs_check` ctest).
 
 1. Every relative markdown link in README.md, EXPERIMENTS.md and
    docs/*.md must point at a file that exists in the repository.
@@ -13,15 +14,17 @@
    commands never reference artifacts that no longer exist.
 
 Blocks tagged with any other language (```sh, ```c, untagged ASCII
-diagrams) are not compiled. Usage:
+diagrams) are not compiled. The cpp blocks compile concurrently, up to
+four at a time. Usage:
 
     python3 tools/check_docs.py [--repo ROOT] [--compiler c++]
 """
 import argparse
+import os
 import re
 import subprocess
 import sys
-import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -68,40 +71,34 @@ def cpp_blocks(md: Path):
             block.append(line)
 
 
-def check_cpp(repo: Path, md: Path, compiler: str) -> list:
-    errors = []
-    for index, (line, body) in enumerate(cpp_blocks(md)):
-        source = (
-            '#include "docs_prelude.hpp"\n'
-            f"void docs_snippet_{index}(TRIO_DOCS_SNIPPET_PARAMS) "
-            f"{{{{\n{body}\n}}}}\n"
-        )
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".cpp", dir=repo, delete=False
-        ) as tmp:
-            tmp.write(source)
-            tmp_path = Path(tmp.name)
-        try:
-            proc = subprocess.run(
-                [
-                    compiler,
-                    "-fsyntax-only",
-                    "-std=c++20",
-                    "-I", str(repo / "src"),
-                    "-I", str(repo / "tools"),
-                    str(tmp_path),
-                ],
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode != 0:
-                errors.append(
-                    f"{md.relative_to(repo)}:{line}: cpp block does not "
-                    f"compile:\n{proc.stderr.strip()}"
-                )
-        finally:
-            tmp_path.unlink()
-    return errors
+def check_cpp(repo: Path, compiler: str, md: Path, line: int, index: int,
+              body: str):
+    """Syntax-checks one cpp block; returns an error message or None."""
+    source = (
+        '#include "docs_prelude.hpp"\n'
+        f"void docs_snippet_{index}(TRIO_DOCS_SNIPPET_PARAMS) "
+        f"{{{{\n{body}\n}}}}\n"
+    )
+    proc = subprocess.run(
+        [
+            compiler,
+            "-fsyntax-only",
+            "-std=c++20",
+            "-I", str(repo / "src"),
+            "-I", str(repo / "tools"),
+            "-x", "c++",
+            "-",
+        ],
+        input=source,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode == 0:
+        return None
+    return (
+        f"{md.relative_to(repo)}:{line}: cpp block does not "
+        f"compile:\n{proc.stderr.strip()}"
+    )
 
 
 def check_docs_index(repo: Path) -> list:
@@ -152,20 +149,22 @@ def main() -> int:
     args = parser.parse_args()
     repo = args.repo.resolve()
 
-    errors, checked_links, checked_blocks = [], 0, 0
-    for md in doc_files(repo):
-        link_errors = check_links(repo, md)
-        errors += link_errors
-        checked_links += 1
-        block_errors = check_cpp(repo, md, args.compiler)
-        errors += block_errors
-        checked_blocks += sum(1 for _ in cpp_blocks(md))
+    errors, blocks = [], []
+    files = doc_files(repo)
+    for md in files:
+        errors += check_links(repo, md)
+        blocks += [(md, line, index, body)
+                   for index, (line, body) in enumerate(cpp_blocks(md))]
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        results = pool.map(lambda b: check_cpp(repo, args.compiler, *b),
+                           blocks)
+        errors += [message for message in results if message]
     errors += check_docs_index(repo)
     errors += check_bench_artifacts(repo)
 
     for message in errors:
         print(message, file=sys.stderr)
-    print(f"checked {checked_links} file(s), {checked_blocks} cpp block(s): "
+    print(f"checked {len(files)} file(s), {len(blocks)} cpp block(s): "
           f"{len(errors)} error(s)")
     return 1 if errors else 0
 

@@ -40,9 +40,9 @@
 // --fluid (cluster mode, with --jobs) demotes every eligible best-effort
 // tenant (`fluid=1`, the default) to flow-level fluid modelling
 // (docs/fluid.md): its per-host packet sources are replaced by rate-shared
-// fluid streams that re-materialise as real frames inside --faults windows
-// and recovery epochs. Reports transitions, fluid bytes and re-materialised
-// frames after the run.
+// fluid streams that re-materialise as real frames inside --faults windows.
+// Reports transitions, fluid bytes and re-materialised frames after the
+// run.
 //
 // --shards N (cluster mode) runs the cluster's discrete-event core on N
 // OS threads — one shard per router domain, conservative lookahead
