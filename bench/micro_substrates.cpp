@@ -9,6 +9,7 @@
 #include "microcode/compiler.hpp"
 #include "microcode/interpreter.hpp"
 #include "net/packet.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 #include "trio/hash_table.hpp"
@@ -77,6 +78,31 @@ void BM_EventQueueCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueCancel);
+
+void BM_EventQueueAtDepth(benchmark::State& state) {
+  // One push plus one pop with `depth` events pending at distinct times:
+  // the benchmark workloads' queue shape (about 112 events pending per pop
+  // on agg_large, 1 552 on agg_small). The batches above crowd 1 000
+  // events onto 17 instants instead, so they cannot show it.
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(0xde97);
+  std::vector<sim::Duration> gaps(std::size_t{1} << 16);
+  for (auto& g : gaps) g = sim::Duration(rng.uniform_int(1, 1 << 30));
+  sim::EventQueue q;
+  std::uint64_t sink = 0;
+  std::size_t next = 0;
+  const auto push = [&] {
+    q.schedule(q.now() + gaps[next++ % gaps.size()], [&sink] { ++sink; });
+  };
+  for (std::size_t i = 0; i < depth; ++i) push();
+  for (auto _ : state) {
+    push();
+    q.pop_and_run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueAtDepth)->Arg(112)->Arg(1552);
 
 void BM_PacketMakeRecycle(benchmark::State& state) {
   // Steady-state packet churn: frame storage and the shared_ptr cell come

@@ -11,9 +11,10 @@
 //
 // The inline budgets are chosen so the engine's hot captures never
 // allocate:
-//   * event callbacks (InlineCallback): 88 bytes — enough for an
-//     XtxnCallback envelope (48 B) plus a moved-in XtxnReply (40 B), the
-//     largest closure the SMS/hash/MQSS reply path schedules;
+//   * event callbacks (InlineCallback): 96 bytes — the largest closure the
+//     SMS/hash/MQSS reply path schedules, an XtxnCallback envelope (48 B,
+//     16-byte aligned) plus a moved-in XtxnReply (40 B), is 96 B with its
+//     tail padding; each bounce site static_asserts that it fits;
 //   * XTXN reply callbacks: 32 bytes — (this, slot, issued-time, op) from
 //     the PPE sync-XTXN path is 24 B.
 #pragma once
@@ -26,7 +27,7 @@
 
 namespace sim {
 
-template <typename Signature, std::size_t InlineBytes = 88>
+template <typename Signature, std::size_t InlineBytes = 96>
 class InlineFunction;
 
 template <typename R, typename... Args, std::size_t InlineBytes>

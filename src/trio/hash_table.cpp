@@ -233,10 +233,11 @@ sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnCallback cb) {
   engine_free_ = start + sim::Duration::cycles(service_cycles, cal_.clock_hz);
   const sim::Time reply_at = engine_free_ + cal_.hash_op_latency;
   if (cb) {
-    sim_.schedule_at(reply_at,
-                     [cb = std::move(cb), reply = std::move(reply)]() mutable {
-                       cb(std::move(reply));
-                     });
+    auto bounce = [cb = std::move(cb), reply = std::move(reply)]() mutable {
+      cb(std::move(reply));
+    };
+    static_assert(sim::InlineCallback::stores_inline<decltype(bounce)>());
+    sim_.schedule_at(reply_at, std::move(bounce));
   }
   return reply_at;
 }

@@ -56,9 +56,11 @@ sim::Time Mqss::tail_read(const net::Packet& pkt, std::uint64_t offset,
   reply.data.assign(view.begin(), view.end());
   const sim::Time at = service(len, cal_.tail_read_latency, "tail_read");
   if (cb) {
-    sim_.schedule_at(at, [cb = std::move(cb), reply = std::move(reply)]() mutable {
+    auto bounce = [cb = std::move(cb), reply = std::move(reply)]() mutable {
       cb(std::move(reply));
-    });
+    };
+    static_assert(sim::InlineCallback::stores_inline<decltype(bounce)>());
+    sim_.schedule_at(at, std::move(bounce));
   }
   return at;
 }

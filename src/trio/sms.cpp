@@ -475,10 +475,11 @@ sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnCallback cb) {
 
   const sim::Time reply_at = bank.free_at + tier_latency(req.addr);
   if (cb) {
-    sim_.schedule_at(reply_at,
-                     [cb = std::move(cb), reply = std::move(reply)]() mutable {
-                       cb(std::move(reply));
-                     });
+    auto bounce = [cb = std::move(cb), reply = std::move(reply)]() mutable {
+      cb(std::move(reply));
+    };
+    static_assert(sim::InlineCallback::stores_inline<decltype(bounce)>());
+    sim_.schedule_at(reply_at, std::move(bounce));
   }
   return reply_at;
 }

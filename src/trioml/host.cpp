@@ -1,9 +1,14 @@
 #include "trioml/host.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace trioml {
+
+// Result gradients are little-endian on the wire and loaded as host words.
+static_assert(std::endian::native == std::endian::little);
 
 TrioMlWorker::TrioMlWorker(sim::Simulator& simulator, Config config,
                            net::LinkEndpoint& tx)
@@ -216,6 +221,11 @@ void TrioMlWorker::receive(net::PacketPtr pkt, int) {
     return;
   }
   if (hdr.gen_id != gen_id_) return;
+  if (frame.size() < kGradOff + std::size_t{4} * hdr.grad_cnt) {
+    // Corruption can raise grad_cnt past the payload the frame carries.
+    ++malformed_results_;
+    return;
+  }
   on_result(hdr, frame);
 }
 
@@ -238,11 +248,16 @@ void TrioMlWorker::on_result(const TrioMlHeader& hdr,
     ++degraded_results_;
     ++result_.degraded_blocks;
   }
+  // receive() checked that the frame holds grad_cnt gradients: one view
+  // covers them, and each little-endian word is a plain load.
+  const std::uint8_t* sums =
+      frame.view(kGradOff, std::size_t{4} * hdr.grad_cnt).data();
   const std::size_t base = std::size_t(hdr.block_id) * config_.grads_per_packet;
-  for (std::size_t i = 0; i < hdr.grad_cnt && base + i < result_.grads.size();
-       ++i) {
-    const auto sum = static_cast<std::int32_t>(read_gradient(frame, i));
-    result_.grads[base + i] = dequantize(sum) / denom;
+  const std::size_t end = std::min(base + hdr.grad_cnt, result_.grads.size());
+  for (std::size_t i = base; i < end; ++i) {
+    std::int32_t sum;
+    std::memcpy(&sum, sums + (i - base) * 4, sizeof sum);
+    result_.grads[i] = dequantize(sum) / denom;
   }
 
   sim_.cancel(it->second.retransmit_timer);

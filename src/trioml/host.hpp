@@ -184,6 +184,9 @@ class TrioMlWorker : public net::Node {
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t results_received() const { return results_received_; }
   std::uint64_t degraded_results() const { return degraded_results_; }
+  /// Result frames dropped because they are shorter than their grad_cnt
+  /// gradients (a corrupted count); their block stays outstanding.
+  std::uint64_t malformed_results() const { return malformed_results_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t backoff_rearms() const { return backoff_rearms_; }
   std::uint64_t retry_budget_exhausted() const {
@@ -242,6 +245,7 @@ class TrioMlWorker : public net::Node {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t results_received_ = 0;
   std::uint64_t degraded_results_ = 0;
+  std::uint64_t malformed_results_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t backoff_rearms_ = 0;
   std::uint64_t retry_budget_exhausted_ = 0;

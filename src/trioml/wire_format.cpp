@@ -1,5 +1,6 @@
 #include "trioml/wire_format.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,6 +9,10 @@
 #include "trioml/addressing.hpp"
 
 namespace trioml {
+
+// Gradients travel little-endian, the host's own order, so a payload is
+// copied as one span.
+static_assert(std::endian::native == std::endian::little);
 
 void TrioMlHeader::write(net::Buffer& buf, std::size_t off) const {
   if (grad_cnt > 0xfff) {
@@ -58,9 +63,9 @@ net::Buffer build_aggregation_frame(const net::MacAddr& eth_src,
   TrioMlHeader h = hdr;
   h.grad_cnt = static_cast<std::uint16_t>(gradients.size());
   h.write(frame, kTrioMlHdrOff);
-  for (std::size_t i = 0; i < gradients.size(); ++i) {
-    frame.set_u32le(kGradOff + i * 4, gradients[i]);
-  }
+  frame.write(kGradOff,
+              {reinterpret_cast<const std::uint8_t*>(gradients.data()),
+               gradients.size_bytes()});
   return frame;
 }
 

@@ -133,6 +133,41 @@ TEST(Host, DuplicateResultIgnored) {
   EXPECT_EQ(tb.worker(0).results_received(), received);
 }
 
+TEST(Host, ResultShorterThanItsGradCountIsDropped) {
+  TestbedConfig cfg;
+  cfg.num_workers = 2;
+  cfg.grads_per_packet = 8;
+  Testbed tb(cfg);
+  tb.worker(0).start_allreduce(std::vector<std::uint32_t>(16, 1), /*gen=*/1,
+                               [](AllreduceResult) {});
+  // Worker 1 never sends, so both blocks stay outstanding.
+  tb.simulator().run_until(sim::Time(sim::Duration::millis(1).ns()));
+  ASSERT_EQ(tb.worker(0).outstanding_blocks(), 2u);
+  TrioMlHeader hdr;
+  hdr.job_id = cfg.job_id;
+  hdr.block_id = 0;
+  hdr.gen_id = 1;
+  hdr.src_cnt = 2;
+  std::vector<std::uint32_t> grads(8, 2);
+  const auto frame = build_aggregation_frame(
+      {9, 9, 9, 9, 9, 9}, {8, 8, 8, 8, 8, 8},
+      net::Ipv4Addr::from_octets(10, 0, 0, 254),
+      net::Ipv4Addr::from_octets(239, 0, 0, 1), kTrioMlUdpPort, hdr, grads);
+  // A corrupted grad_cnt (the low 12 bits of header bytes 10-11) claims
+  // 16 gradients, which the worker's gradient vector has room for, but
+  // the frame carries 8: dropped, block untouched.
+  net::Buffer corrupted = frame;
+  corrupted.set_u16(kTrioMlHdrOff + 10, 16);
+  tb.worker(0).receive(net::Packet::make(corrupted), 0);
+  EXPECT_EQ(tb.worker(0).malformed_results(), 1u);
+  EXPECT_EQ(tb.worker(0).results_received(), 0u);
+  EXPECT_EQ(tb.worker(0).outstanding_blocks(), 2u);
+  // The intact result still completes the block.
+  tb.worker(0).receive(net::Packet::make(frame), 0);
+  EXPECT_EQ(tb.worker(0).results_received(), 1u);
+  EXPECT_EQ(tb.worker(0).outstanding_blocks(), 1u);
+}
+
 TEST(Host, BlockLatencyMeasuredPerBlock) {
   TestbedConfig cfg;
   cfg.num_workers = 2;

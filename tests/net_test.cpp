@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/buffer.hpp"
 #include "net/headers.hpp"
 #include "net/link.hpp"
@@ -31,6 +33,10 @@ TEST(Buffer, BoundsChecked) {
   EXPECT_THROW(b.u32(1), std::out_of_range);
   EXPECT_THROW(b.set_u8(4, 0), std::out_of_range);
   EXPECT_THROW(b.view(2, 3), std::out_of_range);
+  // off + len wraps around to a small number.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(b.view(2, huge), std::out_of_range);
+  EXPECT_THROW(b.u32(huge - 1), std::out_of_range);
   EXPECT_NO_THROW(b.u32(0));
 }
 

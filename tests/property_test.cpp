@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "microcode/bitfield.hpp"
@@ -45,6 +47,96 @@ TEST(BitfieldProperty, RandomRoundTripsPreserveNeighbours) {
                 microcode::read_bits(before, b, 1))
           << "bit " << b << " disturbed (field off=" << bit_off
           << " width=" << width << ")";
+    }
+  }
+}
+
+// The bit-at-a-time loops read_bits and write_bits once were: the reference
+// for the byte-span implementation.
+std::uint64_t reference_read_bits(const net::Buffer& buf, std::size_t bit_off,
+                                  unsigned width) {
+  std::uint64_t v = 0;
+  for (unsigned i = 0; i < width; ++i) {
+    const std::size_t bit = bit_off + i;
+    v = v << 1 | ((buf.u8(bit / 8) >> (7 - bit % 8)) & 1u);
+  }
+  return v;
+}
+
+void reference_write_bits(net::Buffer& buf, std::size_t bit_off,
+                          unsigned width, std::uint64_t value) {
+  for (unsigned i = 0; i < width; ++i) {
+    const std::size_t bit = bit_off + i;
+    const unsigned shift = 7 - bit % 8;
+    const auto b = static_cast<unsigned>((value >> (width - 1 - i)) & 1u);
+    const std::uint8_t byte = buf.u8(bit / 8);
+    buf.set_u8(bit / 8, static_cast<std::uint8_t>((byte & ~(1u << shift)) |
+                                                  b << shift));
+  }
+}
+
+net::Buffer random_buffer(sim::Rng& rng, std::size_t size) {
+  net::Buffer buf(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    buf.set_u8(i, static_cast<std::uint8_t>(rng.next_u64()));
+  }
+  return buf;
+}
+
+/// The std::out_of_range message `f` throws; empty when it throws none.
+template <typename F>
+std::string out_of_range_message(F f) {
+  try {
+    f();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BitfieldProperty, MatchesBitAtATimeReference) {
+  sim::Rng rng(0xb17e);
+  const net::Buffer seeded = random_buffer(rng, 18);
+  for (std::size_t off = 0; off < 72; ++off) {
+    for (unsigned width = 1; width <= 64; ++width) {
+      ASSERT_EQ(microcode::read_bits(seeded, off, width),
+                reference_read_bits(seeded, off, width))
+          << "width=" << width << " off=" << off;
+      // Bits of `value` above `width` must be ignored.
+      const std::uint64_t value = rng.next_u64();
+      net::Buffer got = seeded;
+      net::Buffer want = seeded;
+      microcode::write_bits(got, off, width, value);
+      reference_write_bits(want, off, width, value);
+      ASSERT_EQ(got.hex(), want.hex()) << "width=" << width << " off=" << off;
+    }
+  }
+}
+
+TEST(BitfieldProperty, WritePastTheEndThrowsAndWritesNothing) {
+  sim::Rng rng(0xe0d);
+  const net::Buffer seeded = random_buffer(rng, 18);
+  const std::size_t bits = 18 * 8;
+  for (std::size_t off = bits - 64; off <= bits + 8; ++off) {
+    for (unsigned width = 1; width <= 64; ++width) {
+      if (off + width <= bits) continue;
+      // Both throw what the reference throws: Buffer::u8's message for
+      // the field's first out-of-range byte.
+      const std::string want = out_of_range_message(
+          [&] { reference_read_bits(seeded, off, width); });
+      ASSERT_FALSE(want.empty());
+      EXPECT_EQ(out_of_range_message(
+                    [&] { microcode::read_bits(seeded, off, width); }),
+                want)
+          << "width=" << width << " off=" << off;
+      net::Buffer buf = seeded;
+      EXPECT_EQ(out_of_range_message([&] {
+                  microcode::write_bits(buf, off, width, ~std::uint64_t{0});
+                }),
+                want)
+          << "width=" << width << " off=" << off;
+      ASSERT_EQ(buf.hex(), seeded.hex())
+          << "width=" << width << " off=" << off;
     }
   }
 }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -73,6 +79,64 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.schedule(sim::Time(20), [] {});
   q.cancel(id);
   EXPECT_EQ(q.next_time(), sim::Time(20));
+}
+
+TEST(EventQueue, MatchesOrderedSetModel) {
+  // 100 000 seeded random operations, crowded onto four instants past the
+  // clock, against an ordered set of the pending (time, key) entries.
+  // Cancels hit live, fired and already-cancelled events, so entries
+  // leave from the middle of the heap as well as from its top.
+  using Entry = std::tuple<std::int64_t, std::uint64_t, int>;  // time, key, label
+  sim::EventQueue q;
+  sim::Rng rng(0x5eed);
+  std::set<Entry> model;
+  std::vector<std::pair<sim::EventId, Entry>> issued;  // every schedule()
+  std::uint64_t seq = 0;
+  std::uint64_t ranked = 0;
+  int popped = -1;
+  std::size_t deepest = 0;
+  for (int label = 0; label < 100'000; ++label) {
+    const auto kind = rng.uniform_int(0, 19);
+    const sim::Time at = q.now() + sim::Duration(rng.uniform_int(0, 3));
+    auto note = [&popped, label] { popped = label; };
+    if (kind < 6) {
+      const Entry e{at.ns(), ++seq, label};
+      issued.emplace_back(q.schedule(at, note), e);
+      model.insert(e);
+    } else if (kind < 9) {
+      // Ranked entries fire after the instant's schedule()d ones, in
+      // rank order, whatever order they were pushed in.
+      const std::uint64_t rank =
+          static_cast<std::uint64_t>(rng.uniform_int(0, 7)) << 32 | ++ranked;
+      q.schedule_ranked(at, rank, note);
+      model.insert({at.ns(), sim::EventQueue::kRankLimit | rank, label});
+    } else if (kind < 12) {
+      if (issued.empty()) continue;
+      const auto& [id, e] = issued[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(issued.size()) - 1))];
+      ASSERT_EQ(q.cancel(id), model.erase(e) == 1) << "op " << label;
+    } else if (!model.empty()) {
+      const Entry want = *model.begin();
+      model.erase(model.begin());
+      ASSERT_EQ(q.pop_and_run().ns(), std::get<0>(want)) << "op " << label;
+      ASSERT_EQ(popped, std::get<2>(want)) << "op " << label;
+      ASSERT_EQ(q.now().ns(), std::get<0>(want));
+    }
+    ASSERT_EQ(q.size(), model.size()) << "op " << label;
+    ASSERT_EQ(q.next_time(), model.empty()
+                                 ? sim::Time::max()
+                                 : sim::Time(std::get<0>(*model.begin())))
+        << "op " << label;
+    deepest = std::max(deepest, model.size());
+  }
+  EXPECT_GT(deepest, 1000u);  // deep enough for several heap levels
+  EXPECT_FALSE(q.cancel(sim::EventId{}));
+  while (!q.empty()) {
+    const Entry want = *model.begin();
+    model.erase(model.begin());
+    q.pop_and_run();
+    ASSERT_EQ(popped, std::get<2>(want));
+  }
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {

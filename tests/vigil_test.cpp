@@ -264,6 +264,35 @@ TEST(Shrink, RespectsOracleBudget) {
   EXPECT_LE(calls, 5);
 }
 
+// --- Corruption --------------------------------------------------------------
+
+TEST(Corruption, ResultWithCorruptedGradCountDegradesTheRun) {
+  // At 64 gradients per packet, corruption that raises a result frame's
+  // 12-bit grad_cnt past its payload once made the worker read beyond the
+  // frame, and the std::out_of_range aborted the run (seed 12, one of
+  // six in 1-60). The worker now drops such a frame; the run converges.
+  vigil::Scenario sc;
+  sc.cluster.racks = 2;
+  sc.cluster.workers_per_rack = 2;
+  sc.cluster.grads_per_packet = 64;
+  sc.blocks = 16;
+  sc.hardening = vigil::Hardening{};
+  sc.schedule = FaultSchedule::parse(
+      "at 0ms corrupt host:* 0.3\n"
+      "at 0ms corrupt fabric:* 0.3\n");
+  sc.seed = 12;
+  vigil::Built built;
+  vigil::RunReport report;
+  ASSERT_NO_THROW(report = vigil::run_schedule(sc, &built));
+  EXPECT_TRUE(report.ok());
+  EXPECT_GT(report.corrupted_frames, 0u);
+  std::uint64_t malformed = 0;
+  for (int w = 0; w < built.cluster->num_workers(); ++w) {
+    malformed += built.cluster->worker(w).malformed_results();
+  }
+  EXPECT_GT(malformed, 0u);
+}
+
 // --- Planted bug: the pipeline end to end ----------------------------------
 
 TEST(PlantedBug, CaughtByWatchdogAndShrunkToTinyRepro) {
