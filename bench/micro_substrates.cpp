@@ -126,11 +126,12 @@ void BM_SmsAddVec32(benchmark::State& state) {
   trio::XtxnRequest add;
   add.op = trio::XtxnOp::kAddVec32;
   add.data.assign(64, 1);
+  trio::XtxnReply reply;
   std::uint64_t addr = 0;
   for (auto _ : state) {
     add.addr = addr;
     addr = (addr + 64) % (1 << 20);
-    sms.issue(add, {});
+    sms.issue(add, reply);
   }
   state.SetItemsProcessed(state.iterations() * 16);  // adds per request
 }
@@ -146,10 +147,11 @@ void BM_SmsRmwVsLineOwnership(benchmark::State& state) {
   add.op = trio::XtxnOp::kAddVec32;
   add.addr = 0;  // all on one bank: maximum contention
   add.data.assign(64, 1);
+  trio::XtxnReply reply;
   sim::Time last;
   std::uint64_t n = 0;
   for (auto _ : state) {
-    last = sms.issue(add, {});
+    last = sms.issue(add, reply);
     ++n;
   }
   state.counters["sim_ns_per_op"] =

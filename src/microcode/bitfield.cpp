@@ -43,29 +43,28 @@ std::uint64_t low_bits(unsigned width) {
 
 }  // namespace
 
-std::uint64_t read_bits(const net::Buffer& buf, std::size_t bit_off,
-                        unsigned width) {
+std::uint64_t read_bits(std::span<const std::uint8_t> bytes,
+                        std::size_t bit_off, unsigned width) {
   if (width == 0 || width > 64) {
     throw std::invalid_argument("read_bits: width must be 1..64");
   }
-  const Field f = locate(buf.size(), bit_off, width);
-  const Window w = load(buf.bytes().subspan(f.first, f.bytes));
+  const Field f = locate(bytes.size(), bit_off, width);
+  const Window w = load(bytes.subspan(f.first, f.bytes));
   return static_cast<std::uint64_t>(w >> f.tail) & low_bits(width);
 }
 
-void write_bits(net::Buffer& buf, std::size_t bit_off, unsigned width,
-                std::uint64_t value) {
+void write_bits(std::span<std::uint8_t> bytes, std::size_t bit_off,
+                unsigned width, std::uint64_t value) {
   if (width == 0 || width > 64) {
     throw std::invalid_argument("write_bits: width must be 1..64");
   }
-  const Field f = locate(buf.size(), bit_off, width);
-  const std::span<std::uint8_t> bytes =
-      buf.mutable_bytes().subspan(f.first, f.bytes);
+  const Field f = locate(bytes.size(), bit_off, width);
+  const std::span<std::uint8_t> field = bytes.subspan(f.first, f.bytes);
   const Window mask = Window{low_bits(width)} << f.tail;
-  Window w = load(bytes);
+  Window w = load(field);
   w = (w & ~mask) | ((Window{value} << f.tail) & mask);
-  for (std::size_t i = bytes.size(); i-- > 0; w >>= 8) {
-    bytes[i] = static_cast<std::uint8_t>(w);
+  for (std::size_t i = field.size(); i-- > 0; w >>= 8) {
+    field[i] = static_cast<std::uint8_t>(w);
   }
 }
 

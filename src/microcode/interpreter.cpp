@@ -176,8 +176,7 @@ trio::XtxnRequest MicrocodeThread::build_request(
            line, col);
     }
     r.addr = args[0];
-    const auto src = ctx.lmem.view(off, len);
-    r.data.assign(src.begin(), src.end());
+    r.data.assign(ctx.lmem.view(off, len));
   };
   trio::XtxnRequest req;
   if (name == "CounterIncPhys") {

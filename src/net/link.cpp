@@ -110,27 +110,31 @@ bool LinkEndpoint::send(PacketPtr pkt) {
     // Domain boundary: the wire bookkeeping stays on the sender's shard;
     // the receive crosses via the engine's delivery band, which totals
     // orders it by (arrival, source domain, sequence) at any shard count.
-    sim_.schedule_at(arrive, [this, frame_bytes] {
+    auto wire_done = [this, frame_bytes] {
       --in_flight_;
       ++frames_delivered_;
       bytes_delivered_ += frame_bytes;
       rx_frames_ctr_.inc();
-    });
-    engine_->post(src_domain_, dst_domain_, arrive,
-                  [peer, port, pkt = std::move(pkt)]() mutable {
-                    peer->receive(std::move(pkt), port);
-                  });
+    };
+    auto receive = [peer, port, pkt = std::move(pkt)]() mutable {
+      peer->receive(std::move(pkt), port);
+    };
+    static_assert(sim::InlineCallback::stores_inline<decltype(wire_done)>());
+    static_assert(sim::InlineCallback::stores_inline<decltype(receive)>());
+    sim_.schedule_at(arrive, std::move(wire_done));
+    engine_->post(src_domain_, dst_domain_, arrive, std::move(receive));
     return true;
   }
-  sim_.schedule_at(arrive,
-                   [this, peer, port, frame_bytes,
-                    pkt = std::move(pkt)]() mutable {
+  auto deliver = [this, peer, port, frame_bytes,
+                  pkt = std::move(pkt)]() mutable {
     --in_flight_;
     ++frames_delivered_;
     bytes_delivered_ += frame_bytes;
     rx_frames_ctr_.inc();
     peer->receive(std::move(pkt), port);
-  });
+  };
+  static_assert(sim::InlineCallback::stores_inline<decltype(deliver)>());
+  sim_.schedule_at(arrive, std::move(deliver));
   return true;
 }
 

@@ -10,13 +10,13 @@ namespace netrpc {
 
 namespace {
 
-std::uint64_t le64(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint64_t le64(std::span<const std::uint8_t> v, std::size_t off) {
   std::uint64_t x = 0;
   for (int i = 0; i < 8; ++i) x |= std::uint64_t(v[off + i]) << (8 * i);
   return x;
 }
 
-std::uint32_t le32(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint32_t le32(std::span<const std::uint8_t> v, std::size_t off) {
   return std::uint32_t(v[off]) | std::uint32_t(v[off + 1]) << 8 |
          std::uint32_t(v[off + 2]) << 16 | std::uint32_t(v[off + 3]) << 24;
 }
@@ -456,8 +456,7 @@ void NetRpcApp::install() {
   installed_ = true;
   trio::ProgramFactory fallback = pfe_.program_factory();
   pfe_.set_program_factory(
-      [this, fallback](const net::Packet& pkt)
-          -> std::unique_ptr<trio::PpeProgram> {
+      [this, fallback](const net::Packet& pkt) -> trio::ProgramPtr {
         if (is_netrpc_frame(pkt.frame())) {
           const std::uint8_t tenant = pkt.frame().u8(kNetRpcHdrOff + 1);
           auto it = services_.find(tenant);
@@ -465,16 +464,17 @@ void NetRpcApp::install() {
             if (it->second.bypass) {
               // In-network assist off: the frame is ordinary IP traffic.
               if (fallback) return fallback(pkt);
-              return pfe_.router().make_forwarding_program(pkt);
+              return pfe_.router().make_forwarding_program(pfe_.programs());
             }
             ++stats_.packets;
-            return std::make_unique<NetRpcThread>(*this, it->second.program);
+            return pfe_.programs().make<NetRpcThread>(*this,
+                                                      it->second.program);
           }
           ++stats_.dropped_no_service;
           return nullptr;  // NetRPC frame for a tenant we don't serve
         }
         if (fallback) return fallback(pkt);
-        return pfe_.router().make_forwarding_program(pkt);
+        return pfe_.router().make_forwarding_program(pfe_.programs());
       });
 }
 
@@ -489,11 +489,11 @@ void NetRpcApp::start_aging(sim::Duration period) {
   // (degraded completion), index 1 ages the cache (REF scan).
   aging_group_ = pfe_.timers().start(
       2, period,
-      [this](std::uint32_t timer_index) -> std::unique_ptr<trio::PpeProgram> {
+      [this](std::uint32_t timer_index) {
         if (timer_index == 0) {
-          return std::make_unique<PendingScanProgram>(*this);
+          return pfe_.programs().make<PendingScanProgram>(*this);
         }
-        return std::make_unique<CacheScanProgram>(*this);
+        return pfe_.programs().make<CacheScanProgram>(*this);
       });
 }
 

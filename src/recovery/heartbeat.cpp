@@ -97,9 +97,10 @@ void HeartbeatMonitor::start() {
     // not reported by the dying node.
     w.timer_group = w.router->pfe(0).timers().start(
         config_.timers, config_.period,
-        [this, i](std::uint32_t) -> std::unique_ptr<trio::PpeProgram> {
-          if (watched_[std::size_t(i)].router->killed()) return nullptr;
-          return std::make_unique<HeartbeatProgram>(*this, i);
+        [this, i](std::uint32_t) -> trio::ProgramPtr {
+          trio::Router& router = *watched_[std::size_t(i)].router;
+          if (router.killed()) return nullptr;
+          return router.pfe(0).programs().make<HeartbeatProgram>(*this, i);
         });
   }
   schedule_check();

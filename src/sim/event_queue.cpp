@@ -22,6 +22,7 @@ EventId EventQueue::push(Time at, std::uint64_t key, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     heap_pos_.push_back(0);
+    gen_.push_back(0);
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -29,14 +30,14 @@ EventId EventQueue::push(Time at, std::uint64_t key, Callback cb) {
   slots_[slot].cb = std::move(cb);
   heap_.emplace_back();
   sift_up(heap_.size() - 1, HeapEntry{at, key, slot});
-  return EventId(slot, slots_[slot].gen);
+  return EventId(slot, gen_[slot]);
 }
 
 bool EventQueue::cancel(EventId id) {
   if (!id.valid() || id.slot_ >= slots_.size()) return false;
   // A live slot's generation matches the handle; fired/cancelled slots
   // were bumped on release, so stale handles fail here.
-  if (slots_[id.slot_].gen != id.gen_) return false;
+  if (gen_[id.slot_] != id.gen_) return false;
   const std::uint32_t pos = heap_pos_[id.slot_];
   release_slot(id.slot_);
   remove_at(pos);
@@ -106,9 +107,8 @@ void EventQueue::remove_at(std::size_t pos) {
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.cb = Callback{};
-  ++s.gen;
+  slots_[slot].cb = Callback{};
+  ++gen_[slot];
   free_slots_.push_back(slot);
 }
 

@@ -14,11 +14,12 @@
 //
 // Layout (docs/performance.md): heap entries are 24-byte PODs that sift
 // cheaply; the callbacks live in a side slot table indexed by the entry, so
-// reheapification never moves a closure. Each slot carries a generation
-// counter, and a dense side array holds each slot's heap position: an
-// EventId is (slot, generation), cancellation validates the generation
-// and removes the entry from the middle of the heap immediately — no
-// tombstones, no per-event hash-set traffic, and size() is exact. A 4-ary
+// reheapification never moves a closure. A slot is its callback alone: two
+// dense side arrays hold each slot's heap position and generation
+// counter. An EventId is (slot, generation), cancellation validates the
+// generation and removes the entry from the middle of the heap
+// immediately — no tombstones, no per-event hash-set traffic, and size()
+// is exact. A 4-ary
 // heap halves the tree depth of a binary heap. Entries compare as one
 // 128-bit rank, so picking the smallest of four children takes no
 // branch; a removal walks the hole down to a leaf along the smallest
@@ -102,7 +103,6 @@ class EventQueue {
   };
   struct Slot {
     Callback cb;
-    std::uint32_t gen = 0;
   };
   static constexpr std::size_t kArity = 4;
 
@@ -133,6 +133,7 @@ class EventQueue {
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> heap_pos_;  // by slot; meaningful while live
+  std::vector<std::uint32_t> gen_;       // by slot
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;  // schedule() keys; stays below kRankLimit
   Time now_ = Time::zero();

@@ -9,14 +9,13 @@
 // it is move-only, so captures may own resources (PacketPtr, vectors)
 // without refcount or clone machinery.
 //
-// The inline budgets are chosen so the engine's hot captures never
-// allocate:
-//   * event callbacks (InlineCallback): 96 bytes — the largest closure the
-//     SMS/hash/MQSS reply path schedules, an XtxnCallback envelope (48 B,
-//     16-byte aligned) plus a moved-in XtxnReply (40 B), is 96 B with its
-//     tail padding; each bounce site static_asserts that it fits;
-//   * XTXN reply callbacks: 32 bytes — (this, slot, issued-time, op) from
-//     the PPE sync-XTXN path is 24 B.
+// The default inline budget, 64 bytes, is chosen so the closures the
+// packet path schedules never allocate: a link delivery (this, peer,
+// port, frame bytes, PacketPtr: 40 B), a PPE step or dispatch (this,
+// slot: 16 B), a PPE emit (this, slot, PacketPtr, nexthop: 40 B) and a
+// sync-XTXN wake-up (this, slot, issue time, op: 32 B). Each of those
+// sites static_asserts that its closure is stored inline. XTXN replies
+// are written by the target block at issue, so no closure carries one.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +26,7 @@
 
 namespace sim {
 
-template <typename Signature, std::size_t InlineBytes = 96>
+template <typename Signature, std::size_t InlineBytes = 64>
 class InlineFunction;
 
 template <typename R, typename... Args, std::size_t InlineBytes>

@@ -54,8 +54,7 @@ namespace {
 /// the router's default forwarding program.
 class SandboxProgram : public PpeProgram {
  public:
-  SandboxProgram(Sandbox& sandbox, Router& router)
-      : sandbox_(sandbox), router_(router) {}
+  SandboxProgram(Sandbox& sandbox, Pfe& pfe) : sandbox_(sandbox), pfe_(pfe) {}
 
   Action step(ThreadContext& ctx) override {
     // Resolve a pending policer verdict first.
@@ -130,7 +129,7 @@ class SandboxProgram : public PpeProgram {
         return emit;
       }
       if (std::holds_alternative<DefaultForwardOp>(op)) {
-        delegate_ = router_.make_forwarding_program(*ctx.packet);
+        delegate_ = pfe_.router().make_forwarding_program(pfe_.programs());
         return delegate_->step(ctx);
       }
       ++idx_;
@@ -138,19 +137,19 @@ class SandboxProgram : public PpeProgram {
     // Chain exhausted: if nothing emitted the packet, take the default
     // forwarding path (a sandbox augments forwarding, §3.1).
     if (emitted_) return ActExit{1};
-    delegate_ = router_.make_forwarding_program(*ctx.packet);
+    delegate_ = pfe_.router().make_forwarding_program(pfe_.programs());
     return delegate_->step(ctx);
   }
 
  private:
   Sandbox& sandbox_;
-  Router& router_;
+  Pfe& pfe_;
   std::size_t idx_ = 0;
   bool counted_ = false;
   bool awaiting_policer_ = false;
   bool dropping_ = false;
   bool emitted_ = false;
-  std::unique_ptr<PpeProgram> delegate_;
+  ProgramPtr delegate_;
 };
 
 }  // namespace
@@ -163,14 +162,13 @@ Sandbox* AfiHost::create_sandbox(std::string name, Match match) {
 
 void AfiHost::attach() {
   pfe_.set_program_factory(
-      [this](const net::Packet& pkt) -> std::unique_ptr<PpeProgram> {
+      [this](const net::Packet& pkt) -> ProgramPtr {
         for (auto& b : bindings_) {
           if (b.match(pkt)) {
-            return std::make_unique<SandboxProgram>(*b.sandbox,
-                                                    pfe_.router());
+            return pfe_.programs().make<SandboxProgram>(*b.sandbox, pfe_);
           }
         }
-        return pfe_.router().make_forwarding_program(pkt);
+        return pfe_.router().make_forwarding_program(pfe_.programs());
       });
 }
 

@@ -172,9 +172,9 @@ std::vector<std::uint64_t> HwHashTable::scan_partition(std::uint32_t part,
   return aged;
 }
 
-sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnCallback cb) {
+sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnReply& reply) {
   ++ops_;
-  XtxnReply reply;
+  reply.reset();
   int service_cycles = 8;  // bucket walk
   switch (req.op) {
     case XtxnOp::kHashLookup: {
@@ -213,10 +213,10 @@ sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnCallback cb) {
       auto aged = scan_partition(part, parts == 0 ? 1 : parts,
                                  req.arg1 == 0 ? 64 : req.arg1);
       reply.value = aged.size();
-      reply.data.reserve(aged.size() * 8);
-      for (std::uint64_t k : aged) {
-        for (int i = 0; i < 8; ++i) {
-          reply.data.push_back(static_cast<std::uint8_t>(k >> (8 * i)));
+      reply.data.resize(aged.size() * 8);
+      for (std::size_t j = 0; j < aged.size(); ++j) {
+        for (std::size_t i = 0; i < 8; ++i) {
+          reply.data[j * 8 + i] = static_cast<std::uint8_t>(aged[j] >> (8 * i));
         }
       }
       // A scan touches a whole partition slice; charge proportional time.
@@ -231,15 +231,7 @@ sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnCallback cb) {
   const sim::Time arrive = sim_.now() + cal_.crossbar_latency;
   const sim::Time start = arrive > engine_free_ ? arrive : engine_free_;
   engine_free_ = start + sim::Duration::cycles(service_cycles, cal_.clock_hz);
-  const sim::Time reply_at = engine_free_ + cal_.hash_op_latency;
-  if (cb) {
-    auto bounce = [cb = std::move(cb), reply = std::move(reply)]() mutable {
-      cb(std::move(reply));
-    };
-    static_assert(sim::InlineCallback::stores_inline<decltype(bounce)>());
-    sim_.schedule_at(reply_at, std::move(bounce));
-  }
-  return reply_at;
+  return engine_free_ + cal_.hash_op_latency;
 }
 
 }  // namespace trio

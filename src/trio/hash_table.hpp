@@ -21,6 +21,7 @@
 // analytically through a single service engine per table.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -37,9 +38,14 @@ class HwHashTable {
   HwHashTable(sim::Simulator& simulator, const Calibration& cal,
               std::size_t buckets = 1 << 14);
 
-  /// Handles kHashLookup / kHashInsert / kHashDelete / kHashScanStep.
-  /// Returns the reply time; invokes `cb` then if non-null.
-  sim::Time issue(const XtxnRequest& req, XtxnCallback cb);
+  /// Handles kHashLookup / kHashInsert / kHashDelete / kHashScanStep,
+  /// writing the reply to `reply` at once. Returns the reply time.
+  sim::Time issue(const XtxnRequest& req, XtxnReply& reply);
+  /// The same with the reply discarded, for callers that read none (the
+  /// layer timers in perfbench/).
+  sim::Time issue(const XtxnRequest& req, std::nullptr_t) {
+    return issue(req, discarded_);
+  }
 
   // Functional (zero-time) API used by the control plane and tests.
   /// `pinned` records ignore generation bumps (job records, not blocks).
@@ -117,6 +123,7 @@ class HwHashTable {
 
   sim::Simulator& sim_;
   Calibration cal_;
+  XtxnReply discarded_;
   std::vector<std::vector<Record>> buckets_;
   std::size_t size_ = 0;
   std::uint32_t partitions_ = 0;  // 0 = whole-table hashing

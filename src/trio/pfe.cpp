@@ -41,7 +41,7 @@ sim::Time Mqss::service(std::size_t len, sim::Duration latency,
 }
 
 sim::Time Mqss::tail_read(const net::Packet& pkt, std::uint64_t offset,
-                          std::uint32_t len, XtxnCallback cb) {
+                          std::uint32_t len, XtxnReply& reply) {
   if (len > cal_.tail_chunk_bytes) {
     throw std::invalid_argument("Mqss::tail_read: chunk exceeds 64 bytes");
   }
@@ -51,31 +51,19 @@ sim::Time Mqss::tail_read(const net::Packet& pkt, std::uint64_t offset,
   }
   tail_bytes_read_ += len;
   tail_bytes_ctr_.inc(len);
-  XtxnReply reply;
-  const auto view = pkt.frame().view(head + offset, len);
-  reply.data.assign(view.begin(), view.end());
-  const sim::Time at = service(len, cal_.tail_read_latency, "tail_read");
-  if (cb) {
-    auto bounce = [cb = std::move(cb), reply = std::move(reply)]() mutable {
-      cb(std::move(reply));
-    };
-    static_assert(sim::InlineCallback::stores_inline<decltype(bounce)>());
-    sim_.schedule_at(at, std::move(bounce));
-  }
-  return at;
+  reply.reset();
+  reply.data.assign(pkt.frame().view(head + offset, len));
+  return service(len, cal_.tail_read_latency, "tail_read");
 }
 
-sim::Time Mqss::pmem_write(std::size_t len, XtxnCallback cb) {
+sim::Time Mqss::pmem_write(std::size_t len, XtxnReply& reply) {
   if (len > cal_.pmem_chunk_bytes) {
     throw std::invalid_argument("Mqss::pmem_write: chunk exceeds 256 bytes");
   }
   pmem_bytes_written_ += len;
   pmem_bytes_ctr_.inc(len);
-  const sim::Time at = service(len, cal_.pmem_write_latency, "pmem_write");
-  if (cb) {
-    sim_.schedule_at(at, [cb = std::move(cb)]() mutable { cb(XtxnReply{}); });
-  }
-  return at;
+  reply.reset();
+  return service(len, cal_.pmem_write_latency, "pmem_write");
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +169,7 @@ void MqssTenantScheduler::drain() {
       continue;
     }
     q.deficit -= head_bytes;
-    net::PacketPtr pkt = std::move(q.fifo.front());
-    q.fifo.pop_front();
+    net::PacketPtr pkt = q.fifo.pop_front();
     ++q.sent;
     --backlog_;
     if (q.fifo.empty()) q.deficit = 0;
@@ -300,22 +287,17 @@ void Pfe::try_dispatch() {
   while (!internal_queue_.empty()) {
     Ppe* ppe = pick_ppe();
     if (ppe == nullptr) return;
-    PendingInternal pi = std::move(internal_queue_.front());
-    internal_queue_.pop_front();
+    PendingInternal pi = internal_queue_.pop_front();
     ppe->spawn(std::move(pi.program), nullptr, std::nullopt, pi.timer_index);
   }
   while (!dispatch_queue_.empty()) {
     Ppe* ppe = pick_ppe();
     if (ppe == nullptr) return;  // all threads busy; wait for a free slot
-    Pending pending = std::move(dispatch_queue_.front());
-    dispatch_queue_.pop_front();
+    Pending pending = dispatch_queue_.pop_front();
     note_dispatch_depth();
-    std::unique_ptr<PpeProgram> program;
-    if (program_factory_) {
-      program = program_factory_(*pending.pkt);
-    } else {
-      program = router_.make_forwarding_program(*pending.pkt);
-    }
+    ProgramPtr program = program_factory_
+                             ? program_factory_(*pending.pkt)
+                             : router_.make_forwarding_program(programs_);
     if (!program) {
       ++dispatch_drops_;
       dispatch_drops_ctr_.inc();
@@ -328,8 +310,7 @@ void Pfe::try_dispatch() {
   }
 }
 
-bool Pfe::spawn_internal(std::unique_ptr<PpeProgram> program,
-                         std::uint32_t timer_index) {
+bool Pfe::spawn_internal(ProgramPtr program, std::uint32_t timer_index) {
   Ppe* ppe = pick_ppe();
   if (ppe != nullptr) {
     return ppe->spawn(std::move(program), nullptr, std::nullopt, timer_index);
@@ -340,7 +321,7 @@ bool Pfe::spawn_internal(std::unique_ptr<PpeProgram> program,
 }
 
 sim::Time Pfe::issue_xtxn(const XtxnRequest& req, const net::PacketPtr& pkt,
-                          XtxnCallback cb) {
+                          XtxnReply& reply) {
   if (tracer_ != nullptr) {
     // Every XTXN crosses the PPE<->memory crossbar on its way to a block.
     tracer_->instant(trace_pid_, trace_rows::kCrossbar, xtxn_op_name(req.op),
@@ -351,16 +332,16 @@ sim::Time Pfe::issue_xtxn(const XtxnRequest& req, const net::PacketPtr& pkt,
     case XtxnOp::kHashInsert:
     case XtxnOp::kHashDelete:
     case XtxnOp::kHashScanStep:
-      return hash_.issue(req, std::move(cb));
+      return hash_.issue(req, reply);
     case XtxnOp::kTailRead:
       if (!pkt) {
         throw std::logic_error("kTailRead issued by a packet-less thread");
       }
-      return mqss_.tail_read(*pkt, req.addr, req.len, std::move(cb));
+      return mqss_.tail_read(*pkt, req.addr, req.len, reply);
     case XtxnOp::kPmemWrite:
-      return mqss_.pmem_write(req.data.size(), std::move(cb));
+      return mqss_.pmem_write(req.len, reply);
     default:
-      return sms_.issue(req, std::move(cb));
+      return sms_.issue(req, reply);
   }
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,7 +41,7 @@ class Ppe {
   /// head is preloaded into LMEM and `ticket` orders the packet's outputs
   /// through the Reorder Engine. Returns false when no thread slot is
   /// free.
-  bool spawn(std::unique_ptr<PpeProgram> program, net::PacketPtr pkt,
+  bool spawn(ProgramPtr program, net::PacketPtr pkt,
              std::optional<std::uint64_t> ticket, std::uint32_t timer_index);
 
   std::uint64_t instructions_issued() const { return instructions_issued_; }
@@ -59,7 +58,7 @@ class Ppe {
  private:
   struct Thread {
     ThreadContext ctx;
-    std::unique_ptr<PpeProgram> program;
+    ProgramPtr program;
     std::optional<std::uint64_t> ticket;
     sim::Time async_done_at;
     // Sync-XTXN request parked between the action and its issue time, so
@@ -69,7 +68,9 @@ class Ppe {
   };
 
   void advance(int slot);
-  void perform(int slot, Action action, sim::Time done);
+  void perform(int slot, Action& action, sim::Time done);
+  /// Issues the parked sync XTXN: the block writes its reply into the
+  /// thread's ctx.reply, and the thread wakes at the reply time.
   void issue_pending_sync(int slot);
   void finish(int slot);
 
@@ -83,6 +84,9 @@ class Ppe {
   int index_;
   std::vector<Thread> threads_;
   std::vector<int> free_slots_;
+  // Reply of posted XTXNs, which nothing reads: a posted op leaves the
+  // thread's ctx.reply as the last sync reply left it.
+  XtxnReply posted_reply_;
   sim::Time issue_free_;
   std::uint64_t instructions_issued_ = 0;
   std::uint64_t threads_started_ = 0;

@@ -195,9 +195,8 @@ void Router::attach_port_sink(int global_port,
   port_sinks_.at(static_cast<std::size_t>(global_port)) = std::move(sink);
 }
 
-std::unique_ptr<PpeProgram> Router::make_forwarding_program(
-    const net::Packet&) {
-  return std::make_unique<ForwardingProgram>(*this);
+ProgramPtr Router::make_forwarding_program(ProgramPool& pool) {
+  return pool.make<ForwardingProgram>(*this);
 }
 
 void Router::transmit(int src_pfe, net::PacketPtr pkt,

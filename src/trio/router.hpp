@@ -76,9 +76,11 @@ class Router : public net::Node {
   ForwardingTable& forwarding() { return fwd_; }
   Fabric& fabric() { return fabric_; }
 
-  /// Default per-packet program: parse, TTL, LPM lookup, emit. Used by
-  /// PFEs with no application program factory installed.
-  std::unique_ptr<PpeProgram> make_forwarding_program(const net::Packet& pkt);
+  /// Default per-packet program: parse, TTL, LPM lookup, emit, made from
+  /// the dispatching PFE's `pool`. Used by PFEs with no application
+  /// program factory installed, and by factories for packets they leave
+  /// to plain forwarding.
+  ProgramPtr make_forwarding_program(ProgramPool& pool);
 
   /// Resolves a nexthop for a packet leaving PFE `src_pfe`. Multicast
   /// fans out here (clone per member); cross-PFE targets transit the

@@ -120,8 +120,7 @@ void SharedMemorySystem::store(std::uint64_t addr, T v) {
 
 template <typename Fn>
 void SharedMemorySystem::rmw_vec32(std::uint64_t addr,
-                                   const std::vector<std::uint8_t>& in,
-                                   Fn fn) {
+                                   std::span<const std::uint8_t> in, Fn fn) {
   const std::size_t n = in.size() / 4;
   for (std::size_t i = 0; i < n;) {
     const std::uint64_t a = addr + i * 4;
@@ -440,10 +439,11 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
   }
 }
 
-sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnCallback cb) {
+sim::Time SharedMemorySystem::issue(const XtxnRequest& req,
+                                    XtxnReply& reply) {
   ++ops_;
   ops_ctr_.inc();
-  XtxnReply reply;
+  reply.reset();
   apply(req, reply);
 
   const int bank_idx = bank_of(req.addr);
@@ -473,15 +473,7 @@ sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnCallback cb) {
                      static_cast<double>(bank.busy_cycles));
   }
 
-  const sim::Time reply_at = bank.free_at + tier_latency(req.addr);
-  if (cb) {
-    auto bounce = [cb = std::move(cb), reply = std::move(reply)]() mutable {
-      cb(std::move(reply));
-    };
-    static_assert(sim::InlineCallback::stores_inline<decltype(bounce)>());
-    sim_.schedule_at(reply_at, std::move(bounce));
-  }
-  return reply_at;
+  return bank.free_at + tier_latency(req.addr);
 }
 
 }  // namespace trio

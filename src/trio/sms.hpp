@@ -15,8 +15,9 @@
 //   reply_at = max(arrive, bank_free) + service_cycles + tier_latency
 //
 // so queueing delay (backpressure through the crossbar) emerges when a
-// bank is oversubscribed. Posted operations (writes, counter increments,
-// vector adds) need no reply event at all, keeping the event count low.
+// bank is oversubscribed. The reply is written at arrival too, and the
+// issuing PPE wakes its thread at the reply time; posted operations
+// (writes, counter increments, vector adds) wake nothing.
 //
 // Host-side store: a page table over the whole address space holds 4 KiB
 // pages allocated on first write; unwritten bytes read as zero. Every
@@ -26,8 +27,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,9 +54,14 @@ class SharedMemorySystem {
   SharedMemorySystem(sim::Simulator& simulator, const Calibration& cal);
 
   /// Issues a request arriving at the SMS now. The state change is applied
-  /// immediately (arrival order == engine order); `cb`, if non-null, fires
-  /// at the computed reply time. Returns the reply time.
-  sim::Time issue(const XtxnRequest& req, XtxnCallback cb);
+  /// immediately (arrival order == engine order) and the reply written to
+  /// `reply` at once; returns the time the reply reaches the thread.
+  sim::Time issue(const XtxnRequest& req, XtxnReply& reply);
+  /// The same with the reply discarded, for callers that read none (the
+  /// layer timers in perfbench/).
+  sim::Time issue(const XtxnRequest& req, std::nullptr_t) {
+    return issue(req, discarded_);
+  }
 
   // --- Direct (zero-time) access for control-plane setup and tests -------
   // Each throws std::out_of_range, before touching memory, when any byte
@@ -155,8 +163,7 @@ class SharedMemorySystem {
   void store(std::uint64_t addr, T v);
   /// mem = fn(mem, in) for each packed u32 of `in` against [addr, ...).
   template <typename Fn>
-  void rmw_vec32(std::uint64_t addr, const std::vector<std::uint8_t>& in,
-                 Fn fn);
+  void rmw_vec32(std::uint64_t addr, std::span<const std::uint8_t> in, Fn fn);
 
   struct TenantAccount {
     std::uint64_t quota = ~0ull;  // unlimited until set
@@ -165,6 +172,7 @@ class SharedMemorySystem {
 
   sim::Simulator& sim_;
   Calibration cal_;
+  XtxnReply discarded_;
   std::vector<Bank> banks_;
   std::vector<std::unique_ptr<Page>> pages_;  // index addr / kPageBytes
   std::unordered_map<std::uint8_t, TenantAccount> tenant_accounts_;

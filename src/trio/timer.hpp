@@ -29,7 +29,7 @@ class TimerWheel {
  public:
   /// Builds the program run when timer `timer_index` of a group fires.
   using TimerProgramFactory =
-      std::function<std::unique_ptr<PpeProgram>(std::uint32_t timer_index)>;
+      std::function<ProgramPtr(std::uint32_t timer_index)>;
 
   TimerWheel(sim::Simulator& simulator, const Calibration& cal, Pfe& pfe);
 

@@ -7,7 +7,7 @@ namespace trioml {
 
 namespace {
 
-std::uint64_t le64(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint64_t le64(std::span<const std::uint8_t> v, std::size_t off) {
   std::uint64_t x = 0;
   for (int i = 7; i >= 0; --i) {
     x = x << 8 | (off + static_cast<std::size_t>(i) < v.size()

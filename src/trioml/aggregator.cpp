@@ -1,6 +1,9 @@
 #include "trioml/aggregator.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
+#include <stdexcept>
 
 #include "trio/router.hpp"
 
@@ -8,7 +11,7 @@ namespace trioml {
 
 namespace {
 
-std::uint32_t le32(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint32_t le32(std::span<const std::uint8_t> v, std::size_t off) {
   return std::uint32_t(v[off]) | std::uint32_t(v[off + 1]) << 8 |
          std::uint32_t(v[off + 2]) << 16 | std::uint32_t(v[off + 3]) << 24;
 }
@@ -26,18 +29,19 @@ bool is_aggregation_frame(const net::Buffer& frame) {
 }
 
 trio::ProgramFactory make_aggregation_factory(TrioMlApp& app) {
-  return [&app](const net::Packet& pkt) -> std::unique_ptr<trio::PpeProgram> {
+  return [&app](const net::Packet& pkt) -> trio::ProgramPtr {
+    trio::ProgramPool& pool = app.pfe().programs();
     if (is_aggregation_frame(pkt.frame())) {
       const auto& addr = app.aggregation_address();
       if (!addr || net::Ipv4Header::parse(pkt.frame(),
                                           net::UdpFrameLayout::kIpOff)
                            .dst == *addr) {
-        return std::make_unique<AggregationProgram>(app);
+        return pool.make<AggregationProgram>(app);
       }
       // Aggregation-port traffic addressed elsewhere (e.g. an upstream
       // aggregator's multicast result in transit) is plain forwarding.
     }
-    return app.pfe().router().make_forwarding_program(pkt);
+    return app.pfe().router().make_forwarding_program(pool);
   };
 }
 
@@ -46,18 +50,31 @@ trio::ProgramFactory make_aggregation_factory(TrioMlApp& app) {
 // empty and do_step() handles the reply for the current state.
 
 trio::Action AggregationProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) {
-    trio::Action a = std::move(pending_.front());
-    pending_.pop_front();
-    return a;
-  }
+  if (pending_count_ > 0) return pop_pending();
   return do_step(ctx);
 }
 
+trio::Action& AggregationProgram::push_pending() {
+  if (pending_count_ == kMaxPending) {
+    throw std::logic_error("AggregationProgram: pending-action ring full");
+  }
+  return pending_[(pending_head_ + pending_count_++) % kMaxPending];
+}
+
 trio::Action AggregationProgram::pop_pending() {
-  trio::Action a = std::move(pending_.front());
-  pending_.pop_front();
+  trio::Action a = std::move(pending_[pending_head_]);
+  pending_head_ = (pending_head_ + 1) % kMaxPending;
+  --pending_count_;
   return a;
+}
+
+void AggregationProgram::queue_active_decrement() {
+  // Release the job's active-block slot: a posted += -1 (mod 2^32).
+  auto& dec = push_pending().emplace<trio::ActAsyncXtxn>();
+  dec.req.op = trio::XtxnOp::kAddVec32;
+  dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
+  dec.req.data = {0xff, 0xff, 0xff, 0xff};
+  dec.instructions = 1;
 }
 
 trio::Action AggregationProgram::finish(trio::ThreadContext& ctx,
@@ -73,28 +90,43 @@ trio::Action AggregationProgram::finish(trio::ThreadContext& ctx,
 }
 
 void AggregationProgram::queue_add_slices(std::size_t grad_byte_off,
+                                          std::span<const std::uint8_t> carry,
                                           std::span<const std::uint8_t> data,
                                           std::uint32_t instructions) {
   // The RMW engines sum 32-bit gradients into the aggregation buffer; the
   // adds are sliced at the 64-byte bank-interleave granule so consecutive
   // slices land on different engines and proceed in parallel (§2.3).
   const std::uint64_t base = record_.aggr_paddr + grad_byte_off;
+  const std::size_t total = carry.size() + data.size();
   std::size_t off = 0;
   bool first = true;
-  while (off < data.size()) {
+  while (off < total) {
     const std::uint64_t addr = base + off;
     const std::size_t to_boundary = 64 - static_cast<std::size_t>(addr % 64);
-    const std::size_t len = std::min(to_boundary, data.size() - off);
-    trio::ActAsyncXtxn add;
+    const std::size_t len = std::min(to_boundary, total - off);
+    auto& add = push_pending().emplace<trio::ActAsyncXtxn>();
     add.req.op = trio::XtxnOp::kAddVec32;
     add.req.addr = addr;
-    add.req.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                        data.begin() + static_cast<std::ptrdiff_t>(off + len));
+    // Bytes [off, off + len) of the carry followed by the data.
+    const std::size_t from_carry =
+        off < carry.size() ? std::min(len, carry.size() - off) : 0;
+    if (from_carry > 0) add.req.data.assign(carry.subspan(off, from_carry));
+    if (len > from_carry) {
+      add.req.data.append(
+          data.subspan(off + from_carry - carry.size(), len - from_carry));
+    }
     add.instructions = first ? instructions : 1;
     first = false;
-    pending_.push_back(std::move(add));
     off += len;
   }
+}
+
+void AggregationProgram::append_carry(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() > carry_.size() - carry_len_) {
+    throw std::logic_error("AggregationProgram: carry exceeds a gradient");
+  }
+  std::memcpy(carry_.data() + carry_len_, bytes.data(), bytes.size());
+  carry_len_ += bytes.size();
 }
 
 trio::Action AggregationProgram::claim_source() {
@@ -124,28 +156,25 @@ trio::Action AggregationProgram::begin_aggregation(trio::ThreadContext& ctx) {
   // from the head; the straddling bytes are carried into the first tail
   // chunk.
   const std::size_t head_aligned = head_avail & ~std::size_t{3};
-  carry_.clear();
   stream_pos_ = head_aligned;
   tail_off_ = 0;
   tail_total_ = grad_bytes_ - head_avail;
-  if (head_avail > head_aligned) {
-    const auto straddle =
-        ctx.lmem.view(kGradOff + head_aligned, head_avail - head_aligned);
-    carry_.assign(straddle.begin(), straddle.end());
-  }
+  carry_len_ = 0;
+  append_carry(
+      ctx.lmem.view(kGradOff + head_aligned, head_avail - head_aligned));
 
   if (head_aligned > 0) {
     // Phase one: gradients already in LMEM with the head (Fig 10).
     const auto head_grads = ctx.lmem.view(kGradOff, head_aligned);
     const auto instr = static_cast<std::uint32_t>(
         head_aligned / 4 * 12 / 10 + 4);  // ~1.2 instr/gradient
-    queue_add_slices(0, head_grads, instr);
+    queue_add_slices(0, {}, head_grads, instr);
   }
   return next_tail_action(ctx);
 }
 
 trio::Action AggregationProgram::next_tail_action(trio::ThreadContext&) {
-  if (!pending_.empty()) {
+  if (pending_count_ > 0) {
     state_ = State::kAggregate;
     return pop_pending();
   }
@@ -277,13 +306,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       if (ctx.reply.value >= job_.block_cnt_max) {
         // Over the cap: release the slot and drop (the sender's
         // retransmission recovers once blocks complete or age out).
-        trio::ActAsyncXtxn giveback;
-        giveback.req.op = trio::XtxnOp::kWrite;  // placeholder, replaced below
-        giveback.req.op = trio::XtxnOp::kAddVec32;
-        giveback.req.addr = app_.job_active_counter_addr(hdr_.job_id);
-        giveback.req.data = {0xff, 0xff, 0xff, 0xff};  // += -1 (mod 2^32)
-        giveback.instructions = 1;
-        pending_.push_back(std::move(giveback));
+        queue_active_decrement();
         ++app_.stats().blocks_capped;
         state_ = State::kFinish;
         return pop_pending();
@@ -294,19 +317,13 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         // THIS block took the last one. Give back the active slot and
         // retry the lookup once; if the block genuinely doesn't exist,
         // drop (the sender's retransmission recovers).
-        trio::ActAsyncXtxn dec;
-        dec.req.op = trio::XtxnOp::kAddVec32;
-        dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
-        dec.req.data = {0xff, 0xff, 0xff, 0xff};
-        dec.instructions = 1;
-        pending_.push_back(std::move(dec));
+        queue_active_decrement();
         if (!retried_create_) {
           retried_create_ = true;
-          trio::ActSyncXtxn lu;
+          auto& lu = push_pending().emplace<trio::ActSyncXtxn>();
           lu.req.op = trio::XtxnOp::kHashLookup;
           lu.req.arg0 = key_;
           lu.instructions = 2;
-          pending_.push_back(std::move(lu));
           state_ = State::kRetryLookup;
           return pop_pending();
         }
@@ -323,22 +340,19 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       record_.aggr_paddr = static_cast<std::uint32_t>(slab->buffer_addr);
       record_.grad_cnt = hdr_.grad_cnt & 0xfff;
 
-      auto bytes = record_.pack();
-      bytes.resize(kBlockSlabBytes, 0);
-      bytes[63] = job_.src_cnt;  // scratch: expected contributor count
-      trio::ActAsyncXtxn wr;
+      auto& wr = push_pending().emplace<trio::ActAsyncXtxn>();
       wr.req.op = trio::XtxnOp::kWrite;
       wr.req.addr = record_addr_;
-      wr.req.data = std::move(bytes);
+      wr.req.data.assign(kBlockSlabBytes, 0);
+      record_.pack(wr.req.data);
+      wr.req.data[63] = job_.src_cnt;  // scratch: expected contributor count
       wr.instructions = 12;
-      pending_.push_back(std::move(wr));
 
-      trio::ActSyncXtxn ins;
+      auto& ins = push_pending().emplace<trio::ActSyncXtxn>();
       ins.req.op = trio::XtxnOp::kHashInsert;
       ins.req.arg0 = key_;
       ins.req.arg1 = record_addr_;
       ins.instructions = 4;
-      pending_.push_back(std::move(ins));
       state_ = State::kInsert;
       return pop_pending();
     }
@@ -350,17 +364,11 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         // take the found path.
         app_.free_slab(TrioMlApp::Slab{
             record_addr_, app_.buffer_of_record(record_addr_)});
-        trio::ActAsyncXtxn dec;
-        dec.req.op = trio::XtxnOp::kAddVec32;
-        dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
-        dec.req.data = {0xff, 0xff, 0xff, 0xff};
-        dec.instructions = 1;
-        pending_.push_back(std::move(dec));
-        trio::ActSyncXtxn lu;
+        queue_active_decrement();
+        auto& lu = push_pending().emplace<trio::ActSyncXtxn>();
         lu.req.op = trio::XtxnOp::kHashLookup;
         lu.req.arg0 = key_;
         lu.instructions = 2;
-        pending_.push_back(std::move(lu));
         state_ = State::kBlockLookup;
         return pop_pending();
       }
@@ -386,20 +394,22 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       // buffer (~1.2 run-time instructions per gradient, §6.3). Any
       // bytes carried over from the head/previous chunk are prepended so
       // adds stay 32-bit aligned.
-      tail_off_ += ctx.reply.data.size();
-      carry_.insert(carry_.end(), ctx.reply.data.begin(),
-                    ctx.reply.data.end());
-      const std::size_t aligned = carry_.size() & ~std::size_t{3};
+      const std::span<const std::uint8_t> chunk = ctx.reply.data;
+      tail_off_ += chunk.size();
+      const std::size_t aligned = (carry_len_ + chunk.size()) & ~std::size_t{3};
+      std::span<const std::uint8_t> rest = chunk;
       if (aligned > 0) {
         const auto instr =
             static_cast<std::uint32_t>(aligned / 4 * 12 / 10 + 1);
+        const std::size_t from_chunk = aligned - carry_len_;
         queue_add_slices(stream_pos_,
-                         std::span<const std::uint8_t>(carry_.data(), aligned),
-                         instr);
+                         std::span<const std::uint8_t>(carry_).first(carry_len_),
+                         chunk.first(from_chunk), instr);
         stream_pos_ += aligned;
-        carry_.erase(carry_.begin(),
-                     carry_.begin() + static_cast<std::ptrdiff_t>(aligned));
+        carry_len_ = 0;
+        rest = chunk.subspan(from_chunk);
       }
+      append_carry(rest);
       return next_tail_action(ctx);
     }
 
@@ -408,19 +418,17 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       // aggregation sums child src_cnts; leaf workers send src_cnt = 1),
       // then take this source's bit in the received mask.
       if (hdr_.degraded) {
-        trio::ActAsyncXtxn dg;
+        auto& dg = push_pending().emplace<trio::ActAsyncXtxn>();
         dg.req.op = trio::XtxnOp::kWrite;
         dg.req.addr = record_addr_ + kDegradedFlagOff;
         dg.req.data = {1};
         dg.instructions = 1;
-        pending_.push_back(std::move(dg));
       }
-      trio::ActSyncXtxn add;
+      auto& add = push_pending().emplace<trio::ActSyncXtxn>();
       add.req.op = trio::XtxnOp::kFetchAdd32;
       add.req.addr = record_addr_ + kSrcCntAccumOff;
       add.req.arg0 = hdr_.src_cnt == 0 ? 1 : hdr_.src_cnt;
       add.instructions = 2;
-      pending_.push_back(std::move(add));
       state_ = State::kAccumReply;
       return pop_pending();
     }
@@ -439,12 +447,11 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       const std::uint64_t new_mask = ctx.reply.value | 1ull << hdr_.src_id;
       const int count = std::popcount(new_mask);
       // Keep the record's rcvd_cnt field current (posted byte write).
-      trio::ActAsyncXtxn cnt;
+      auto& cnt = push_pending().emplace<trio::ActAsyncXtxn>();
       cnt.req.op = trio::XtxnOp::kWrite;
       cnt.req.addr = record_addr_ + BlockRecord::kRcvdCntOff;
       cnt.req.data = {static_cast<std::uint8_t>(count)};
       cnt.instructions = 1;
-      pending_.push_back(std::move(cnt));
 
       if (count < job_src_cnt_) {
         state_ = State::kFinish;
@@ -454,12 +461,11 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       // (an aging timer thread may race us — exactly one side wins). The
       // value guard keeps a thread whose record was dropped by a fault
       // from deleting a block re-created under the same key.
-      trio::ActSyncXtxn del;
+      auto& del = push_pending().emplace<trio::ActSyncXtxn>();
       del.req.op = trio::XtxnOp::kHashDelete;
       del.req.arg0 = key_;
       del.req.arg1 = record_addr_;
       del.instructions = 3;
-      pending_.push_back(std::move(del));
       state_ = State::kDeleted;
       return pop_pending();
     }
@@ -470,15 +476,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         return finish(ctx, 2);
       }
       ++app_.stats().blocks_completed;
-      {
-        // Release the job's active-block slot (posted decrement).
-        trio::ActAsyncXtxn dec;
-        dec.req.op = trio::XtxnOp::kAddVec32;
-        dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
-        dec.req.data = {0xff, 0xff, 0xff, 0xff};
-        dec.instructions = 1;
-        pending_.push_back(std::move(dec));
-      }
+      queue_active_decrement();
       const sim::Time now = app_.pfe().router().simulator().now();
       const sim::Duration block_age =
           now - sim::Time(static_cast<std::int64_t>(record_.block_start_time));
@@ -520,12 +518,11 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       scratch_degraded_ = ctx.reply.data[6] != 0;
 
       // Per-job Packet/Byte counter: one block completed, grad bytes.
-      trio::ActAsyncXtxn ctr;
+      auto& ctr = push_pending().emplace<trio::ActAsyncXtxn>();
       ctr.req.op = trio::XtxnOp::kCounterInc;
       ctr.req.addr = app_.job_counter_addr(hdr_.job_id);
       ctr.req.arg0 = std::uint64_t(record_.grad_cnt) * 4;
       ctr.instructions = 1;
-      pending_.push_back(std::move(ctr));
 
       ResultBuilder::Inputs in;
       in.key = key_;

@@ -13,10 +13,10 @@
 // gradient in the tail loop).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
+#include <span>
 
 #include "trio/program.hpp"
 #include "trioml/app.hpp"
@@ -56,19 +56,35 @@ class AggregationProgram : public trio::PpeProgram {
     kExit,
   };
 
+  // Actions queued ahead of the next do_step(). The most ever queued are
+  // the add slices of the head's gradients: 136 bytes span at most four
+  // 64-byte granules. A 64-byte tail chunk plus its carry spans at most
+  // two, and no other state queues more than two actions.
+  static constexpr std::size_t kMaxPending = 4;
+
   trio::Action do_step(trio::ThreadContext& ctx);
+  /// The next free slot of the pending ring, for the caller to fill.
+  /// Throws std::logic_error when the ring is full.
+  trio::Action& push_pending();
   trio::Action pop_pending();
   trio::Action claim_source();
   trio::Action begin_aggregation(trio::ThreadContext& ctx);
   trio::Action next_tail_action(trio::ThreadContext& ctx);
   trio::Action finish(trio::ThreadContext& ctx, std::uint32_t instructions);
+  /// Queues posted AddVec32s for the gradient bytes `carry` then `data`,
+  /// which start at gradient byte `grad_byte_off`.
   void queue_add_slices(std::size_t grad_byte_off,
+                        std::span<const std::uint8_t> carry,
                         std::span<const std::uint8_t> data,
                         std::uint32_t instructions);
+  void queue_active_decrement();
+  void append_carry(std::span<const std::uint8_t> bytes);
 
   TrioMlApp& app_;
   State state_ = State::kParse;
-  std::deque<trio::Action> pending_;
+  std::array<trio::Action, kMaxPending> pending_;
+  std::size_t pending_head_ = 0;
+  std::size_t pending_count_ = 0;
 
   TrioMlHeader hdr_;
   std::uint64_t key_ = 0;
@@ -82,7 +98,9 @@ class AggregationProgram : public trio::PpeProgram {
   std::size_t stream_pos_ = 0;   // gradient byte offset of the next add
   std::size_t tail_off_ = 0;     // tail bytes read so far
   std::size_t tail_total_ = 0;   // total tail bytes to read
-  std::vector<std::uint8_t> carry_;  // bytes straddling chunk boundaries
+  // Bytes straddling chunk boundaries: fewer than one 4-byte gradient.
+  std::array<std::uint8_t, 3> carry_{};
+  std::size_t carry_len_ = 0;
   std::uint8_t accum_src_cnt_ = 0;
   bool scratch_degraded_ = false;
   bool retried_create_ = false;

@@ -183,9 +183,8 @@ void TrioMlApp::start_straggler_detection(int threads,
   // large hash tables").
   pfe_.timers().start(
       threads, timeout,
-      [this, threads](std::uint32_t timer_index)
-          -> std::unique_ptr<trio::PpeProgram> {
-        return std::make_unique<StragglerScanProgram>(
+      [this, threads](std::uint32_t timer_index) {
+        return pfe_.programs().make<StragglerScanProgram>(
             *this, timer_index, static_cast<std::uint32_t>(threads));
       });
 }
@@ -232,9 +231,9 @@ int TrioMlApp::start_straggler_classification(std::uint8_t job_id,
   // One infrequent timer: the classifier walks every source of the job.
   return pfe_.timers().start(
       1, period,
-      [this, job_id, cfg](std::uint32_t) -> std::unique_ptr<trio::PpeProgram> {
-        return std::make_unique<StragglerClassifierProgram>(*this, job_id,
-                                                            cfg);
+      [this, job_id, cfg](std::uint32_t) {
+        return pfe_.programs().make<StragglerClassifierProgram>(*this, job_id,
+                                                                cfg);
       });
 }
 

@@ -1,5 +1,6 @@
 #include "trioml/records.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "microcode/bitfield.hpp"
@@ -8,15 +9,14 @@ namespace trioml {
 
 namespace {
 
-void put_le64(std::vector<std::uint8_t>& v, std::size_t off,
-              std::uint64_t x) {
+void put_le64(std::span<std::uint8_t> v, std::size_t off, std::uint64_t x) {
   for (int i = 0; i < 8; ++i) {
     v[off + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(x >> (8 * i));
   }
 }
 
-std::uint64_t get_le64(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint64_t get_le64(std::span<const std::uint8_t> v, std::size_t off) {
   std::uint64_t x = 0;
   for (int i = 7; i >= 0; --i) {
     x = x << 8 | v[off + static_cast<std::size_t>(i)];
@@ -24,10 +24,25 @@ std::uint64_t get_le64(const std::vector<std::uint8_t>& v, std::size_t off) {
   return x;
 }
 
+/// The first `size` bytes of `out`, zeroed; throws when `out` is shorter.
+std::span<std::uint8_t> record_bytes(std::span<std::uint8_t> out,
+                                     std::size_t size, const char* what) {
+  if (out.size() < size) throw std::invalid_argument(what);
+  out = out.first(size);
+  std::fill(out.begin(), out.end(), std::uint8_t{0});
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> JobRecord::pack() const {
-  net::Buffer buf(kSize);
+  std::vector<std::uint8_t> out(kSize);
+  pack(out);
+  return out;
+}
+
+void JobRecord::pack(std::span<std::uint8_t> out) const {
+  const auto buf = record_bytes(out, kSize, "JobRecord::pack: short buffer");
   using microcode::write_bits;
   write_bits(buf, 0, 16, block_curr_cnt);
   write_bits(buf, 16, 12, block_cnt_max);
@@ -39,19 +54,16 @@ std::vector<std::uint8_t> JobRecord::pack() const {
   write_bits(buf, 144, 32, out_nh_addr);
   write_bits(buf, 176, 8, out_src_id);  // stored in the 24-bit padding
   write_bits(buf, 200, 8, src_cnt);
-  std::vector<std::uint8_t> out(buf.bytes().begin(), buf.bytes().end());
   for (int i = 0; i < 4; ++i) {
-    put_le64(out, 26 + static_cast<std::size_t>(i) * 8, src_mask[i]);
+    put_le64(buf, 26 + static_cast<std::size_t>(i) * 8, src_mask[i]);
   }
-  return out;
 }
 
-JobRecord JobRecord::unpack(const std::vector<std::uint8_t>& bytes) {
+JobRecord JobRecord::unpack(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kSize) {
     throw std::invalid_argument("JobRecord::unpack: short buffer");
   }
-  net::Buffer buf(std::vector<std::uint8_t>(bytes.begin(),
-                                            bytes.begin() + kSize));
+  const auto buf = bytes.first(kSize);
   using microcode::read_bits;
   JobRecord r;
   r.block_curr_cnt = static_cast<std::uint16_t>(read_bits(buf, 0, 16));
@@ -65,13 +77,19 @@ JobRecord JobRecord::unpack(const std::vector<std::uint8_t>& bytes) {
   r.out_src_id = static_cast<std::uint8_t>(read_bits(buf, 176, 8));
   r.src_cnt = static_cast<std::uint8_t>(read_bits(buf, 200, 8));
   for (int i = 0; i < 4; ++i) {
-    r.src_mask[i] = get_le64(bytes, 26 + static_cast<std::size_t>(i) * 8);
+    r.src_mask[i] = get_le64(buf, 26 + static_cast<std::size_t>(i) * 8);
   }
   return r;
 }
 
 std::vector<std::uint8_t> BlockRecord::pack() const {
-  net::Buffer buf(kSize);
+  std::vector<std::uint8_t> out(kSize);
+  pack(out);
+  return out;
+}
+
+void BlockRecord::pack(std::span<std::uint8_t> out) const {
+  const auto buf = record_bytes(out, kSize, "BlockRecord::pack: short buffer");
   using microcode::write_bits;
   write_bits(buf, 0, 8, block_exp);
   write_bits(buf, 8, 8, block_age);
@@ -82,20 +100,17 @@ std::vector<std::uint8_t> BlockRecord::pack() const {
   write_bits(buf, 164, 12, grad_cnt);
   // 24 pad bits at 176.
   write_bits(buf, 200, 8, rcvd_cnt);
-  std::vector<std::uint8_t> out(buf.bytes().begin(), buf.bytes().end());
   for (int i = 0; i < 4; ++i) {
-    put_le64(out, kRcvdMask0Off + static_cast<std::size_t>(i) * 8,
+    put_le64(buf, kRcvdMask0Off + static_cast<std::size_t>(i) * 8,
              rcvd_mask[i]);
   }
-  return out;
 }
 
-BlockRecord BlockRecord::unpack(const std::vector<std::uint8_t>& bytes) {
+BlockRecord BlockRecord::unpack(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kSize) {
     throw std::invalid_argument("BlockRecord::unpack: short buffer");
   }
-  net::Buffer buf(std::vector<std::uint8_t>(bytes.begin(),
-                                            bytes.begin() + kSize));
+  const auto buf = bytes.first(kSize);
   using microcode::read_bits;
   BlockRecord r;
   r.block_exp = static_cast<std::uint8_t>(read_bits(buf, 0, 8));
@@ -107,7 +122,7 @@ BlockRecord BlockRecord::unpack(const std::vector<std::uint8_t>& bytes) {
   r.rcvd_cnt = static_cast<std::uint8_t>(read_bits(buf, 200, 8));
   for (int i = 0; i < 4; ++i) {
     r.rcvd_mask[i] =
-        get_le64(bytes, kRcvdMask0Off + static_cast<std::size_t>(i) * 8);
+        get_le64(buf, kRcvdMask0Off + static_cast<std::size_t>(i) * 8);
   }
   return r;
 }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/buffer.hpp"
@@ -40,7 +41,9 @@ struct JobRecord {
   std::uint64_t src_mask[4] = {0, 0, 0, 0};  // participating sources
 
   std::vector<std::uint8_t> pack() const;
-  static JobRecord unpack(const std::vector<std::uint8_t>& bytes);
+  /// Packs into the first kSize bytes of `out` (at least kSize long).
+  void pack(std::span<std::uint8_t> out) const;
+  static JobRecord unpack(std::span<const std::uint8_t> bytes);
 };
 
 /// Fig 18: trio_ml_block_ctx_t, 58 bytes.
@@ -60,7 +63,9 @@ struct BlockRecord {
   std::uint64_t rcvd_mask[4] = {0, 0, 0, 0};
 
   std::vector<std::uint8_t> pack() const;
-  static BlockRecord unpack(const std::vector<std::uint8_t>& bytes);
+  /// Packs into the first kSize bytes of `out` (at least kSize long).
+  void pack(std::span<std::uint8_t> out) const;
+  static BlockRecord unpack(std::span<const std::uint8_t> bytes);
 };
 
 /// A block *slab* is the datapath allocation unit: the 58-byte record

@@ -4,8 +4,10 @@
 // the heap array, and the packet pools are warm, the hot paths never touch
 // the global allocator — not per scheduled event (InlineCallback storage
 // is inline), not per recycled packet (BufferPool + the packet cell
-// freelist). This binary overrides global operator new to count
-// allocations and asserts *zero* across the measured steady-state windows.
+// freelist), not per PFE packet (inline XTXN payloads, recycled programs,
+// the reorder ring). This binary overrides global operator new to count
+// allocations and asserts *zero* across the measured steady-state windows,
+// or a per-packet budget where host endpoints take part.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,8 @@
 #include <new>
 #include <vector>
 
+#include "cluster/allreduce.hpp"
+#include "cluster/cluster.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "sim/shard.hpp"
@@ -240,7 +244,8 @@ TEST(AllocCount, SmsFootprintGrowsWithTheAddressesTouched) {
     add.op = trio::XtxnOp::kAddVec32;
     add.addr = sms.alloc_dram(4096);
     add.data.assign(64, 1);
-    sms.issue(add, {});
+    trio::XtxnReply reply;
+    sms.issue(add, reply);
     EXPECT_EQ(sms.peek_u32(add.addr), 0x01010101u);
   }
   EXPECT_LT(alloc_bytes() - before, 64u * 1024)
@@ -266,8 +271,9 @@ TEST(AllocCount, SmsRmwOpsAreAllocationFree) {
   reqs[3].addr = sram + 64;
   reqs[3].arg0 = 0x1234;
   reqs[3].arg1 = 0xffff;
+  trio::XtxnReply reply;
   auto batch = [&] {
-    for (const auto& req : reqs) sms.issue(req, {});
+    for (const auto& req : reqs) sms.issue(req, reply);
     sms.poke_u64(dram + 8, sms.peek_u64(dram + 8) + 1);
     sms.poke_u32(sram + 128, sms.peek_u32(dram + 64) + sms.peek_u8(sram));
   };
@@ -278,11 +284,11 @@ TEST(AllocCount, SmsRmwOpsAreAllocationFree) {
   EXPECT_EQ(sms.peek_u64(sram), 68u);  // CounterInc packets
 }
 
-TEST(AllocCount, RouterForwardingSteadyStateStaysUnderBudget) {
-  // The full link->PFE->link path cannot be allocation-free today: each
-  // packet clones a per-packet PpeProgram (unique_ptr) and opens a
-  // reorder-map ticket. This pins the steady-state budget so regressions
-  // (or a future fix dropping it to zero) are visible.
+TEST(AllocCount, RouterForwardingSteadyStateIsAllocationFree) {
+  // The full receive->PFE->port path: dispatch queue, a recycled
+  // forwarding program, its FIB read (an inline 8-byte reply), the
+  // reorder ticket and its output. The warm-up runs the same burst, so
+  // every ring and pool has already grown to it.
   sim::Simulator sim;
   trio::Router router(sim, trio::Calibration{}, 1, 2);
   const auto nh = router.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
@@ -296,14 +302,47 @@ TEST(AllocCount, RouterForwardingSteadyStateStaysUnderBudget) {
     }
     sim.run();
   };
-  inject(256);  // warm-up
+  inject(1024);  // warm-up
   const int warm_delivered = delivered;
   const std::uint64_t before = allocs();
   inject(1024);
-  const std::uint64_t per_packet = (allocs() - before) / 1024;
   EXPECT_EQ(delivered - warm_delivered, 1024);
-  EXPECT_LE(per_packet, 12u)
-      << "per-packet allocation budget regressed: " << per_packet;
+  EXPECT_EQ(allocs() - before, 0u) << "1024 forwarded packets";
+}
+
+std::uint64_t pfe_packets(cluster::Cluster& cl) {
+  std::uint64_t n = 0;
+  for (int r = 0; r <= cl.num_racks(); ++r) {
+    trio::Router& router = r < cl.num_racks() ? cl.leaf(r) : cl.spine();
+    for (int p = 0; p < router.num_pfes(); ++p) {
+      n += router.pfe(p).packets_in();
+    }
+  }
+  return n;
+}
+
+TEST(AllocCount, AllreduceStepStaysUnderBudget) {
+  // A warm 2x2 allreduce step at 1024 gradients per packet. Aggregation
+  // packets cost the PFEs nothing; what allocates is building each
+  // block's result and the host endpoints (about 185 allocations per PFE
+  // packet before XTXN payloads went inline and programs were recycled).
+  cluster::ClusterSpec spec;
+  spec.grads_per_packet = 1024;
+  cluster::Cluster cl(spec);
+  const auto grads =
+      cluster::patterned_gradients(cl.num_workers(), 8 * 1024);
+  cluster::run_allreduce(cl, grads, 1);  // warm-up, both generations
+  cluster::run_allreduce(cl, grads, 2);
+  const std::uint64_t packets_before = pfe_packets(cl);
+  const std::uint64_t before = allocs();
+  const cluster::AllreduceRun run = cluster::run_allreduce(cl, grads, 1);
+  const std::uint64_t n = allocs() - before;
+  const std::uint64_t packets = pfe_packets(cl) - packets_before;
+  EXPECT_EQ(run.finished, cl.num_workers());
+  ASSERT_GT(packets, 0u);
+  constexpr std::uint64_t kBudgetPerPfePacket = 4;
+  EXPECT_LE(n, kBudgetPerPfePacket * packets)
+      << n << " allocations over " << packets << " PFE packets";
 }
 
 }  // namespace

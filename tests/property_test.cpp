@@ -3,6 +3,8 @@
 // failure is reproducible.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <deque>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -203,6 +205,7 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
     }
   };
 
+  trio::XtxnReply reply;
   for (int op = 0; op < 5000; ++op) {
     const std::uint64_t addr = rng.next_below(4096) * 8;  // 32 KB arena
     trio::XtxnRequest req;
@@ -213,7 +216,7 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
         req.data.resize(8);
         for (auto& b : req.data) b = static_cast<std::uint8_t>(rng.next_u64());
         for (std::size_t i = 0; i < 8; ++i) ref[addr + i] = req.data[i];
-        sms.issue(req, {});
+        sms.issue(req, reply);
         break;
       }
       case 1: {  // fetch-add32
@@ -221,7 +224,7 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
         req.op = trio::XtxnOp::kFetchAdd32;
         req.addr = addr;
         req.arg0 = inc;
-        sms.issue(req, {});
+        sms.issue(req, reply);
         ref_set_u32(addr, ref_u32(addr) + inc);
         break;
       }
@@ -230,7 +233,7 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
         req.op = trio::XtxnOp::kFetchOr64;
         req.addr = addr;
         req.arg0 = m;
-        sms.issue(req, {});
+        sms.issue(req, reply);
         ref_set_u64(addr, ref_u64(addr) | m);
         break;
       }
@@ -241,7 +244,7 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
         req.addr = addr;
         req.arg0 = v;
         req.arg1 = m;
-        sms.issue(req, {});
+        sms.issue(req, reply);
         ref_set_u64(addr, (ref_u64(addr) & ~m) | (v & m));
         break;
       }
@@ -258,7 +261,7 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
           ref_set_u32(addr + std::uint64_t(g) * 4,
                       ref_u32(addr + std::uint64_t(g) * 4) + inc);
         }
-        sms.issue(req, {});
+        sms.issue(req, reply);
         break;
       }
     }
@@ -305,6 +308,117 @@ TEST(ReorderProperty, RandomCompletionOrderPreservesFlowOrder) {
       ASSERT_EQ(seq, seen[flow]++) << "flow " << flow << " out of order";
     }
   }
+}
+
+TEST(ReorderProperty, StreamMatchesPerFlowFifoModel) {
+  // Interleaved opens, attaches and closes over 8 flows. A ticket on flow
+  // 7 stays open while thousands of tickets pass, so the ticket ring wraps
+  // and grows past its starting capacity; every release and pending() is
+  // checked against a per-flow FIFO model after every operation.
+  sim::Rng rng(0x71c4e7);
+  std::vector<std::uint32_t> released;
+  trio::ReorderEngine re([&](trio::ReorderEngine::Output out) {
+    released.push_back(out.nexthop_id);
+  });
+  struct ModelTicket {
+    std::uint64_t id;
+    bool closed = false;
+    std::vector<std::uint32_t> outputs;
+  };
+  std::array<std::deque<ModelTicket>, 8> model;  // unreleased, open order
+  std::vector<std::uint32_t> expected;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> open;  // id, flow
+  std::size_t model_pending = 0;
+  std::uint32_t next_output = 0;
+  std::uint64_t released_id = 0;  // some released ticket
+  std::uint64_t blocked_id = 0;   // a closed ticket behind the held one
+
+  const auto model_ticket = [&](std::uint64_t id, std::uint64_t flow) {
+    for (ModelTicket& t : model[flow]) {
+      if (t.id == id) return &t;
+    }
+    return static_cast<ModelTicket*>(nullptr);
+  };
+  const auto open_ticket = [&](std::uint64_t flow) {
+    const std::uint64_t id = re.open(flow);
+    model[flow].push_back({id, false, {}});
+    open.emplace_back(id, flow);
+    ++model_pending;
+    return id;
+  };
+  const auto close_at = [&](std::size_t k) {
+    const auto [id, flow] = open[k];
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+    re.close(id);
+    model_ticket(id, flow)->closed = true;
+    auto& q = model[flow];
+    while (!q.empty() && q.front().closed) {
+      expected.insert(expected.end(), q.front().outputs.begin(),
+                      q.front().outputs.end());
+      q.pop_front();
+      --model_pending;
+    }
+    if (model_ticket(id, flow) == nullptr) {
+      released_id = id;
+    } else if (flow == 7) {
+      blocked_id = id;  // stays blocked while the held ticket is open
+    }
+  };
+
+  const std::uint64_t held = open_ticket(7);
+  const std::size_t start_capacity = re.capacity();
+  std::size_t passed = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t r = rng.next_below(10);
+    if (r < 4 || open.size() < 2) {
+      open_ticket(rng.next_below(8));
+      ++passed;
+    } else if (r < 7) {
+      // Attach 0-3 outputs to a random open ticket.
+      const auto [id, flow] = open[rng.next_below(open.size())];
+      const std::uint64_t n = rng.next_below(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        re.attach(id, {nullptr, next_output});
+        model_ticket(id, flow)->outputs.push_back(next_output++);
+      }
+    } else {
+      // Close any open ticket but the held one (open[0]).
+      close_at(1 + rng.next_below(open.size() - 1));
+    }
+    ASSERT_EQ(released, expected) << "after operation " << op;
+    ASSERT_EQ(re.pending(), model_pending) << "after operation " << op;
+  }
+  ASSERT_EQ(open[0].first, held);
+  EXPECT_GT(passed, start_capacity);
+  EXPECT_GT(re.capacity(), start_capacity) << "the ring never grew";
+
+  // Unknown tickets (released, never opened) and double closes throw.
+  const auto throws = [](const auto& fn, const std::string& what) {
+    try {
+      fn();
+    } catch (const std::logic_error& e) {
+      return std::string(e.what()).find(what) != std::string::npos;
+    }
+    return false;
+  };
+  ASSERT_NE(released_id, 0u);
+  ASSERT_NE(blocked_id, 0u);
+  EXPECT_TRUE(throws([&] { re.close(released_id); }, "unknown ticket"));
+  EXPECT_TRUE(throws([&] { re.attach(released_id, {nullptr, 0}); },
+                     "unknown ticket"));
+  const std::uint64_t newest = open_ticket(0);
+  EXPECT_TRUE(throws([&] { re.close(newest + 1000); }, "unknown ticket"));
+  EXPECT_TRUE(throws([&] { re.close(blocked_id); }, "closed twice"));
+  EXPECT_TRUE(throws([&] { re.attach(blocked_id, {nullptr, 0}); },
+                     "already closed"));
+  EXPECT_EQ(re.pending(), model_pending);
+  EXPECT_EQ(released, expected);
+
+  // Closing the held ticket last drains flow 7 in order.
+  while (open.size() > 1) close_at(open.size() - 1);
+  close_at(0);
+  EXPECT_EQ(released, expected);
+  EXPECT_EQ(re.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 // the quantitative behaviours the calibration model promises.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "trio/router.hpp"
 
 namespace {
@@ -190,9 +193,10 @@ TEST(Mqss, RejectsOversizedChunks) {
   trio::Calibration c;
   trio::Mqss mqss(sim, c);
   net::Packet pkt{net::Buffer(1000)};
-  EXPECT_THROW(mqss.tail_read(pkt, 0, 128, {}), std::invalid_argument);
-  EXPECT_THROW(mqss.tail_read(pkt, 900, 64, {}), std::out_of_range);
-  EXPECT_THROW(mqss.pmem_write(512, {}), std::invalid_argument);
+  trio::XtxnReply reply;
+  EXPECT_THROW(mqss.tail_read(pkt, 0, 128, reply), std::invalid_argument);
+  EXPECT_THROW(mqss.tail_read(pkt, 900, 64, reply), std::out_of_range);
+  EXPECT_THROW(mqss.pmem_write(512, reply), std::invalid_argument);
 }
 
 TEST(Mqss, TailReadReturnsTheRightBytes) {
@@ -204,14 +208,149 @@ TEST(Mqss, TailReadReturnsTheRightBytes) {
     frame.set_u8(i, static_cast<std::uint8_t>(i));
   }
   net::Packet pkt{std::move(frame)};
-  std::vector<std::uint8_t> got;
-  mqss.tail_read(pkt, 10, 16,
-                 [&](trio::XtxnReply r) { got = std::move(r.data); });
-  sim.run();
-  ASSERT_EQ(got.size(), 16u);
+  trio::XtxnReply reply;
+  reply.ok = false;
+  reply.value = 7;
+  const sim::Time at = mqss.tail_read(pkt, 10, 16, reply);
+  // The bytes land at issue; the reply time is later.
+  EXPECT_GT(at, sim.now());
+  EXPECT_TRUE(reply.ok);
+  EXPECT_EQ(reply.value, 0u);
+  ASSERT_EQ(reply.data.size(), 16u);
   // Tail offset 10 = frame byte 192 + 10.
-  EXPECT_EQ(got[0], static_cast<std::uint8_t>(202));
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(reply.data[i], static_cast<std::uint8_t>(202 + i)) << i;
+  }
   EXPECT_EQ(mqss.tail_bytes_read(), 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Sync XTXN completion: the block writes the reply at issue, the PPE wakes
+// the thread at the reply time.
+
+/// Issues a sync SMS read, a sync hash lookup and a sync MQSS tail read,
+/// each followed by a posted XTXN, recording what every step sees.
+class SyncProbeProgram : public trio::PpeProgram {
+ public:
+  struct Seen {
+    sim::Time at;
+    trio::XtxnReply reply;
+  };
+  /// Called at each sync issue with the step's time and instruction count.
+  using OnIssue = std::function<void(const trio::XtxnRequest&, sim::Time,
+                                     std::uint32_t, const net::PacketPtr&)>;
+
+  SyncProbeProgram(sim::Simulator& sim, std::vector<trio::XtxnRequest> syncs,
+                   OnIssue on_issue, std::vector<Seen>* resumed,
+                   std::vector<Seen>* after_posted)
+      : sim_(sim),
+        syncs_(std::move(syncs)),
+        on_issue_(std::move(on_issue)),
+        resumed_(resumed),
+        after_posted_(after_posted) {}
+
+  trio::Action step(trio::ThreadContext& ctx) override {
+    // Odd steps follow a sync XTXN and issue a posted one; even steps
+    // after the first follow that posted XTXN and issue the next sync one.
+    const std::size_t stage = stage_++;
+    if (stage % 2 == 1) {
+      resumed_->push_back({sim_.now(), ctx.reply});
+      trio::ActAsyncXtxn wr;  // posted: must leave ctx.reply alone
+      wr.req.op = trio::XtxnOp::kWrite;
+      wr.req.addr = 8192;
+      wr.req.data.assign(8, 0x5a);
+      return wr;
+    }
+    if (stage > 0) after_posted_->push_back({sim_.now(), ctx.reply});
+    const std::size_t i = stage / 2;
+    if (i == syncs_.size()) return trio::ActExit{1};
+    trio::ActSyncXtxn sx;
+    sx.req = syncs_[i];
+    sx.instructions = static_cast<std::uint32_t>(2 + i);
+    on_issue_(sx.req, sim_.now(), sx.instructions, ctx.packet);
+    return sx;
+  }
+
+ private:
+  sim::Simulator& sim_;
+  std::vector<trio::XtxnRequest> syncs_;
+  OnIssue on_issue_;
+  std::vector<Seen>* resumed_;
+  std::vector<Seen>* after_posted_;
+  std::size_t stage_ = 0;
+};
+
+TEST(Ppe, SyncXtxnResumesAtItsReplyTime) {
+  sim::Simulator sim;
+  const trio::Calibration cal;
+  trio::Router router(sim, cal, 1, 2);
+  trio::Pfe& pfe = router.pfe(0);
+
+  // The same state in the PFE's blocks and in idle reference copies, so a
+  // reference issued at the same instant computes the same reply.
+  trio::SharedMemorySystem ref_sms(sim, cal);
+  trio::HwHashTable ref_hash(sim, cal);
+  trio::Mqss ref_mqss(sim, cal);
+  const std::uint64_t addr = pfe.sms().alloc_sram(64, 64);
+  std::vector<std::uint8_t> bytes(16);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = std::uint8_t(3 * i + 1);
+  pfe.sms().poke_bytes(addr, bytes);
+  ref_sms.poke_bytes(addr, bytes);
+  ASSERT_TRUE(pfe.hash_table().insert(0xfeed, 0xbeef));
+  ASSERT_TRUE(ref_hash.insert(0xfeed, 0xbeef));
+
+  std::vector<trio::XtxnRequest> syncs(3);
+  syncs[0].op = trio::XtxnOp::kRead;
+  syncs[0].addr = addr;
+  syncs[0].len = 16;
+  syncs[1].op = trio::XtxnOp::kHashLookup;
+  syncs[1].arg0 = 0xfeed;
+  syncs[2].op = trio::XtxnOp::kTailRead;
+  syncs[2].addr = 10;
+  syncs[2].len = 32;
+
+  std::vector<SyncProbeProgram::Seen> expected, resumed, after_posted;
+  auto on_issue = [&](const trio::XtxnRequest& req, sim::Time now,
+                      std::uint32_t k, const net::PacketPtr& pkt) {
+    // One thread on an idle PPE: the XTXN issues when the step's k
+    // instructions have run.
+    sim.schedule_at(now + cal.instr_latency * k, [&, req, pkt] {
+      SyncProbeProgram::Seen want;
+      if (req.op == trio::XtxnOp::kRead) {
+        want.at = ref_sms.issue(req, want.reply);
+      } else if (req.op == trio::XtxnOp::kHashLookup) {
+        want.at = ref_hash.issue(req, want.reply);
+      } else {
+        want.at = ref_mqss.tail_read(*pkt, req.addr, req.len, want.reply);
+      }
+      expected.push_back(std::move(want));
+    });
+  };
+  pfe.set_program_factory([&](const net::Packet&) -> trio::ProgramPtr {
+    return pfe.programs().make<SyncProbeProgram>(sim, syncs, on_issue,
+                                                 &resumed, &after_posted);
+  });
+  net::Buffer frame(400);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame.set_u8(i, static_cast<std::uint8_t>(i * 7));
+  }
+  router.receive(net::Packet::make(std::move(frame)), 0);
+  sim.run();
+
+  ASSERT_EQ(expected.size(), 3u);
+  ASSERT_EQ(resumed.size(), 3u);
+  ASSERT_EQ(after_posted.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(resumed[i].at, expected[i].at) << "sync XTXN " << i;
+    EXPECT_EQ(resumed[i].reply, expected[i].reply) << "sync XTXN " << i;
+    EXPECT_EQ(after_posted[i].reply, resumed[i].reply)
+        << "the posted XTXN after sync XTXN " << i << " changed ctx.reply";
+  }
+  EXPECT_EQ(resumed[0].reply.data, trio::XtxnPayload(bytes));
+  EXPECT_TRUE(resumed[1].reply.ok);
+  EXPECT_EQ(resumed[1].reply.value, 0xbeefu);
+  ASSERT_EQ(resumed[2].reply.data.size(), 32u);
+  EXPECT_EQ(resumed[2].reply.data[0], static_cast<std::uint8_t>(202 * 7));
 }
 
 // ---------------------------------------------------------------------------

@@ -112,28 +112,24 @@ TEST_F(HashTableTest, XtxnInterface) {
   ins.arg0 = 7;
   ins.arg1 = 700;
   trio::XtxnReply reply;
-  table.issue(ins, [&](trio::XtxnReply r) { reply = std::move(r); });
-  sim.run();
+  table.issue(ins, reply);
   EXPECT_TRUE(reply.ok);
 
   trio::XtxnRequest lu;
   lu.op = trio::XtxnOp::kHashLookup;
   lu.arg0 = 7;
-  table.issue(lu, [&](trio::XtxnReply r) { reply = std::move(r); });
-  sim.run();
+  table.issue(lu, reply);
   EXPECT_TRUE(reply.ok);
   EXPECT_EQ(reply.value, 700u);
 
   trio::XtxnRequest del;
   del.op = trio::XtxnOp::kHashDelete;
   del.arg0 = 7;
-  table.issue(del, [&](trio::XtxnReply r) { reply = std::move(r); });
-  sim.run();
+  table.issue(del, reply);
   EXPECT_TRUE(reply.ok);
   EXPECT_EQ(reply.value, 700u) << "delete reply carries the record value";
 
-  table.issue(del, [&](trio::XtxnReply r) { reply = std::move(r); });
-  sim.run();
+  table.issue(del, reply);
   EXPECT_FALSE(reply.ok);
 }
 
@@ -145,8 +141,7 @@ TEST_F(HashTableTest, XtxnScanReturnsPackedKeys) {
   scan.arg0 = std::uint64_t(1) << 32 | 0;  // parts=1, part=0
   scan.arg1 = 16;
   trio::XtxnReply reply;
-  table.issue(scan, [&](trio::XtxnReply r) { reply = std::move(r); });
-  sim.run();
+  table.issue(scan, reply);
   EXPECT_EQ(reply.value, 1u);
   ASSERT_EQ(reply.data.size(), 8u);
   std::uint64_t k = 0;

@@ -14,16 +14,20 @@ class SmsTest : public ::testing::Test {
   sim::Simulator sim;
   trio::Calibration cal;
   trio::SharedMemorySystem sms{sim, trio::Calibration{}};
+  trio::XtxnReply posted;  // reply of posted requests, unread
 
+  /// Issues `req` as a thread's sync XTXN would: the reply is written at
+  /// issue, and the clock then runs to the reply time the SMS returned.
   trio::XtxnReply issue_sync(trio::XtxnRequest req) {
     trio::XtxnReply out;
-    bool got = false;
-    sms.issue(req, [&](trio::XtxnReply r) {
-      out = std::move(r);
-      got = true;
-    });
+    const sim::Time issued = sim.now();
+    const sim::Time reply_at = sms.issue(req, out);
+    EXPECT_GT(reply_at, issued);
+    bool woke = false;
+    sim.schedule_at(reply_at, [&] { woke = true; });
     sim.run();
-    EXPECT_TRUE(got);
+    EXPECT_TRUE(woke);
+    EXPECT_EQ(sim.now(), reply_at);
     return out;
   }
 };
@@ -33,7 +37,7 @@ TEST_F(SmsTest, ReadWriteRoundTrip) {
   wr.op = trio::XtxnOp::kWrite;
   wr.addr = 128;
   wr.data = {1, 2, 3, 4, 5, 6, 7, 8};
-  sms.issue(wr, {});
+  sms.issue(wr, posted);
 
   trio::XtxnRequest rd;
   rd.op = trio::XtxnOp::kRead;
@@ -48,8 +52,8 @@ TEST_F(SmsTest, CounterIncUpdatesPacketAndByteHalves) {
   inc.op = trio::XtxnOp::kCounterInc;
   inc.addr = 256;
   inc.arg0 = 1500;
-  sms.issue(inc, {});
-  sms.issue(inc, {});
+  sms.issue(inc, posted);
+  sms.issue(inc, posted);
   EXPECT_EQ(sms.peek_u64(256), 2u);        // packets
   EXPECT_EQ(sms.peek_u64(256 + 8), 3000u);  // bytes
 }
@@ -101,7 +105,7 @@ TEST_F(SmsTest, MaskedWrite) {
   req.addr = 704;
   req.arg0 = 0x5555555555555555ull;  // value
   req.arg1 = 0x00000000ffffffffull;  // mask: low half only
-  sms.issue(req, {});
+  sms.issue(req, posted);
   EXPECT_EQ(sms.peek_u64(704), 0xaaaaaaaa55555555ull);
 }
 
@@ -114,8 +118,8 @@ TEST_F(SmsTest, AddVec32SumsGradients) {
   req.op = trio::XtxnOp::kAddVec32;
   req.addr = 1024;
   req.data = grads;
-  sms.issue(req, {});
-  sms.issue(req, {});
+  sms.issue(req, posted);
+  sms.issue(req, posted);
   EXPECT_EQ(sms.peek_u32(1024), 20u);
   EXPECT_EQ(sms.peek_u32(1028), 40u);
   EXPECT_EQ(sms.peek_u32(1032), 60u);
@@ -129,7 +133,7 @@ TEST_F(SmsTest, AddVec32WrapsAround32Bits) {
   req.op = trio::XtxnOp::kAddVec32;
   req.addr = 2048;
   req.data = {2, 0, 0, 0};
-  sms.issue(req, {});
+  sms.issue(req, posted);
   EXPECT_EQ(sms.peek_u32(2048), 1u);  // modular arithmetic, no spill
 }
 
@@ -172,13 +176,13 @@ TEST_F(SmsTest, SramLatencyFasterThanDram) {
   sram.addr = 64;  // SRAM region
   sram.len = 8;
   const sim::Time t0 = sim.now();
-  const sim::Time sram_reply = sms.issue(sram, {});
+  const sim::Time sram_reply = sms.issue(sram, posted);
 
   trio::XtxnRequest dram;
   dram.op = trio::XtxnOp::kRead;
   dram.addr = sms.dram_base() + (100u << 20);  // cold DRAM line
   dram.len = 8;
-  const sim::Time dram_reply = sms.issue(dram, {});
+  const sim::Time dram_reply = sms.issue(dram, posted);
   EXPECT_LT((sram_reply - t0).ns(), 150);
   EXPECT_GT((dram_reply - t0).ns(), 300);
 }
@@ -188,15 +192,15 @@ TEST_F(SmsTest, DramCacheHitsAfterFirstTouch) {
   rd.op = trio::XtxnOp::kRead;
   rd.addr = sms.dram_base() + 4096;
   rd.len = 8;
-  sms.issue(rd, {});
+  sms.issue(rd, posted);
   EXPECT_EQ(sms.dram_cache_misses(), 1u);
-  sms.issue(rd, {});
+  sms.issue(rd, posted);
   EXPECT_EQ(sms.dram_cache_hits(), 1u);
   // A line one cache size (16 MiB) away maps to the same set and evicts it.
   rd.addr += cal.dram_cache_bytes;
-  sms.issue(rd, {});
+  sms.issue(rd, posted);
   rd.addr -= cal.dram_cache_bytes;
-  sms.issue(rd, {});
+  sms.issue(rd, posted);
   EXPECT_EQ(sms.dram_cache_hits(), 1u);
   EXPECT_EQ(sms.dram_cache_misses(), 3u);
 }
@@ -209,7 +213,7 @@ TEST_F(SmsTest, BankSerializationCreatesBackpressure) {
   add.addr = 0;  // bank 0
   add.data.assign(64, 1);  // 16 adds x 2 cycles = 32 cycles service
   sim::Time last;
-  for (int i = 0; i < 10; ++i) last = sms.issue(add, {});
+  for (int i = 0; i < 10; ++i) last = sms.issue(add, posted);
   // Total >= 10 * 32 cycles of service on one engine.
   EXPECT_GE((last - sim.now()).ns(), 10 * 32 - 32);
 }
@@ -231,12 +235,12 @@ TEST_F(SmsTest, LineOwnershipModeIsSlower) {
   add.data.assign(64, 1);
 
   sim::Time rmw_last;
-  for (int i = 0; i < 20; ++i) rmw_last = sms.issue(add, {});
+  for (int i = 0; i < 20; ++i) rmw_last = sms.issue(add, posted);
 
   trio::SharedMemorySystem slow(sim, trio::Calibration{});
   slow.set_line_ownership_mode(true);
   sim::Time own_last;
-  for (int i = 0; i < 20; ++i) own_last = slow.issue(add, {});
+  for (int i = 0; i < 20; ++i) own_last = slow.issue(add, posted);
   EXPECT_GT((own_last - sim.now()).ns(), 2 * (rmw_last - sim.now()).ns());
 }
 
@@ -259,7 +263,7 @@ TEST_F(SmsTest, OutOfRangeAccessThrows) {
   rd.op = trio::XtxnOp::kRead;
   rd.addr = sms.dram_base() + trio::Calibration{}.dram_bytes;
   rd.len = 8;
-  EXPECT_THROW(sms.issue(rd, {}), std::out_of_range);
+  EXPECT_THROW(sms.issue(rd, posted), std::out_of_range);
 }
 
 TEST_F(SmsTest, AccessesPastTheEndThrowBeforeTouchingMemory) {
@@ -470,14 +474,15 @@ TEST_F(SmsTest, StoreMatchesAByteModelUnderRandomOperations) {
           break;
       }
       if (!in_range(span)) {
-        EXPECT_THROW(sms.issue(req, {}), std::out_of_range);
+        EXPECT_THROW(sms.issue(req, posted), std::out_of_range);
         continue;
       }
       const auto now_ns = std::uint64_t(sim.now().ns());
       switch (req.op) {
         case trio::XtxnOp::kRead:
+          want.data.resize(req.len);
           for (std::uint64_t i = 0; i < req.len; ++i) {
-            want.data.push_back(model.get(addr + i));
+            want.data[i] = model.get(addr + i);
           }
           break;
         case trio::XtxnOp::kWrite:
@@ -596,7 +601,7 @@ TEST_F(SmsTest, DramCacheMatchesADirectMappedReference) {
     const std::uint64_t slab = slabs[rng() % slabs.size()];
     for (std::uint64_t off = 0; off < 4096; off += 64) {
       add.addr = slab + off;
-      sms.issue(add, {});
+      sms.issue(add, posted);
       const std::uint64_t line = add.addr / cal.bank_interleave;
       auto [it, fresh] = tags.try_emplace(line % sets, line);
       if (!fresh && it->second == line) {
