@@ -109,7 +109,7 @@ struct ModeResult {
 
 /// One allreduce burst plus background streams on every host, simulated
 /// to exactly `horizon` in both modes (the queue never drains: packet
-/// emitters or fluid wakeups keep it busy, so run_allreduce returns at
+/// sources or fluid wakeups keep it busy, so run_allreduce returns at
 /// the deadline — an identical driver for a fair wall-clock comparison).
 ModeResult run_mode(const cluster::ClusterSpec& spec, double load,
                     bool forced_packet, const faults::FaultSchedule* schedule,

@@ -13,10 +13,9 @@ BestEffortSource::BestEffortSource(sim::Simulator& simulator,
   if (config_.load <= 0.0 || config_.load > 1.0) {
     throw std::invalid_argument("best-effort load must be in (0, 1]");
   }
-  // A frame every wire-time / load: load=1.0 saturates the link.
-  const std::size_t frame_bytes =
-      net::UdpFrameLayout::kPayloadOff + config_.frame_payload_bytes;
-  const auto wire = tx_.serialization_delay(frame_bytes);
+  // A frame every wire-time / load: load=1.0 saturates the link. The wire
+  // time is the line rate's, so fluid load on the link does not slow it.
+  const auto wire = net::wire_time(kFrameBytes, tx_.gbps());
   interval_ = sim::Duration(
       static_cast<std::int64_t>(double(wire.ns()) / config_.load + 0.5));
 }
@@ -41,7 +40,7 @@ void BestEffortSource::emit() {
     running_ = false;
     return;
   }
-  std::vector<std::uint8_t> payload(config_.frame_payload_bytes, 0xbe);
+  std::vector<std::uint8_t> payload(kFramePayloadBytes, 0xbe);
   auto frame = net::build_udp_frame(
       config_.eth_src, config_.eth_dst, config_.ip_src, config_.ip_dst,
       trioml::best_effort_src_port(config_.tenant), /*udp_dst=*/9, payload);

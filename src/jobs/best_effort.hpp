@@ -19,6 +19,11 @@ namespace jobs {
 
 class BestEffortSource {
  public:
+  /// UDP payload of every frame, and the frame's bytes on the wire.
+  static constexpr std::size_t kFramePayloadBytes = 1400;
+  static constexpr std::size_t kFrameBytes =
+      net::UdpFrameLayout::kPayloadOff + kFramePayloadBytes;
+
   struct Config {
     std::uint8_t tenant = 0;
     net::MacAddr eth_src{};
@@ -27,7 +32,6 @@ class BestEffortSource {
     net::Ipv4Addr ip_dst;
     /// Offered load as a fraction of the injection link's line rate.
     double load = 1.0;
-    std::size_t frame_payload_bytes = 1400;
   };
 
   BestEffortSource(sim::Simulator& simulator, net::LinkEndpoint& tx,

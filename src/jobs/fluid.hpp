@@ -7,17 +7,17 @@
 // rate observer (LinkEndpoint::set_fluid_load) — and owns the *streams*:
 // best-effort aggressors demoted to fluid mode (docs/fluid.md
 // "Eligibility"). A stream is an open-ended paced UDP stream up one host
-// link and its rack trunk, byte-compatible with jobs::BestEffortSource.
+// link and its rack trunk: a jobs::BestEffortSource while it is packets.
 //
 // Packet-fidelity regions demote nothing and re-materialise everything:
 // while any region is active (enter_packet_mode/exit_packet_mode nest),
-// every stream's fluid flow is paused and a per-stream Emitter injects
-// real net::Packet frames — built exactly like the packet-mode
-// generators, sent on the stream's real LinkEndpoint, crossing domains
-// as ordinary cross-domain deliveries — so losses, QoS and RMW effects
-// inside the region are packet-exact. On exit the flow resumes its fluid
-// rate. observe(FaultSchedule) precomputes every fault's active window
-// and enters/exits it via deterministic global actions, padded by
+// every stream's fluid flow is paused and its BestEffortSource injects
+// real net::Packet frames — the packet-mode generator itself, sending on
+// the stream's real LinkEndpoint, crossing domains as ordinary
+// cross-domain deliveries — so losses, QoS and RMW effects inside the
+// region are packet-exact. On exit the source stops and the flow resumes
+// its fluid rate. observe(FaultSchedule) precomputes every fault's active
+// window and enters/exits it via deterministic global actions, padded by
 // kWindowPadding for loss tails.
 //
 // Every transition runs as a ShardedSimulator global action, so the
@@ -34,8 +34,8 @@
 
 #include "cluster/cluster.hpp"
 #include "faults/schedule.hpp"
+#include "jobs/best_effort.hpp"
 #include "net/link.hpp"
-#include "net/packet.hpp"
 #include "sim/fluid.hpp"
 
 namespace jobs {
@@ -46,9 +46,6 @@ class FluidController {
   /// back to fluid mode: retransmits and queue drain caused *inside* the
   /// window still see packet fidelity.
   static constexpr sim::Duration kWindowPadding = sim::Duration::micros(100);
-  /// Frame payload of re-materialised streams (matches
-  /// BestEffortSource::Config::frame_payload_bytes).
-  static constexpr std::size_t kFramePayloadBytes = 1400;
 
   explicit FluidController(cluster::Cluster& cluster);
   FluidController(const FluidController&) = delete;
@@ -70,7 +67,7 @@ class FluidController {
   void exit_packet_mode();
   bool packet_mode() const { return packet_depth_ > 0; }
 
-  /// Stops fluid wakeups and emitters; pending transitions no-op. The run
+  /// Stops fluid wakeups and sources; pending transitions no-op. The run
   /// cannot drain before this is called, and a stopped controller stays
   /// stopped.
   void stop();
@@ -82,42 +79,19 @@ class FluidController {
   /// Real frames injected by re-materialised streams.
   std::uint64_t packet_frames() const;
   /// Wire bytes those frames carried.
-  std::uint64_t packet_bytes() const;
+  std::uint64_t packet_bytes() const {
+    return packet_frames() * BestEffortSource::kFrameBytes;
+  }
   /// Bytes advanced in fluid mode across all streams.
   std::uint64_t fluid_bytes() const { return fluid_.fluid_bytes_total(); }
   std::uint64_t windows_observed() const { return windows_observed_; }
 
  private:
-  /// One re-materialisation emitter: a paced frame generator bound to the
-  /// stream's injection endpoint, running on that endpoint's domain
-  /// simulator (frames then take the normal send path).
-  struct Emitter {
-    Emitter() = default;
-    Emitter(const Emitter&) = delete;  // scheduled callbacks hold `this`
-    Emitter& operator=(const Emitter&) = delete;
-
-    sim::Simulator* sim = nullptr;
-    net::LinkEndpoint* tx = nullptr;
-    net::MacAddr eth_src{};
-    net::MacAddr eth_dst{};
-    net::Ipv4Addr ip_src;
-    net::Ipv4Addr ip_dst;
-    std::uint8_t tenant = 0;
-    sim::Duration interval;  // frame wire time at line rate / load
-    bool running = false;
-    sim::EventId next{};
-    std::uint64_t frames_total = 0;
-    std::uint64_t bytes_total = 0;
-
-    /// Transitions run with every shard parked at the engine's clock, so
-    /// the first frame leaves at the domain simulator's now().
-    void start();
-    void stop();
-    void emit();
-  };
+  /// A stream's source runs on its host link's domain simulator, so its
+  /// frames take the normal send path.
   struct Stream {
     sim::FluidEngine::FlowId flow = 0;
-    Emitter emitter;
+    BestEffortSource source;
   };
 
   sim::FluidEngine::LinkId map_endpoint(net::LinkEndpoint& ep,
@@ -129,7 +103,7 @@ class FluidController {
   // Lazily-built physical-endpoint -> fluid-link tables (-1 = unmapped).
   std::vector<int> host_up_;
   std::vector<int> trunk_up_;
-  std::deque<Stream> streams_;  // a deque keeps emitter addresses stable
+  std::deque<Stream> streams_;  // a deque keeps source addresses stable
   int packet_depth_ = 0;
   bool stopped_ = false;
   std::uint64_t transitions_ = 0;

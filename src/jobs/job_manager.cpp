@@ -357,18 +357,14 @@ void JobManager::apply_weight(TenantId id, std::uint32_t weight) {
   for (auto* router : routers()) router->set_tenant_weight(id, weight);
 }
 
-void JobManager::enable_isolation(std::uint32_t partitions,
-                                  std::size_t queue_frames) {
+void JobManager::enable_isolation(std::uint32_t partitions) {
   if (isolation_) return;
   isolation_ = true;
-  qos_queue_frames_ = queue_frames;
   for (auto* router : routers()) {
     router->pfe(0).hash_table().enable_key_partitions(partitions);
-    router->enable_tenant_qos(
-        [](const net::Packet& pkt) {
-          return trioml::tenant_of_frame(pkt.frame());
-        },
-        queue_frames);
+    router->enable_tenant_qos([](const net::Packet& pkt) {
+      return trioml::tenant_of_frame(pkt.frame());
+    });
     // The untenanted class first, then every admitted tenant in admission
     // order: WDRR visit order is registration order, so replays are
     // deterministic.

@@ -104,11 +104,10 @@ class JobManager {
   /// Turns on per-tenant fabric isolation on every router: hash-table key
   /// partitioning (`partitions` slices; tenants with distinct ids modulo
   /// `partitions` cannot evict each other's buckets) and MQSS weighted
-  /// per-tenant egress queues (`queue_frames` per tenant per port).
-  /// Admitted tenants' weights are applied; later admissions register
-  /// theirs on entry.
-  void enable_isolation(std::uint32_t partitions = 8,
-                        std::size_t queue_frames = 256);
+  /// per-tenant egress queues (MqssTenantScheduler::kQueueFrames per
+  /// tenant per port). Admitted tenants' weights are applied; later
+  /// admissions register theirs on entry.
+  void enable_isolation(std::uint32_t partitions = 8);
   bool isolation_enabled() const { return isolation_; }
 
   /// Runs every admitted tenant concurrently: each allreduce tenant's
@@ -210,7 +209,6 @@ class JobManager {
   std::map<TenantId, Tenant> tenants_;           // ordered: admission replay
   std::vector<TenantId> admission_order_;
   bool isolation_ = false;
-  std::size_t qos_queue_frames_ = 256;
   std::unique_ptr<netrpc::NetRpcApp> netrpc_app_;
   sim::Duration netrpc_aging_ = sim::Duration::micros(200);
 };

@@ -368,13 +368,13 @@ MicrocodeThread::Control MicrocodeThread::exec_stmt(
         emit.pkt = ctx.packet;
         emit.nexthop_id = static_cast<std::uint32_t>(args[0]);
         emit.instructions = 0;
-        drained_.push_back(std::move(emit));
+        pending_.push_back(std::move(emit));
         return {};
       }
       trio::ActAsyncXtxn ax;
       ax.req = build_request(s.name, args, s.line, s.col, ctx);
       ax.instructions = 0;
-      drained_.push_back(std::move(ax));
+      pending_.push_back(std::move(ax));
       return {};
     }
   }
@@ -400,11 +400,7 @@ MicrocodeThread::Control MicrocodeThread::exec_block(
 }
 
 trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
-  if (!drained_.empty()) {
-    trio::Action a = std::move(drained_.front());
-    drained_.erase(drained_.begin());
-    return a;
-  }
+  if (!pending_.empty()) return pending_.pop_front();
   if (exited_) return trio::ActExit{0};
   if (!started_) {
     started_ = true;
@@ -427,7 +423,7 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
   Control c = exec_block(ctx);
 
   // Translate the block's control transfer into the primary action; any
-  // posted XTXNs / emits collected in drained_ follow as zero-instruction
+  // posted XTXNs / emits collected in pending_ follow as zero-instruction
   // actions (they belong to this same micro-instruction).
   trio::Action primary;
   switch (c.kind) {
@@ -473,17 +469,14 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
       break;
   }
 
-  if (!drained_.empty()) {
+  if (!pending_.empty()) {
     // Emit/posted actions first (they happen inside the instruction),
     // then the control action. Charge the single instruction on the first
-    // action returned.
-    drained_.push_back(std::move(primary));
-    trio::Action first = std::move(drained_.front());
-    drained_.erase(drained_.begin());
+    // action returned; the rest carry none.
+    std::visit([](auto& a) { a.instructions = 0; }, primary);
+    pending_.push_back(std::move(primary));
+    trio::Action first = pending_.pop_front();
     std::visit([](auto& a) { a.instructions = 1; }, first);
-    for (auto& rest : drained_) {
-      std::visit([](auto& a) { a.instructions = 0; }, rest);
-    }
     return first;
   }
   return primary;
@@ -491,7 +484,7 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
 
 trio::ProgramFactory make_program_factory(
     std::shared_ptr<const CompiledProgram> program) {
-  return [program](const net::Packet&) -> std::unique_ptr<trio::PpeProgram> {
+  return [program](const net::Packet&) -> trio::ProgramPtr {
     return std::make_unique<MicrocodeThread>(program);
   };
 }

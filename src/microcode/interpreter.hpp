@@ -70,7 +70,7 @@ class MicrocodeThread : public trio::PpeProgram {
 
   // Posted XTXNs / emits produced by the current block, drained as
   // zero-instruction actions after the block's own instruction charge.
-  std::vector<trio::Action> drained_;
+  trio::ActionQueue pending_;
 
   std::vector<std::pair<std::size_t, std::size_t>> call_stack_;
 

@@ -22,11 +22,7 @@ void BufferPool::recycle(std::vector<std::uint8_t>&& storage) {
 }
 
 Buffer BufferPool::acquire(std::size_t size) {
-  if (free_.empty()) {
-    ++misses_;
-    return Buffer(size);
-  }
-  ++hits_;
+  if (free_.empty()) return Buffer(size);
   std::vector<std::uint8_t> storage = std::move(free_.back());
   free_.pop_back();
   storage.assign(size, 0);  // reuses capacity; matches Buffer(size) zeroing
@@ -34,11 +30,7 @@ Buffer BufferPool::acquire(std::size_t size) {
 }
 
 Buffer BufferPool::copy(const Buffer& src) {
-  if (free_.empty()) {
-    ++misses_;
-    return src;
-  }
-  ++hits_;
+  if (free_.empty()) return src;
   std::vector<std::uint8_t> storage = std::move(free_.back());
   free_.pop_back();
   const auto bytes = src.bytes();
@@ -53,7 +45,5 @@ void BufferPool::release(std::vector<std::uint8_t>&& storage) {
   }
   free_.push_back(std::move(storage));
 }
-
-void BufferPool::clear() { free_.clear(); }
 
 }  // namespace net

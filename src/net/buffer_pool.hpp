@@ -47,21 +47,11 @@ class BufferPool {
   /// A pooled copy of `src` (same bytes, recycled storage).
   Buffer copy(const Buffer& src);
 
-  void release(std::vector<std::uint8_t>&& storage);
-
-  /// Drops all parked storage (tests).
-  void clear();
-
-  std::size_t parked() const { return free_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
  private:
   static bool& alive_flag();
+  void release(std::vector<std::uint8_t>&& storage);
 
   std::vector<std::vector<std::uint8_t>> free_;
-  std::uint64_t hits_ = 0;    // acquires served from the freelist
-  std::uint64_t misses_ = 0;  // acquires that hit the allocator
 };
 
 }  // namespace net

@@ -43,6 +43,13 @@ struct GilbertElliott {
   double loss_bad = 1.0;
 };
 
+/// Time `bytes` occupy a wire of `gbps`, rounded to the nearest ns.
+inline sim::Duration wire_time(std::size_t bytes, double gbps) {
+  // bits / (Gbps) = ns exactly when bandwidth is in bits/ns.
+  return sim::Duration(static_cast<std::int64_t>(
+      static_cast<double>(bytes) * 8.0 / gbps + 0.5));
+}
+
 /// One direction of a link.
 class LinkEndpoint {
  public:
@@ -137,9 +144,7 @@ class LinkEndpoint {
   sim::Time busy_until() const { return busy_until_; }
 
   sim::Duration serialization_delay(std::size_t bytes) const {
-    // bits / (Gbps) = ns exactly when bandwidth is in bits/ns.
-    return sim::Duration(static_cast<std::int64_t>(
-        static_cast<double>(bytes) * 8.0 / effective_gbps() + 0.5));
+    return wire_time(bytes, effective_gbps());
   }
 
   /// Registers `<prefix>tx_frames`, `<prefix>tx_bytes`, `<prefix>rx_frames`

@@ -14,46 +14,13 @@
 #include "net/buffer.hpp"
 #include "net/buffer_pool.hpp"
 #include "net/headers.hpp"
+#include "sim/recycler.hpp"
 #include "sim/time.hpp"
 
 namespace net {
 
 class Packet;
 using PacketPtr = std::shared_ptr<Packet>;
-
-namespace detail {
-
-/// Thread-local freelist for the allocate_shared<Packet> cell (control
-/// block + Packet in one allocation). Every cell has the same size, so a
-/// plain pointer stack suffices; mismatched sizes fall through to the
-/// global allocator.
-class PacketCellPool {
- public:
-  static void* allocate(std::size_t bytes);
-  static void deallocate(void* p, std::size_t bytes) noexcept;
-  /// Cells handed back out of the freelist (allocation-test observability).
-  static std::uint64_t reuses();
-};
-
-template <typename T>
-struct PacketCellAllocator {
-  using value_type = T;
-  PacketCellAllocator() = default;
-  template <typename U>
-  PacketCellAllocator(const PacketCellAllocator<U>&) {}  // NOLINT
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(PacketCellPool::allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    PacketCellPool::deallocate(p, n * sizeof(T));
-  }
-  template <typename U>
-  bool operator==(const PacketCellAllocator<U>&) const {
-    return true;
-  }
-};
-
-}  // namespace detail
 
 class Packet {
  public:
@@ -72,10 +39,10 @@ class Packet {
   Packet& operator=(Packet&&) = default;
 
   /// Pooled allocation: the shared_ptr control block and the Packet live
-  /// in one recycled cell, so steady-state packet churn never touches the
-  /// allocator (docs/performance.md).
+  /// in one cell from the thread-local recycler, so steady-state packet
+  /// churn never touches the allocator (docs/performance.md).
   static PacketPtr make(Buffer&& frame) {
-    return std::allocate_shared<Packet>(detail::PacketCellAllocator<Packet>{},
+    return std::allocate_shared<Packet>(sim::RecyclingAllocator<Packet>{},
                                         std::move(frame));
   }
 

@@ -1,6 +1,5 @@
 #include "netrpc/app.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 #include "telemetry/trace.hpp"
@@ -77,11 +76,7 @@ class PendingScanProgram : public trio::PpeProgram {
   }
 
   trio::Action step(trio::ThreadContext& ctx) override {
-    if (!pending_.empty()) {
-      trio::Action a = std::move(pending_.front());
-      pending_.pop_front();
-      return a;
-    }
+    if (!pending_.empty()) return pending_.pop_front();
     return do_step(ctx);
   }
 
@@ -251,7 +246,7 @@ class PendingScanProgram : public trio::PpeProgram {
   State state_ = State::kNextSlot;
   std::uint64_t owner_ = 0;
   std::uint32_t arrived_ = 0;
-  std::deque<trio::Action> pending_;
+  trio::ActionQueue pending_;
 };
 
 /// Ages the hot-key cache: a check-and-clear REF scan per tenant (keys
@@ -267,11 +262,7 @@ class CacheScanProgram : public trio::PpeProgram {
   }
 
   trio::Action step(trio::ThreadContext& ctx) override {
-    if (!pending_.empty()) {
-      trio::Action a = std::move(pending_.front());
-      pending_.pop_front();
-      return a;
-    }
+    if (!pending_.empty()) return pending_.pop_front();
     return do_step(ctx);
   }
 
@@ -370,7 +361,7 @@ class CacheScanProgram : public trio::PpeProgram {
   State state_ = State::kScan;
   std::vector<std::uint64_t> aged_;
   std::size_t next_ = 0;
-  std::deque<trio::Action> pending_;
+  trio::ActionQueue pending_;
 };
 
 }  // namespace
@@ -464,17 +455,16 @@ void NetRpcApp::install() {
             if (it->second.bypass) {
               // In-network assist off: the frame is ordinary IP traffic.
               if (fallback) return fallback(pkt);
-              return pfe_.router().make_forwarding_program(pfe_.programs());
+              return pfe_.router().make_forwarding_program();
             }
             ++stats_.packets;
-            return pfe_.programs().make<NetRpcThread>(*this,
-                                                      it->second.program);
+            return std::make_unique<NetRpcThread>(*this, it->second.program);
           }
           ++stats_.dropped_no_service;
           return nullptr;  // NetRPC frame for a tenant we don't serve
         }
         if (fallback) return fallback(pkt);
-        return pfe_.router().make_forwarding_program(pfe_.programs());
+        return pfe_.router().make_forwarding_program();
       });
 }
 
@@ -489,11 +479,11 @@ void NetRpcApp::start_aging(sim::Duration period) {
   // (degraded completion), index 1 ages the cache (REF scan).
   aging_group_ = pfe_.timers().start(
       2, period,
-      [this](std::uint32_t timer_index) {
+      [this](std::uint32_t timer_index) -> trio::ProgramPtr {
         if (timer_index == 0) {
-          return pfe_.programs().make<PendingScanProgram>(*this);
+          return std::make_unique<PendingScanProgram>(*this);
         }
-        return pfe_.programs().make<CacheScanProgram>(*this);
+        return std::make_unique<CacheScanProgram>(*this);
       });
 }
 

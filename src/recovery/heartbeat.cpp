@@ -100,7 +100,7 @@ void HeartbeatMonitor::start() {
         [this, i](std::uint32_t) -> trio::ProgramPtr {
           trio::Router& router = *watched_[std::size_t(i)].router;
           if (router.killed()) return nullptr;
-          return router.pfe(0).programs().make<HeartbeatProgram>(*this, i);
+          return std::make_unique<HeartbeatProgram>(*this, i);
         });
   }
   schedule_check();

@@ -129,7 +129,7 @@ class SandboxProgram : public PpeProgram {
         return emit;
       }
       if (std::holds_alternative<DefaultForwardOp>(op)) {
-        delegate_ = pfe_.router().make_forwarding_program(pfe_.programs());
+        delegate_ = pfe_.router().make_forwarding_program();
         return delegate_->step(ctx);
       }
       ++idx_;
@@ -137,7 +137,7 @@ class SandboxProgram : public PpeProgram {
     // Chain exhausted: if nothing emitted the packet, take the default
     // forwarding path (a sandbox augments forwarding, §3.1).
     if (emitted_) return ActExit{1};
-    delegate_ = pfe_.router().make_forwarding_program(pfe_.programs());
+    delegate_ = pfe_.router().make_forwarding_program();
     return delegate_->step(ctx);
   }
 
@@ -165,10 +165,10 @@ void AfiHost::attach() {
       [this](const net::Packet& pkt) -> ProgramPtr {
         for (auto& b : bindings_) {
           if (b.match(pkt)) {
-            return pfe_.programs().make<SandboxProgram>(*b.sandbox, pfe_);
+            return std::make_unique<SandboxProgram>(*b.sandbox, pfe_);
           }
         }
-        return pfe_.router().make_forwarding_program(pfe_.programs());
+        return pfe_.router().make_forwarding_program();
       });
 }
 

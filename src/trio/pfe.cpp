@@ -70,16 +70,8 @@ sim::Time Mqss::pmem_write(std::size_t len, XtxnReply& reply) {
 // MqssTenantScheduler
 
 MqssTenantScheduler::MqssTenantScheduler(sim::Simulator& simulator,
-                                         net::LinkEndpoint& tx, SendFn send,
-                                         std::size_t queue_frames)
-    : sim_(simulator),
-      tx_(tx),
-      send_(std::move(send)),
-      queue_frames_(queue_frames) {
-  if (queue_frames_ == 0) {
-    throw std::invalid_argument("MqssTenantScheduler: zero queue depth");
-  }
-}
+                                         net::LinkEndpoint& tx, SendFn send)
+    : sim_(simulator), tx_(tx), send_(std::move(send)) {}
 
 MqssTenantScheduler::TenantQueue& MqssTenantScheduler::queue_of(
     std::uint8_t tenant) {
@@ -123,7 +115,7 @@ std::uint64_t MqssTenantScheduler::sent(std::uint8_t tenant) const {
 
 bool MqssTenantScheduler::enqueue(std::uint8_t tenant, net::PacketPtr pkt) {
   TenantQueue& q = queue_of(tenant);
-  if (q.fifo.size() >= queue_frames_) {
+  if (q.fifo.size() >= kQueueFrames) {
     ++q.drops;
     return false;
   }
@@ -297,7 +289,7 @@ void Pfe::try_dispatch() {
     note_dispatch_depth();
     ProgramPtr program = program_factory_
                              ? program_factory_(*pending.pkt)
-                             : router_.make_forwarding_program(programs_);
+                             : router_.make_forwarding_program();
     if (!program) {
       ++dispatch_drops_;
       dispatch_drops_ctr_.inc();

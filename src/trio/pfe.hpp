@@ -75,20 +75,24 @@ using TenantClassifier = std::function<std::uint8_t(const net::Packet&)>;
 /// put to work for multi-tenant isolation — docs/jobs.md).
 ///
 /// One instance guards one front-panel port. Each tenant gets its own
-/// FIFO of bounded depth; the scheduler drains them with weighted deficit
-/// round robin, one frame per wire-free event, so a bursting tenant can
-/// delay a competitor by at most one frame plus its own weighted share.
+/// FIFO of kQueueFrames frames; the scheduler drains them with weighted
+/// deficit round robin, one frame per wire-free event, so a bursting
+/// tenant can delay a competitor by at most one frame plus its own
+/// weighted share.
 /// With the scheduler absent (the default), egress is the historical
 /// single FIFO of the attached link.
 class MqssTenantScheduler {
  public:
   using SendFn = std::function<void(net::PacketPtr)>;
 
+  /// Depth of each tenant's FIFO.
+  static constexpr std::size_t kQueueFrames = 256;
+
   /// `tx` is the port's wire (consulted for busy_until()); `send` performs
   /// the actual transmit (the router's egress path, so kill semantics and
   /// tx counters apply at true send time, not enqueue time).
   MqssTenantScheduler(sim::Simulator& simulator, net::LinkEndpoint& tx,
-                      SendFn send, std::size_t queue_frames = 256);
+                      SendFn send);
 
   /// Relative drain weight (>=1; default 1). Creates the tenant's queue,
   /// fixing its round-robin position — register tenants in admission
@@ -126,7 +130,6 @@ class MqssTenantScheduler {
   sim::Simulator& sim_;
   net::LinkEndpoint& tx_;
   SendFn send_;
-  std::size_t queue_frames_;
   std::vector<TenantQueue> queues_;  // round-robin order = creation order
   std::size_t rr_ = 0;
   std::size_t backlog_ = 0;
@@ -171,8 +174,6 @@ class Pfe {
   void close_ticket(std::uint64_t ticket);
   void on_thread_free();
 
-  /// Storage for this PFE's program objects (program.hpp).
-  ProgramPool& programs() { return programs_; }
   SharedMemorySystem& sms() { return sms_; }
   HwHashTable& hash_table() { return hash_; }
   Mqss& mqss() { return mqss_; }
@@ -205,9 +206,6 @@ class Pfe {
   Calibration cal_;
   Router& router_;
   int index_;
-  // Declared before the threads and queues that hold programs, so it
-  // outlives them: their programs' storage goes back to it.
-  ProgramPool programs_;
   SharedMemorySystem sms_;
   HwHashTable hash_;
   Mqss mqss_;

@@ -18,9 +18,10 @@
 // implements this same interface, so interpreted and native programs share
 // the engine.
 //
-// Program objects come from their PFE's ProgramPool: when a thread ends,
-// its program's storage goes back to the pool for the next program of
-// that size, so steady-state dispatch does not touch the allocator.
+// Program objects and their action queues live in the thread-local
+// recycler (sim/recycler.hpp): when a thread ends, its program's storage
+// goes back to the recycler for the next program of that size, so
+// steady-state dispatch does not touch the allocator.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +29,13 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <type_traits>
-#include <utility>
 #include <variant>
 #include <vector>
 
 #include "net/buffer.hpp"
 #include "net/packet.hpp"
+#include "sim/recycler.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/time.hpp"
 #include "trio/xtxn.hpp"
 
@@ -89,6 +90,12 @@ inline std::uint32_t action_instructions(const Action& a) {
   return std::visit([](const auto& x) { return x.instructions; }, a);
 }
 
+/// A program's queue of actions to return ahead of its next state-machine
+/// step. The first block holds four actions. Rings of up to eight actions
+/// (1 KiB) live in the recycler and cost no allocation once warm; a queue
+/// that grows past eight takes a larger ring from the global allocator.
+using ActionQueue = sim::RingQueue<Action>;
+
 class PpeProgram {
  public:
   virtual ~PpeProgram() = default;
@@ -96,94 +103,24 @@ class PpeProgram {
   /// the previous action's time has been charged (and, for SyncXtxn, after
   /// the reply landed in ctx.reply).
   virtual Action step(ThreadContext& ctx) = 0;
+
+  // Every program, however made (std::make_unique included), lives in
+  // the recycler. The virtual destructor passes the most-derived size.
+  static void* operator new(std::size_t bytes) {
+    return sim::recycle_alloc(bytes);
+  }
+  static void operator delete(void* block, std::size_t bytes) noexcept {
+    sim::recycle_free(block, bytes);
+  }
+  static void* operator new(std::size_t, std::align_val_t) = delete;
 };
 
-class ProgramPool;
-
-/// Destroys a program and returns its storage to the pool it came from;
-/// a program made with plain `new` (std::make_unique) is deleted.
-struct ProgramDeleter {
-  ProgramDeleter() = default;
-  ProgramDeleter(ProgramPool* p, std::size_t cls) : pool(p), size_class(cls) {}
-  template <typename U>
-  ProgramDeleter(std::default_delete<U>) {}  // NOLINT(google-explicit-constructor)
-  void operator()(PpeProgram* program) const;
-
-  ProgramPool* pool = nullptr;
-  std::size_t size_class = 0;
-};
-
-/// Owning handle to a program. A std::unique_ptr to a program converts to
-/// it, so factories may still return std::make_unique results.
-using ProgramPtr = std::unique_ptr<PpeProgram, ProgramDeleter>;
-
-/// Recycles the program objects of one PFE. Storage is kept per size class
-/// (kClassBytes steps) on free lists that grow with the number of live
-/// programs and are freed with the pool. Each PFE owns its own pool —
-/// PFEs of different domains run on different shard threads — and
-/// every program made from it must be destroyed before it.
-class ProgramPool {
- public:
-  ProgramPool() = default;
-  ProgramPool(const ProgramPool&) = delete;
-  ProgramPool& operator=(const ProgramPool&) = delete;
-  ~ProgramPool() {
-    for (auto& blocks : free_) {
-      for (void* block : blocks) ::operator delete(block);
-    }
-  }
-
-  /// Constructs a P(args...) in recycled storage.
-  template <typename P, typename... Args>
-  ProgramPtr make(Args&&... args) {
-    static_assert(std::is_base_of_v<PpeProgram, P>);
-    static_assert(alignof(P) <= alignof(std::max_align_t));
-    constexpr std::size_t cls = (sizeof(P) + kClassBytes - 1) / kClassBytes;
-    void* block = acquire(cls);
-    try {
-      return ProgramPtr(::new (block) P(std::forward<Args>(args)...),
-                        ProgramDeleter(this, cls));
-    } catch (...) {
-      release(block, cls);
-      throw;
-    }
-  }
-
- private:
-  friend struct ProgramDeleter;
-  static constexpr std::size_t kClassBytes = 64;
-
-  void* acquire(std::size_t cls) {
-    if (cls < free_.size() && !free_[cls].empty()) {
-      void* block = free_[cls].back();
-      free_[cls].pop_back();
-      return block;
-    }
-    return ::operator new(cls * kClassBytes);
-  }
-  void release(void* block, std::size_t cls) {
-    if (cls >= free_.size()) free_.resize(cls + 1);
-    free_[cls].push_back(block);
-  }
-
-  std::vector<std::vector<void*>> free_;  // by size class
-};
-
-inline void ProgramDeleter::operator()(PpeProgram* program) const {
-  if (pool == nullptr) {
-    delete program;
-    return;
-  }
-  // The most-derived object starts the block the pool handed out.
-  void* block = dynamic_cast<void*>(program);
-  program->~PpeProgram();
-  pool->release(block, size_class);
-}
+/// Owning handle to a program.
+using ProgramPtr = std::unique_ptr<PpeProgram>;
 
 /// Factory chosen by the application: given an arriving packet (head
-/// already parsed into LMEM), produce the program that will process it,
-/// normally from the PFE's pool (Pfe::programs()). Returning nullptr drops
-/// the packet at dispatch.
+/// already parsed into LMEM), produce the program that will process it
+/// (std::make_unique). Returning nullptr drops the packet at dispatch.
 using ProgramFactory = std::function<ProgramPtr(const net::Packet&)>;
 
 }  // namespace trio

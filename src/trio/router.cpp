@@ -195,8 +195,8 @@ void Router::attach_port_sink(int global_port,
   port_sinks_.at(static_cast<std::size_t>(global_port)) = std::move(sink);
 }
 
-ProgramPtr Router::make_forwarding_program(ProgramPool& pool) {
-  return pool.make<ForwardingProgram>(*this);
+ProgramPtr Router::make_forwarding_program() {
+  return std::make_unique<ForwardingProgram>(*this);
 }
 
 void Router::transmit(int src_pfe, net::PacketPtr pkt,
@@ -246,14 +246,12 @@ void Router::egress_enqueue(int src_pfe, int global_port, net::PacketPtr pkt,
   }
 }
 
-void Router::enable_tenant_qos(TenantClassifier classifier,
-                               std::size_t queue_frames) {
+void Router::enable_tenant_qos(TenantClassifier classifier) {
   if (!classifier) {
     throw std::invalid_argument("Router::enable_tenant_qos: null classifier");
   }
   tenant_qos_ = true;
   tenant_classifier_ = std::move(classifier);
-  qos_queue_frames_ = queue_frames;
   port_scheds_.resize(static_cast<std::size_t>(num_ports()));
 }
 
@@ -300,8 +298,7 @@ MqssTenantScheduler* Router::scheduler_for_port(int global_port) {
       sim_, *tx,
       [this, global_port](net::PacketPtr pkt) {
         port_out_now(global_port, std::move(pkt));
-      },
-      qos_queue_frames_);
+      });
   for (const auto& [t, w] : tenant_weights_) {
     port_scheds_[p]->set_weight(t, w);
   }

@@ -76,11 +76,10 @@ class Router : public net::Node {
   ForwardingTable& forwarding() { return fwd_; }
   Fabric& fabric() { return fabric_; }
 
-  /// Default per-packet program: parse, TTL, LPM lookup, emit, made from
-  /// the dispatching PFE's `pool`. Used by PFEs with no application
-  /// program factory installed, and by factories for packets they leave
-  /// to plain forwarding.
-  ProgramPtr make_forwarding_program(ProgramPool& pool);
+  /// Default per-packet program: parse, TTL, LPM lookup, emit. Used by
+  /// PFEs with no application program factory installed, and by
+  /// factories for packets they leave to plain forwarding.
+  ProgramPtr make_forwarding_program();
 
   /// Resolves a nexthop for a packet leaving PFE `src_pfe`. Multicast
   /// fans out here (clone per member); cross-PFE targets transit the
@@ -96,11 +95,9 @@ class Router : public net::Node {
 
   // --- Per-tenant egress QoS (MQSS WDRR, src/jobs/, docs/jobs.md) --------
   /// Installs `classifier` and routes every front-panel egress frame
-  /// through a per-port MqssTenantScheduler (`queue_frames` deep per
-  /// tenant per port). Off by default: egress then stays the historical
-  /// single link FIFO.
-  void enable_tenant_qos(TenantClassifier classifier,
-                         std::size_t queue_frames = 256);
+  /// through a per-port MqssTenantScheduler. Off by default: egress then
+  /// stays the historical single link FIFO.
+  void enable_tenant_qos(TenantClassifier classifier);
   bool tenant_qos_enabled() const { return tenant_qos_; }
   /// Relative WDRR weight for `tenant` on every port (present and
   /// future). Requires >= 1; call in admission order for deterministic
@@ -171,7 +168,6 @@ class Router : public net::Node {
 
   bool tenant_qos_ = false;
   TenantClassifier tenant_classifier_;
-  std::size_t qos_queue_frames_ = 256;
   // Lazily created per attached port; weights in registration order so
   // every scheduler builds the same round-robin sequence.
   std::vector<std::unique_ptr<MqssTenantScheduler>> port_scheds_;

@@ -20,11 +20,7 @@ std::uint64_t le64(std::span<const std::uint8_t> v, std::size_t off) {
 }  // namespace
 
 trio::Action StragglerClassifierProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) {
-    trio::Action a = std::move(pending_.front());
-    pending_.pop_front();
-    return a;
-  }
+  if (!pending_.empty()) return pending_.pop_front();
   return do_step(ctx);
 }
 
@@ -140,9 +136,7 @@ trio::Action StragglerClassifierProgram::do_step(trio::ThreadContext& ctx) {
       // Queue discipline: the next source's synchronous read (or the
       // exit) must be the LAST pending action.
       pending_.push_back(next_source(ctx));
-      trio::Action first = std::move(pending_.front());
-      pending_.pop_front();
-      return first;
+      return pending_.pop_front();
     }
 
     case State::kExit:

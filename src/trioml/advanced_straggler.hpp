@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -68,7 +67,7 @@ class StragglerClassifierProgram : public trio::PpeProgram {
   std::size_t next_ = 0;
   std::uint8_t src_ = 0;
   std::uint64_t events_now_ = 0;
-  std::deque<trio::Action> pending_;
+  trio::ActionQueue pending_;
 };
 
 }  // namespace trioml

@@ -30,18 +30,17 @@ bool is_aggregation_frame(const net::Buffer& frame) {
 
 trio::ProgramFactory make_aggregation_factory(TrioMlApp& app) {
   return [&app](const net::Packet& pkt) -> trio::ProgramPtr {
-    trio::ProgramPool& pool = app.pfe().programs();
     if (is_aggregation_frame(pkt.frame())) {
       const auto& addr = app.aggregation_address();
       if (!addr || net::Ipv4Header::parse(pkt.frame(),
                                           net::UdpFrameLayout::kIpOff)
                            .dst == *addr) {
-        return pool.make<AggregationProgram>(app);
+        return std::make_unique<AggregationProgram>(app);
       }
       // Aggregation-port traffic addressed elsewhere (e.g. an upstream
       // aggregator's multicast result in transit) is plain forwarding.
     }
-    return app.pfe().router().make_forwarding_program(pool);
+    return app.pfe().router().make_forwarding_program();
   };
 }
 
@@ -50,27 +49,13 @@ trio::ProgramFactory make_aggregation_factory(TrioMlApp& app) {
 // empty and do_step() handles the reply for the current state.
 
 trio::Action AggregationProgram::step(trio::ThreadContext& ctx) {
-  if (pending_count_ > 0) return pop_pending();
+  if (!pending_.empty()) return pending_.pop_front();
   return do_step(ctx);
-}
-
-trio::Action& AggregationProgram::push_pending() {
-  if (pending_count_ == kMaxPending) {
-    throw std::logic_error("AggregationProgram: pending-action ring full");
-  }
-  return pending_[(pending_head_ + pending_count_++) % kMaxPending];
-}
-
-trio::Action AggregationProgram::pop_pending() {
-  trio::Action a = std::move(pending_[pending_head_]);
-  pending_head_ = (pending_head_ + 1) % kMaxPending;
-  --pending_count_;
-  return a;
 }
 
 void AggregationProgram::queue_active_decrement() {
   // Release the job's active-block slot: a posted += -1 (mod 2^32).
-  auto& dec = push_pending().emplace<trio::ActAsyncXtxn>();
+  auto& dec = pending_.emplace_back().emplace<trio::ActAsyncXtxn>();
   dec.req.op = trio::XtxnOp::kAddVec32;
   dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
   dec.req.data = {0xff, 0xff, 0xff, 0xff};
@@ -104,7 +89,7 @@ void AggregationProgram::queue_add_slices(std::size_t grad_byte_off,
     const std::uint64_t addr = base + off;
     const std::size_t to_boundary = 64 - static_cast<std::size_t>(addr % 64);
     const std::size_t len = std::min(to_boundary, total - off);
-    auto& add = push_pending().emplace<trio::ActAsyncXtxn>();
+    auto& add = pending_.emplace_back().emplace<trio::ActAsyncXtxn>();
     add.req.op = trio::XtxnOp::kAddVec32;
     add.req.addr = addr;
     // Bytes [off, off + len) of the carry followed by the data.
@@ -174,9 +159,9 @@ trio::Action AggregationProgram::begin_aggregation(trio::ThreadContext& ctx) {
 }
 
 trio::Action AggregationProgram::next_tail_action(trio::ThreadContext&) {
-  if (pending_count_ > 0) {
+  if (!pending_.empty()) {
     state_ = State::kAggregate;
-    return pop_pending();
+    return pending_.pop_front();
   }
   if (tail_off_ < tail_total_) {
     // Phase two: read the next 64-byte chunk of the tail into LMEM.
@@ -309,7 +294,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         queue_active_decrement();
         ++app_.stats().blocks_capped;
         state_ = State::kFinish;
-        return pop_pending();
+        return pending_.pop_front();
       }
       auto slab = app_.alloc_slab();
       if (!slab) {
@@ -320,15 +305,15 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         queue_active_decrement();
         if (!retried_create_) {
           retried_create_ = true;
-          auto& lu = push_pending().emplace<trio::ActSyncXtxn>();
+          auto& lu = pending_.emplace_back().emplace<trio::ActSyncXtxn>();
           lu.req.op = trio::XtxnOp::kHashLookup;
           lu.req.arg0 = key_;
           lu.instructions = 2;
           state_ = State::kRetryLookup;
-          return pop_pending();
+          return pending_.pop_front();
         }
         state_ = State::kFinish;
-        return pop_pending();
+        return pending_.pop_front();
       }
       record_addr_ = slab->record_addr;
 
@@ -340,7 +325,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       record_.aggr_paddr = static_cast<std::uint32_t>(slab->buffer_addr);
       record_.grad_cnt = hdr_.grad_cnt & 0xfff;
 
-      auto& wr = push_pending().emplace<trio::ActAsyncXtxn>();
+      auto& wr = pending_.emplace_back().emplace<trio::ActAsyncXtxn>();
       wr.req.op = trio::XtxnOp::kWrite;
       wr.req.addr = record_addr_;
       wr.req.data.assign(kBlockSlabBytes, 0);
@@ -348,13 +333,13 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       wr.req.data[63] = job_.src_cnt;  // scratch: expected contributor count
       wr.instructions = 12;
 
-      auto& ins = push_pending().emplace<trio::ActSyncXtxn>();
+      auto& ins = pending_.emplace_back().emplace<trio::ActSyncXtxn>();
       ins.req.op = trio::XtxnOp::kHashInsert;
       ins.req.arg0 = key_;
       ins.req.arg1 = record_addr_;
       ins.instructions = 4;
       state_ = State::kInsert;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kInsert: {
@@ -365,12 +350,12 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         app_.free_slab(TrioMlApp::Slab{
             record_addr_, app_.buffer_of_record(record_addr_)});
         queue_active_decrement();
-        auto& lu = push_pending().emplace<trio::ActSyncXtxn>();
+        auto& lu = pending_.emplace_back().emplace<trio::ActSyncXtxn>();
         lu.req.op = trio::XtxnOp::kHashLookup;
         lu.req.arg0 = key_;
         lu.instructions = 2;
         state_ = State::kBlockLookup;
-        return pop_pending();
+        return pending_.pop_front();
       }
       ++app_.stats().blocks_created;
       return claim_source();
@@ -418,19 +403,19 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       // aggregation sums child src_cnts; leaf workers send src_cnt = 1),
       // then take this source's bit in the received mask.
       if (hdr_.degraded) {
-        auto& dg = push_pending().emplace<trio::ActAsyncXtxn>();
+        auto& dg = pending_.emplace_back().emplace<trio::ActAsyncXtxn>();
         dg.req.op = trio::XtxnOp::kWrite;
         dg.req.addr = record_addr_ + kDegradedFlagOff;
         dg.req.data = {1};
         dg.instructions = 1;
       }
-      auto& add = push_pending().emplace<trio::ActSyncXtxn>();
+      auto& add = pending_.emplace_back().emplace<trio::ActSyncXtxn>();
       add.req.op = trio::XtxnOp::kFetchAdd32;
       add.req.addr = record_addr_ + kSrcCntAccumOff;
       add.req.arg0 = hdr_.src_cnt == 0 ? 1 : hdr_.src_cnt;
       add.instructions = 2;
       state_ = State::kAccumReply;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kAccumReply: {
@@ -447,7 +432,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       const std::uint64_t new_mask = ctx.reply.value | 1ull << hdr_.src_id;
       const int count = std::popcount(new_mask);
       // Keep the record's rcvd_cnt field current (posted byte write).
-      auto& cnt = push_pending().emplace<trio::ActAsyncXtxn>();
+      auto& cnt = pending_.emplace_back().emplace<trio::ActAsyncXtxn>();
       cnt.req.op = trio::XtxnOp::kWrite;
       cnt.req.addr = record_addr_ + BlockRecord::kRcvdCntOff;
       cnt.req.data = {static_cast<std::uint8_t>(count)};
@@ -455,19 +440,19 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
 
       if (count < job_src_cnt_) {
         state_ = State::kFinish;
-        return pop_pending();
+        return pending_.pop_front();
       }
       // Complete: atomically claim the block by deleting its hash record
       // (an aging timer thread may race us — exactly one side wins). The
       // value guard keeps a thread whose record was dropped by a fault
       // from deleting a block re-created under the same key.
-      auto& del = push_pending().emplace<trio::ActSyncXtxn>();
+      auto& del = pending_.emplace_back().emplace<trio::ActSyncXtxn>();
       del.req.op = trio::XtxnOp::kHashDelete;
       del.req.arg0 = key_;
       del.req.arg1 = record_addr_;
       del.instructions = 3;
       state_ = State::kDeleted;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kDeleted: {
@@ -518,7 +503,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       scratch_degraded_ = ctx.reply.data[6] != 0;
 
       // Per-job Packet/Byte counter: one block completed, grad bytes.
-      auto& ctr = push_pending().emplace<trio::ActAsyncXtxn>();
+      auto& ctr = pending_.emplace_back().emplace<trio::ActAsyncXtxn>();
       ctr.req.op = trio::XtxnOp::kCounterInc;
       ctr.req.addr = app_.job_counter_addr(hdr_.job_id);
       ctr.req.arg0 = std::uint64_t(record_.grad_cnt) * 4;
@@ -534,7 +519,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       in.final_block = hdr_.final_block;
       builder_.emplace(app_, std::move(in));
       state_ = State::kResult;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kResult: {

@@ -56,17 +56,7 @@ class AggregationProgram : public trio::PpeProgram {
     kExit,
   };
 
-  // Actions queued ahead of the next do_step(). The most ever queued are
-  // the add slices of the head's gradients: 136 bytes span at most four
-  // 64-byte granules. A 64-byte tail chunk plus its carry spans at most
-  // two, and no other state queues more than two actions.
-  static constexpr std::size_t kMaxPending = 4;
-
   trio::Action do_step(trio::ThreadContext& ctx);
-  /// The next free slot of the pending ring, for the caller to fill.
-  /// Throws std::logic_error when the ring is full.
-  trio::Action& push_pending();
-  trio::Action pop_pending();
   trio::Action claim_source();
   trio::Action begin_aggregation(trio::ThreadContext& ctx);
   trio::Action next_tail_action(trio::ThreadContext& ctx);
@@ -82,9 +72,10 @@ class AggregationProgram : public trio::PpeProgram {
 
   TrioMlApp& app_;
   State state_ = State::kParse;
-  std::array<trio::Action, kMaxPending> pending_;
-  std::size_t pending_head_ = 0;
-  std::size_t pending_count_ = 0;
+  // Actions queued ahead of the next do_step(). The most ever queued are
+  // the add slices of the head's gradients: 136 bytes span at most four
+  // 64-byte granules, the queue's first block.
+  trio::ActionQueue pending_;
 
   TrioMlHeader hdr_;
   std::uint64_t key_ = 0;

@@ -184,7 +184,7 @@ void TrioMlApp::start_straggler_detection(int threads,
   pfe_.timers().start(
       threads, timeout,
       [this, threads](std::uint32_t timer_index) {
-        return pfe_.programs().make<StragglerScanProgram>(
+        return std::make_unique<StragglerScanProgram>(
             *this, timer_index, static_cast<std::uint32_t>(threads));
       });
 }
@@ -232,8 +232,8 @@ int TrioMlApp::start_straggler_classification(std::uint8_t job_id,
   return pfe_.timers().start(
       1, period,
       [this, job_id, cfg](std::uint32_t) {
-        return pfe_.programs().make<StragglerClassifierProgram>(*this, job_id,
-                                                                cfg);
+        return std::make_unique<StragglerClassifierProgram>(*this, job_id,
+                                                            cfg);
       });
 }
 

@@ -15,9 +15,7 @@ TrioMlWorker::TrioMlWorker(sim::Simulator& simulator, Config config,
     : sim_(simulator),
       config_(config),
       tx_(tx),
-      rng_(config.rng_seed != 0
-               ? config.rng_seed
-               : 0x7f4a7c15ull + (std::uint64_t(config.src_id) << 8)) {
+      rng_(0x7f4a7c15ull + (std::uint64_t(config.src_id) << 8)) {
   if (config_.grads_per_packet == 0 ||
       config_.grads_per_packet > kMaxGradsPerPacket) {
     throw std::invalid_argument("TrioMlWorker: bad grads_per_packet");
@@ -180,12 +178,10 @@ void TrioMlWorker::arm_retransmit(std::uint32_t block_id, Outstanding& out) {
     double ns = static_cast<double>(timeout.ns());
     for (std::uint32_t k = 0;
          k < out.retries && ns < double(config_.backoff_max.ns()); ++k) {
-      ns *= config_.backoff_factor;
+      ns *= kBackoffFactor;
     }
     ns = std::min(ns, static_cast<double>(config_.backoff_max.ns()));
-    if (config_.backoff_jitter > 0.0) {
-      ns *= 1.0 + config_.backoff_jitter * (2.0 * rng_.next_double() - 1.0);
-    }
+    ns *= 1.0 + kBackoffJitter * (2.0 * rng_.next_double() - 1.0);
     timeout = sim::Duration(std::max<std::int64_t>(1, std::int64_t(ns)));
     ++backoff_rearms_;
     backoff_ctr_.inc();

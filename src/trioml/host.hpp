@@ -40,6 +40,11 @@ struct AllreduceResult {
 
 class TrioMlWorker : public net::Node {
  public:
+  /// Retransmit backoff (Config::retransmit_backoff): each retry doubles
+  /// the timeout, then a uniform ±20% jitter applies.
+  static constexpr double kBackoffFactor = 2.0;
+  static constexpr double kBackoffJitter = 0.2;
+
   struct Config {
     std::uint8_t job_id = 1;
     std::uint8_t src_id = 0;
@@ -61,17 +66,14 @@ class TrioMlWorker : public net::Node {
     /// storm against a dead aggregator or crashed peer.
     std::uint32_t retry_budget = 0;
     /// Exponential backoff on consecutive retransmits of the same block:
-    /// timeout_k = min(retransmit_timeout * backoff_factor^k, backoff_max),
-    /// jittered by ±backoff_jitter (drawn from the worker's sim::Rng).
-    /// Backoff makes the "retransmit period must exceed the aging window"
-    /// constraint self-resolving: a few retries in, the interval outgrows
-    /// any aging window and orphaned upstream blocks can expire.
+    /// timeout_k = min(retransmit_timeout * kBackoffFactor^k, backoff_max),
+    /// jittered by ±kBackoffJitter (drawn from the worker's sim::Rng,
+    /// seeded from src_id). Backoff makes the "retransmit period must
+    /// exceed the aging window" constraint self-resolving: a few retries
+    /// in, the interval outgrows any aging window and orphaned upstream
+    /// blocks can expire.
     bool retransmit_backoff = false;
-    double backoff_factor = 2.0;
     sim::Duration backoff_max = sim::Duration::millis(50);
-    double backoff_jitter = 0.2;
-    /// Jitter stream seed; 0 derives a per-worker seed from src_id.
-    std::uint64_t rng_seed = 0;
     /// Degraded-completion grace (docs/faults.md): once *every*
     /// outstanding block has exhausted its retry budget and nothing more
     /// can be sent, wait this long for a (possibly aged) Result, then
@@ -116,13 +118,11 @@ class TrioMlWorker : public net::Node {
   /// per-block retry budget.
   void enable_hardened_retransmit(sim::Duration initial_timeout,
                                   std::uint32_t retry_budget,
-                                  sim::Duration backoff_max,
-                                  double jitter = 0.2) {
+                                  sim::Duration backoff_max) {
     enable_retransmit(initial_timeout);
     config_.retry_budget = retry_budget;
     config_.retransmit_backoff = true;
     config_.backoff_max = backoff_max;
-    config_.backoff_jitter = jitter;
   }
 
   /// Turns on the degraded-completion path (Config::give_up_grace): a

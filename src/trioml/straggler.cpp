@@ -3,11 +3,7 @@
 namespace trioml {
 
 trio::Action StragglerScanProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) {
-    trio::Action a = std::move(pending_.front());
-    pending_.pop_front();
-    return a;
-  }
+  if (!pending_.empty()) return pending_.pop_front();
   return do_step(ctx);
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -54,7 +53,7 @@ class StragglerScanProgram : public trio::PpeProgram {
   BlockRecord record_;
   std::uint8_t accum_src_cnt_ = 0;
   std::optional<ResultBuilder> builder_;
-  std::deque<trio::Action> pending_;  // posted charges (§5 profiling)
+  trio::ActionQueue pending_;  // posted charges (§5 profiling)
 };
 
 }  // namespace trioml

@@ -15,19 +15,23 @@ std::vector<std::uint32_t> grads(std::size_t n) {
   return std::vector<std::uint32_t>(n, 1);
 }
 
+/// A profiled testbed with 20 detection threads aging blocks after 2 ms.
+std::unique_ptr<Testbed> profiled_testbed(int workers) {
+  TestbedConfig cfg;
+  cfg.num_workers = workers;
+  cfg.grads_per_packet = 64;
+  cfg.window = 8;
+  auto tb = std::make_unique<Testbed>(cfg);
+  tb->app(0).enable_straggler_profiling(cfg.job_id);
+  tb->start_straggler_detection(20, sim::Duration::millis(2));
+  return tb;
+}
+
 class AdvancedStragglerTest : public ::testing::Test {
  protected:
   static constexpr int kWorkers = 4;
 
-  AdvancedStragglerTest() {
-    TestbedConfig cfg;
-    cfg.num_workers = kWorkers;
-    cfg.grads_per_packet = 64;
-    cfg.window = 8;
-    tb = std::make_unique<Testbed>(cfg);
-    tb->app(0).enable_straggler_profiling(cfg.job_id);
-    tb->start_straggler_detection(20, sim::Duration::millis(2));
-  }
+  AdvancedStragglerTest() : tb(profiled_testbed(kWorkers)) {}
 
   /// Runs one allreduce round where `straggler` skips it entirely.
   void round_without(int straggler, std::uint16_t gen) {
@@ -64,6 +68,28 @@ TEST_F(AdvancedStragglerTest, DetectionChargesMissingSourcesOnly) {
         << "worker " << int(w);
   }
   EXPECT_GT(app.stats().straggler_events, 0u);
+
+  // Five of eight sources miss every block: a scan that ages one queues
+  // six posted actions (the active-slot release and five charges), more
+  // than its action queue's first block holds.
+  auto wide = profiled_testbed(8);
+  for (int w = 0; w < 3; ++w) {
+    wide->worker(w).start_allreduce(grads(64 * 4), 1, [](AllreduceResult) {});
+  }
+  wide->simulator().run_until(wide->simulator().now() +
+                              sim::Duration::millis(10));
+  auto& wide_sms = wide->router().pfe(0).sms();
+  const auto& wide_app = wide->app(0);
+  const std::uint64_t charged =
+      wide_sms.peek_u64(wide_app.straggler_event_counter_addr(1, 3));
+  EXPECT_GT(charged, 0u);
+  for (std::uint8_t w = 0; w < 8; ++w) {
+    EXPECT_EQ(wide_sms.peek_u64(wide_app.straggler_event_counter_addr(1, w)),
+              w < 3 ? 0u : charged)
+        << "worker " << int(w);
+  }
+  // All four blocks aged, each charging the five missing sources.
+  EXPECT_EQ(wide_app.stats().straggler_events, 4u * 5u);
 }
 
 TEST_F(AdvancedStragglerTest, TemporaryStragglerNotified) {

@@ -3,11 +3,12 @@
 // The perf contract (docs/performance.md): once the queue's slot table,
 // the heap array, and the packet pools are warm, the hot paths never touch
 // the global allocator — not per scheduled event (InlineCallback storage
-// is inline), not per recycled packet (BufferPool + the packet cell
-// freelist), not per PFE packet (inline XTXN payloads, recycled programs,
-// the reorder ring). This binary overrides global operator new to count
-// allocations and asserts *zero* across the measured steady-state windows,
-// or a per-packet budget where host endpoints take part.
+// is inline), not per recycled packet (BufferPool + the recycler's packet
+// cells), not per PFE packet (inline XTXN payloads, recycled programs and
+// action queues, the reorder ring). This binary overrides global operator
+// new to count allocations and asserts *zero* across the measured
+// steady-state windows, or a per-packet budget where host endpoints take
+// part.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,7 +197,7 @@ TEST(AllocCount, RecycledPacketsAreAllocationFree) {
   const std::uint64_t before = allocs();
   for (int i = 0; i < 4096; ++i) {
     auto p = make_test_packet(payload);
-    // Dropped here: frame storage -> BufferPool, cell -> packet cell pool.
+    // Dropped here: frame storage -> BufferPool, cell -> the recycler.
   }
   EXPECT_EQ(allocs() - before, 0u) << "4096 recycled packets, zero allocs";
 }
@@ -308,6 +309,50 @@ TEST(AllocCount, RouterForwardingSteadyStateIsAllocationFree) {
   inject(1024);
   EXPECT_EQ(delivered - warm_delivered, 1024);
   EXPECT_EQ(allocs() - before, 0u) << "1024 forwarded packets";
+}
+
+/// The smallest native program: sends its packet to one nexthop.
+class EmitToNexthop : public trio::PpeProgram {
+ public:
+  explicit EmitToNexthop(std::uint32_t nexthop) : nexthop_(nexthop) {}
+
+  trio::Action step(trio::ThreadContext& ctx) override {
+    if (emitted_) return trio::ActExit{1};
+    emitted_ = true;
+    return trio::ActEmitPacket{ctx.packet, nexthop_, 2};
+  }
+
+ private:
+  std::uint32_t nexthop_;
+  bool emitted_ = false;
+};
+
+TEST(AllocCount, MakeUniqueProgramsAreRecycled) {
+  // A factory that makes its programs with plain std::make_unique: their
+  // storage comes from the thread's recycler and goes back to it when the
+  // thread ends, so a warm burst allocates nothing.
+  sim::Simulator sim;
+  trio::Router router(sim, trio::Calibration{}, 1, 2);
+  const auto nh = router.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
+  router.pfe(0).set_program_factory(
+      [nh](const net::Packet&) -> trio::ProgramPtr {
+        return std::make_unique<EmitToNexthop>(nh);
+      });
+  int delivered = 0;
+  router.attach_port_sink(1, [&delivered](net::PacketPtr) { ++delivered; });
+  const std::vector<std::uint8_t> payload(256, 0x22);
+  auto inject = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      router.receive(make_test_packet(payload), 0);
+    }
+    sim.run();
+  };
+  inject(1024);  // warm-up
+  const int warm_delivered = delivered;
+  const std::uint64_t before = allocs();
+  inject(1024);
+  EXPECT_EQ(delivered - warm_delivered, 1024);
+  EXPECT_EQ(allocs() - before, 0u) << "1024 make_unique programs";
 }
 
 std::uint64_t pfe_packets(cluster::Cluster& cl) {

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/recycler.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -233,6 +236,49 @@ TEST(Simulator, DeliveriesRunAfterLocalEventsInStampOrder) {
   EXPECT_EQ(order,
             (std::vector<int>{0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 30}));
   EXPECT_EQ(s.now(), sim::Time(20));
+}
+
+TEST(Recycler, FreedBlockReturnsForItsSizeClass) {
+  void* a = sim::recycle_alloc(100);  // the 97..112-byte class
+  void* b = sim::recycle_alloc(200);  // the 193..208-byte class
+  EXPECT_NE(a, b);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % alignof(std::max_align_t),
+            0u);
+  sim::recycle_free(a, 100);
+  sim::recycle_free(b, 200);
+  void* c = sim::recycle_alloc(112);
+  void* d = sim::recycle_alloc(193);
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(d, b);
+  sim::recycle_free(c, 112);
+  sim::recycle_free(d, 193);
+}
+
+TEST(Recycler, BlocksFreedOnAThreadThatExitsAreReleased) {
+  // A block freed on another thread joins that thread's lists, which go
+  // back to the global allocator when it exits (a leak checker sees any
+  // block they keep).
+  void* mine = sim::recycle_alloc(48);
+  std::vector<void*> theirs;
+  std::thread([&] {
+    sim::recycle_free(mine, 48);
+    for (int i = 0; i < 64; ++i) theirs.push_back(sim::recycle_alloc(48));
+    for (void* p : theirs) sim::recycle_free(p, 48);
+  }).join();
+  ASSERT_FALSE(theirs.empty());
+  EXPECT_EQ(theirs.front(), mine);
+}
+
+TEST(Recycler, RequestsAboveTheCapBypassTheLists) {
+  constexpr std::size_t kTop = sim::kRecycleMaxBytes;
+  void* top = sim::recycle_alloc(kTop);
+  sim::recycle_free(top, kTop);  // heads the largest class's list
+  void* big = sim::recycle_alloc(kTop + 1);
+  EXPECT_NE(big, top);           // not served from that list…
+  sim::recycle_free(big, kTop + 1);
+  void* again = sim::recycle_alloc(kTop);
+  EXPECT_EQ(again, top);         // …nor parked on it
+  sim::recycle_free(again, kTop);
 }
 
 TEST(Rng, DeterministicForSeed) {

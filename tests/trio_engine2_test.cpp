@@ -327,8 +327,8 @@ TEST(Ppe, SyncXtxnResumesAtItsReplyTime) {
     });
   };
   pfe.set_program_factory([&](const net::Packet&) -> trio::ProgramPtr {
-    return pfe.programs().make<SyncProbeProgram>(sim, syncs, on_issue,
-                                                 &resumed, &after_posted);
+    return std::make_unique<SyncProbeProgram>(sim, syncs, on_issue, &resumed,
+                                              &after_posted);
   });
   net::Buffer frame(400);
   for (std::size_t i = 0; i < frame.size(); ++i) {
