@@ -105,10 +105,11 @@ void BM_EventQueueAtDepth(benchmark::State& state) {
 BENCHMARK(BM_EventQueueAtDepth)->Arg(112)->Arg(1552);
 
 void BM_PacketMakeRecycle(benchmark::State& state) {
-  // Steady-state packet churn: frame storage and the shared_ptr cell come
-  // from the thread-local pools (net/buffer_pool.hpp), so the allocator
-  // is out of the loop.
-  const std::vector<std::uint8_t> payload(1024, 0xab);
+  // Steady-state packet churn at the workloads' payload sizes: frame
+  // bytes and the shared_ptr cell come from the thread-local recycler
+  // (sim/recycler.hpp), so the allocator is out of the loop.
+  const std::vector<std::uint8_t> payload(
+      static_cast<std::size_t>(state.range(0)), 0xab);
   for (auto _ : state) {
     auto p = net::Packet::make(net::build_udp_frame(
         {1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2},
@@ -118,7 +119,7 @@ void BM_PacketMakeRecycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PacketMakeRecycle);
+BENCHMARK(BM_PacketMakeRecycle)->Arg(256)->Arg(1400)->Arg(4096);
 
 void BM_SmsAddVec32(benchmark::State& state) {
   sim::Simulator sim;

@@ -40,7 +40,8 @@ void BestEffortSource::emit() {
     running_ = false;
     return;
   }
-  std::vector<std::uint8_t> payload(kFramePayloadBytes, 0xbe);
+  // One payload for every frame; build_udp_frame copies it in.
+  static const std::vector<std::uint8_t> payload(kFramePayloadBytes, 0xbe);
   auto frame = net::build_udp_frame(
       config_.eth_src, config_.eth_dst, config_.ip_src, config_.ip_dst,
       trioml::best_effort_src_port(config_.tenant), /*udp_dst=*/9, payload);

@@ -61,6 +61,11 @@ struct IntrinsicInfo {
   int arity;
 };
 
+/// The most arguments any intrinsic takes (the vector forms' addr,
+/// lmem_off, len_bytes); calls whose count differs from their
+/// intrinsic's arity do not compile.
+inline constexpr std::size_t kMaxIntrinsicArgs = 3;
+
 /// Looks up a known intrinsic; nullptr when unknown.
 const IntrinsicInfo* intrinsic_info(const std::string& name);
 

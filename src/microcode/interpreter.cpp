@@ -161,8 +161,16 @@ void MicrocodeThread::assign(const Expr& target, std::uint64_t v,
   write_bits(ctx.lmem, base_bytes * 8 + f->bit_offset, f->width, v);
 }
 
+std::span<const std::uint64_t> MicrocodeThread::eval_args(
+    const std::vector<ExprPtr>& exprs, IntrinsicArgs& out,
+    trio::ThreadContext& ctx) {
+  // The compiler matched the count to the intrinsic's arity.
+  for (std::size_t i = 0; i < exprs.size(); ++i) out[i] = eval(*exprs[i], ctx);
+  return {out.data(), exprs.size()};
+}
+
 trio::XtxnRequest MicrocodeThread::build_request(
-    const std::string& name, const std::vector<std::uint64_t>& args, int line,
+    const std::string& name, std::span<const std::uint64_t> args, int line,
     int col, trio::ThreadContext& ctx) {
   // (addr, lmem_off, len_bytes) vector forms: the payload is read out of
   // the thread's LMEM at issue time, like the hardware's operand fetch.
@@ -291,13 +299,12 @@ MicrocodeThread::Control MicrocodeThread::exec_stmt(
       const Expr* value = s.value.get();
       if (value->kind == Expr::Kind::kIntrinsic) {
         // Synchronous XTXN: suspend; the assignment completes on resume.
-        std::vector<std::uint64_t> args;
-        args.reserve(value->args.size());
-        for (const auto& a : value->args) args.push_back(eval(*a, ctx));
+        IntrinsicArgs storage{};
         Control c;
         c.kind = Control::Kind::kSync;
-        c.sync_req =
-            build_request(value->name, args, value->line, value->col, ctx);
+        c.sync_req = build_request(value->name,
+                                   eval_args(value->args, storage, ctx),
+                                   value->line, value->col, ctx);
         pending_intrinsic_ = value->name;
         if (s.kind == Stmt::Kind::kAssign) {
           pending_target_ = s.target.get();
@@ -355,9 +362,8 @@ MicrocodeThread::Control MicrocodeThread::exec_stmt(
         c.kind = Control::Kind::kExit;
         return c;
       }
-      std::vector<std::uint64_t> args;
-      args.reserve(s.args.size());
-      for (const auto& a : s.args) args.push_back(eval(*a, ctx));
+      IntrinsicArgs storage{};
+      const auto args = eval_args(s.args, storage, ctx);
       if (s.name == "Forward") {
         // Unload the modified head from LMEM back into the frame (§2.2)
         // and hand the packet to forwarding.

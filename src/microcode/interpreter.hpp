@@ -9,8 +9,10 @@
 // one, and Exit()/Drop() destroy the thread.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "microcode/compiler.hpp"
@@ -47,8 +49,12 @@ class MicrocodeThread : public trio::PpeProgram {
   void store(const Location& loc, std::uint64_t v,
              trio::ThreadContext& ctx) const;
   void assign(const Expr& target, std::uint64_t v, trio::ThreadContext& ctx);
+  using IntrinsicArgs = std::array<std::uint64_t, kMaxIntrinsicArgs>;
+  std::span<const std::uint64_t> eval_args(const std::vector<ExprPtr>& exprs,
+                                           IntrinsicArgs& out,
+                                           trio::ThreadContext& ctx);
   trio::XtxnRequest build_request(const std::string& name,
-                                  const std::vector<std::uint64_t>& args,
+                                  std::span<const std::uint64_t> args,
                                   int line, int col,
                                   trio::ThreadContext& ctx);
   std::uint64_t reply_value(const trio::XtxnReply& reply,

@@ -7,7 +7,7 @@ Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
                        std::uint16_t udp_src, std::uint16_t udp_dst,
                        std::span<const std::uint8_t> payload) {
   const std::size_t total = UdpFrameLayout::kPayloadOff + payload.size();
-  Buffer buf = BufferPool::instance().acquire(total);
+  Buffer buf(total);
 
   EthernetHeader eth;
   eth.src = eth_src;

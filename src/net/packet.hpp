@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "net/buffer.hpp"
-#include "net/buffer_pool.hpp"
 #include "net/headers.hpp"
 #include "sim/recycler.hpp"
 #include "sim/time.hpp"
@@ -30,25 +29,13 @@ class Packet {
 
   explicit Packet(Buffer frame) : frame_(std::move(frame)) {}
 
-  /// On destruction the frame's storage is parked in the thread's
-  /// BufferPool so the next frame builder reuses it.
-  ~Packet() { BufferPool::recycle(frame_.take_storage()); }
-  Packet(const Packet&) = default;
-  Packet(Packet&&) = default;
-  Packet& operator=(const Packet&) = default;
-  Packet& operator=(Packet&&) = default;
-
-  /// Pooled allocation: the shared_ptr control block and the Packet live
-  /// in one cell from the thread-local recycler, so steady-state packet
-  /// churn never touches the allocator (docs/performance.md).
-  static PacketPtr make(Buffer&& frame) {
+  /// The shared_ptr control block and the Packet live in one cell from
+  /// the thread-local recycler, as do the frame's bytes, so steady-state
+  /// packet churn never touches the allocator (docs/performance.md).
+  /// Pass an lvalue to copy the frame, an rvalue to move it.
+  static PacketPtr make(Buffer frame) {
     return std::allocate_shared<Packet>(sim::RecyclingAllocator<Packet>{},
                                         std::move(frame));
-  }
-
-  /// Copying overload: the frame bytes are copied into pooled storage.
-  static PacketPtr make(const Buffer& frame) {
-    return make(BufferPool::instance().copy(frame));
   }
 
   const Buffer& frame() const { return frame_; }

@@ -91,9 +91,9 @@ inline std::uint32_t action_instructions(const Action& a) {
 }
 
 /// A program's queue of actions to return ahead of its next state-machine
-/// step. The first block holds four actions. Rings of up to eight actions
-/// (1 KiB) live in the recycler and cost no allocation once warm; a queue
-/// that grows past eight takes a larger ring from the global allocator.
+/// step. The first block holds four actions, and every ring it grows to
+/// (up to 512 actions, 64 KiB) lives in the recycler: a warm queue costs
+/// no allocation, even a straggler scan's 65 actions for 64 sources.
 using ActionQueue = sim::RingQueue<Action>;
 
 class PpeProgram {

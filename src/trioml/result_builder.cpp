@@ -91,7 +91,7 @@ std::optional<trio::Action> ResultBuilder::step(trio::ThreadContext& ctx) {
       app_.stats().gradients_aggregated += in_.record.grad_cnt;
 
       trio::ActEmitPacket emit;
-      emit.pkt = net::Packet::make(frame_);
+      emit.pkt = net::Packet::make(std::move(frame_));
       emit.nexthop_id = in_.job.out_nh_addr;
       emit.instructions = 10;
       state_ = State::kDone;
