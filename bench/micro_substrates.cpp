@@ -6,6 +6,8 @@
 //     (simulator-host performance, i.e. how fast the simulation runs).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "microcode/compiler.hpp"
 #include "microcode/interpreter.hpp"
 #include "net/packet.hpp"
@@ -348,6 +350,28 @@ void BM_TrioMlHeadVsTailSplit(benchmark::State& state) {
   state.counters["tail_bytes_read"] = static_cast<double>(tail_bytes);
 }
 BENCHMARK(BM_TrioMlHeadVsTailSplit)->Arg(32)->Arg(1024)->Iterations(3);
+
+void BM_TrioMlAppBuild(benchmark::State& state) {
+  // Control-plane build cost: one aggregation app with the default 8 192
+  // slabs, built and destroyed on a fresh single-PFE router (the router's
+  // own build and teardown are untimed).
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = std::make_unique<sim::Simulator>();
+    auto router =
+        std::make_unique<trio::Router>(*sim, trio::Calibration{}, 1, 1, "r");
+    state.ResumeTiming();
+    {
+      trioml::TrioMlApp app(router->pfe(0), 8192);
+      benchmark::DoNotOptimize(app.free_slab_count());
+    }
+    state.PauseTiming();
+    router.reset();
+    sim.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_TrioMlAppBuild);
 
 }  // namespace
 

@@ -11,6 +11,9 @@ namespace {
 
 std::string rack_name(int r) { return "rack" + std::to_string(r); }
 
+/// The cluster's own job takes the 12-bit block cap's maximum.
+constexpr std::uint16_t kBuiltinBlockCntMax = 4095;
+
 }  // namespace
 
 Cluster::Cluster(ClusterSpec spec)
@@ -50,61 +53,9 @@ Cluster::Cluster(ClusterSpec spec)
     leaves_.push_back(make_router(r, rack_name(r), leaf_ports));
   }
 
-  // --- Spine: top-level job over one source per rack --------------------
-  auto& spine_fwd = spine_->forwarding();
-  for (int r = 0; r < racks; ++r) {
-    const std::uint32_t member = spine_fwd.add_nexthop(
-        trio::NexthopUnicast{r, trioml::aggregator_mac(r)});
-    spine_group_nh_ = spine_fwd.join_group(tree_.result_group, member);
-    spine_fwd.add_route(tree_.racks[std::size_t(r)].agg_ip, 32, member);
-  }
-  {
-    trioml::TrioMlApp::Config app_config;
-    app_config.slab_pool = spec_.slab_pool;
-    spine_app_ =
-        std::make_unique<trioml::TrioMlApp>(spine_->pfe(0), app_config);
-    spine_app_->set_aggregation_address(tree_.spine_ip);
-    spine_app_->install();
-    trioml::TrioMlApp::JobSetup job;
-    job.job_id = spec_.job_id;
-    job.src_ids = tree_.spine_src_ids;
-    job.block_grad_max = spec_.grads_per_packet;
-    job.block_exp_ms = spec_.block_exp_ms;
-    job.out_src = tree_.spine_ip;
-    job.out_dst = tree_.result_group;
-    job.out_nh = spine_group_nh_;
-    spine_app_->configure_job(job);
-  }
-
-  // --- Standby spine: identical top-level job, its own trunks ------------
-  if (spec_.backup_spine) {
-    auto& bfwd = backup_spine_->forwarding();
-    std::uint32_t backup_group_nh = 0;
-    for (int r = 0; r < racks; ++r) {
-      const std::uint32_t member = bfwd.add_nexthop(
-          trio::NexthopUnicast{r, trioml::aggregator_mac(r)});
-      backup_group_nh = bfwd.join_group(tree_.result_group, member);
-      bfwd.add_route(tree_.racks[std::size_t(r)].agg_ip, 32, member);
-    }
-    backup_spine_group_nh_ = backup_group_nh;
-    trioml::TrioMlApp::Config app_config;
-    app_config.slab_pool = spec_.slab_pool;
-    backup_spine_app_ =
-        std::make_unique<trioml::TrioMlApp>(backup_spine_->pfe(0), app_config);
-    // Same aggregation address as the primary: failover rewrites leaf
-    // nexthops only, the partial-Result destination IP never changes.
-    backup_spine_app_->set_aggregation_address(tree_.spine_ip);
-    backup_spine_app_->install();
-    trioml::TrioMlApp::JobSetup job;
-    job.job_id = spec_.job_id;
-    job.src_ids = tree_.spine_src_ids;
-    job.block_grad_max = spec_.grads_per_packet;
-    job.block_exp_ms = spec_.block_exp_ms;
-    job.out_src = tree_.spine_ip;
-    job.out_dst = tree_.result_group;
-    job.out_nh = backup_group_nh;
-    backup_spine_app_->configure_job(job);
-  }
+  // --- Spine and standby spine: top-level job over one source per rack ---
+  build_spine(/*backup=*/false);
+  if (spec_.backup_spine) build_spine(/*backup=*/true);
 
   // --- Racks ----------------------------------------------------------------
   to_spine_nh_.reserve(std::size_t(racks));
@@ -125,88 +76,79 @@ Cluster::Cluster(ClusterSpec spec)
   }
 }
 
+void Cluster::build_spine(bool backup) {
+  trio::Router& router = backup ? *backup_spine_ : *spine_;
+  auto& fwd = router.forwarding();
+  std::uint32_t group_nh = 0;
+  for (int r = 0; r < spec_.racks; ++r) {
+    const std::uint32_t member = fwd.add_nexthop(
+        trio::NexthopUnicast{r, trioml::aggregator_mac(r)});
+    group_nh = fwd.join_group(tree_.result_group, member);
+    fwd.add_route(tree_.racks[std::size_t(r)].agg_ip, 32, member);
+  }
+  (backup ? backup_spine_group_nh_ : spine_group_nh_) = group_nh;
+  auto app =
+      std::make_unique<trioml::TrioMlApp>(router.pfe(0), spec_.slab_pool);
+  // Both spines aggregate at one address: failover rewrites leaf
+  // nexthops only, the partial-Result destination IP never changes.
+  app->set_aggregation_address(tree_.spine_ip);
+  app->install();
+  app->configure_job(spine_job(spec_.job_id, kBuiltinBlockCntMax, backup));
+  (backup ? backup_spine_app_ : spine_app_) = std::move(app);
+}
+
+std::uint32_t Cluster::build_trunk(trio::Router& leaf, int r, bool backup) {
+  // Partial Results ride ordinary IP forwarding up the trunk (paper §4),
+  // the final multicast comes back down the same link. The trunk spans
+  // two simulation domains, so each direction's transmit machinery runs
+  // on its sender's shard and the receive crosses through the engine's
+  // delivery band — bound unconditionally (also at 1 shard) so event
+  // order is a property of the topology, not the shard count.
+  trio::Router& spine = backup ? *backup_spine_ : *spine_;
+  const std::uint32_t domain = backup ? backup_spine_domain() : spine_domain();
+  const int port = backup ? backup_trunk_port() : trunk_port();
+  const LinkSpec& fabric = spec_.fabric_link;
+  auto trunk = std::make_unique<net::Link>(
+      dsim(std::uint32_t(r)), dsim(domain), fabric.gbps, fabric.latency,
+      fabric.queue_frames);
+  trunk->bind_boundary(engine_, std::uint32_t(r), domain);
+  trunk->attach(leaf, port, spine, r);
+  leaf.attach_port(port, trunk->a_to_b());
+  spine.attach_port(r, trunk->b_to_a());
+  if (fabric.loss > 0) {
+    trunk->set_loss(fabric.loss, fabric.loss_seed + (backup ? 0x10000 : 0) +
+                                     std::uint64_t(r));
+  }
+  if (spec_.telemetry != nullptr) {
+    // Tier counters share one registry cell across all fabric links, so
+    // "cluster.tier.fabric.up.tx_frames" is the tier total.
+    const std::string tier =
+        backup ? "cluster.tier.fabric_backup." : "cluster.tier.fabric.";
+    trunk->a_to_b().instrument(spec_.telemetry->metrics, tier + "up.");
+    trunk->b_to_a().instrument(spec_.telemetry->metrics, tier + "down.");
+  }
+  const std::uint32_t nh = leaf.forwarding().add_nexthop(trio::NexthopUnicast{
+      port, backup ? trioml::backup_spine_mac() : trioml::spine_mac()});
+  (backup ? backup_fabric_links_ : fabric_links_).push_back(std::move(trunk));
+  (backup ? to_backup_spine_nh_ : to_spine_nh_).push_back(nh);
+  return nh;
+}
+
 void Cluster::build_rack(const RackNode& node) {
   const int r = node.rack;
   const int wpr = spec_.workers_per_rack;
   trio::Router& leaf = *leaves_[std::size_t(r)];
   auto& fwd = leaf.forwarding();
 
-  // Trunk to the spine: partial Results ride ordinary IP forwarding up
-  // (paper §4), the final multicast comes back down the same link. The
-  // trunk spans two simulation domains, so each direction's transmit
-  // machinery runs on its sender's shard and the receive crosses through
-  // the engine's delivery band — bound unconditionally (also at 1 shard)
-  // so event order is a property of the topology, not the shard count.
-  auto trunk = std::make_unique<net::Link>(
-      dsim(std::uint32_t(r)), dsim(spine_domain()), spec_.fabric_link.gbps,
-      spec_.fabric_link.latency, spec_.fabric_link.queue_frames);
-  trunk->bind_boundary(engine_, std::uint32_t(r), spine_domain());
-  trunk->attach(leaf, trunk_port(), *spine_, r);
-  leaf.attach_port(trunk_port(), trunk->a_to_b());
-  spine_->attach_port(r, trunk->b_to_a());
-  if (spec_.fabric_link.loss > 0) {
-    trunk->set_loss(spec_.fabric_link.loss,
-                    spec_.fabric_link.loss_seed + std::uint64_t(r));
-  }
-  if (spec_.telemetry != nullptr) {
-    // Tier counters share one registry cell across all fabric links, so
-    // "cluster.tier.fabric.up.tx_frames" is the tier total.
-    trunk->a_to_b().instrument(spec_.telemetry->metrics,
-                               "cluster.tier.fabric.up.");
-    trunk->b_to_a().instrument(spec_.telemetry->metrics,
-                               "cluster.tier.fabric.down.");
-  }
-  const std::uint32_t to_spine = fwd.add_nexthop(
-      trio::NexthopUnicast{trunk_port(), trioml::spine_mac()});
-  fwd.add_route(tree_.spine_ip, 32, to_spine);
-  fabric_links_.push_back(std::move(trunk));
-  to_spine_nh_.push_back(to_spine);
-
+  fwd.add_route(tree_.spine_ip, 32, build_trunk(leaf, r, /*backup=*/false));
   // Standby trunk to the backup spine, pre-wired but unused until
   // fail_over_to_backup() rewrites the spine route onto it.
-  if (spec_.backup_spine) {
-    auto backup_trunk = std::make_unique<net::Link>(
-        dsim(std::uint32_t(r)), dsim(backup_spine_domain()),
-        spec_.fabric_link.gbps, spec_.fabric_link.latency,
-        spec_.fabric_link.queue_frames);
-    backup_trunk->bind_boundary(engine_, std::uint32_t(r),
-                                backup_spine_domain());
-    backup_trunk->attach(leaf, backup_trunk_port(), *backup_spine_, r);
-    leaf.attach_port(backup_trunk_port(), backup_trunk->a_to_b());
-    backup_spine_->attach_port(r, backup_trunk->b_to_a());
-    if (spec_.fabric_link.loss > 0) {
-      backup_trunk->set_loss(
-          spec_.fabric_link.loss,
-          spec_.fabric_link.loss_seed + 0x10000 + std::uint64_t(r));
-    }
-    if (spec_.telemetry != nullptr) {
-      backup_trunk->a_to_b().instrument(spec_.telemetry->metrics,
-                                        "cluster.tier.fabric_backup.up.");
-      backup_trunk->b_to_a().instrument(spec_.telemetry->metrics,
-                                        "cluster.tier.fabric_backup.down.");
-    }
-    to_backup_spine_nh_.push_back(fwd.add_nexthop(trio::NexthopUnicast{
-        backup_trunk_port(), trioml::backup_spine_mac()}));
-    backup_fabric_links_.push_back(std::move(backup_trunk));
-  }
+  if (spec_.backup_spine) build_trunk(leaf, r, /*backup=*/true);
 
-  // Leaf aggregation job: local workers in, partial Results up, stamped
-  // with the rack's uplink source id.
-  trioml::TrioMlApp::Config app_config;
-  app_config.slab_pool = spec_.slab_pool;
-  auto app = std::make_unique<trioml::TrioMlApp>(leaf.pfe(0), app_config);
+  auto app = std::make_unique<trioml::TrioMlApp>(leaf.pfe(0), spec_.slab_pool);
   app->set_aggregation_address(node.agg_ip);
   app->install();
-  trioml::TrioMlApp::JobSetup job;
-  job.job_id = spec_.job_id;
-  job.src_ids = node.worker_src_ids;
-  job.block_grad_max = spec_.grads_per_packet;
-  job.block_exp_ms = spec_.block_exp_ms;
-  job.out_src = node.agg_ip;
-  job.out_dst = tree_.spine_ip;
-  job.out_nh = to_spine;
-  job.out_src_id = node.uplink_src_id;
-  app->configure_job(job);
+  app->configure_job(leaf_job(node, spec_.job_id, kBuiltinBlockCntMax));
   leaf_apps_.push_back(std::move(app));
 
   // Workers and host links; the leaf forwards the final-result multicast
@@ -255,6 +197,38 @@ void Cluster::build_rack(const RackNode& node) {
     host_links_.push_back(std::move(link));
     workers_.push_back(std::move(worker));
   }
+}
+
+trioml::TrioMlApp::JobSetup Cluster::leaf_job(
+    const RackNode& node, std::uint8_t job_id,
+    std::uint16_t block_cnt_max) const {
+  trioml::TrioMlApp::JobSetup job;
+  job.job_id = job_id;
+  job.src_ids = node.worker_src_ids;
+  job.block_grad_max = spec_.grads_per_packet;
+  job.block_cnt_max = block_cnt_max;
+  job.block_exp_ms = spec_.block_exp_ms;
+  job.out_src = node.agg_ip;
+  job.out_dst = tree_.spine_ip;
+  job.out_nh = on_backup_spine_ ? to_backup_spine_nexthop(node.rack)
+                                : to_spine_nexthop(node.rack);
+  job.out_src_id = node.uplink_src_id;
+  return job;
+}
+
+trioml::TrioMlApp::JobSetup Cluster::spine_job(std::uint8_t job_id,
+                                               std::uint16_t block_cnt_max,
+                                               bool backup) const {
+  trioml::TrioMlApp::JobSetup job;
+  job.job_id = job_id;
+  job.src_ids = tree_.spine_src_ids;
+  job.block_grad_max = spec_.grads_per_packet;
+  job.block_cnt_max = block_cnt_max;
+  job.block_exp_ms = spec_.block_exp_ms;
+  job.out_src = tree_.spine_ip;
+  job.out_dst = tree_.result_group;
+  job.out_nh = backup ? backup_spine_group_nh_ : spine_group_nh_;
+  return job;
 }
 
 std::vector<trioml::TrioMlApp*> Cluster::apps() {

@@ -89,6 +89,18 @@ class Cluster {
   std::uint32_t backup_spine_result_nexthop() const {
     return backup_spine_group_nh_;
   }
+  /// Job `job_id` on leaf `node`: the rack's workers in, partial Results
+  /// up the trunk the leaves are homed on, stamped with the rack's uplink
+  /// source id. The cluster's own job caps blocks at 4095, a tenant at
+  /// its TenantSpec::block_cnt_max.
+  trioml::TrioMlApp::JobSetup leaf_job(const RackNode& node,
+                                       std::uint8_t job_id,
+                                       std::uint16_t block_cnt_max) const;
+  /// Job `job_id` on the primary or standby spine: one source per rack,
+  /// the final Result multicast back down to every worker.
+  trioml::TrioMlApp::JobSetup spine_job(std::uint8_t job_id,
+                                        std::uint16_t block_cnt_max,
+                                        bool backup) const;
 
   // --- Failover (src/recovery/, docs/recovery.md) ------------------------
   /// Re-homes the aggregation tree's top level onto the standby spine:
@@ -126,6 +138,12 @@ class Cluster {
   static constexpr int kSummaryPidBase = 100'000;
 
  private:
+  /// Routes, result group and aggregation app of the primary or standby
+  /// spine.
+  void build_spine(bool backup);
+  /// Wires rack `r`'s trunk to the primary or standby spine and returns
+  /// the leaf's nexthop onto it.
+  std::uint32_t build_trunk(trio::Router& leaf, int r, bool backup);
   void build_rack(const RackNode& node);
   void rehome_spine_tier(bool to_backup);
   int trunk_port() const { return spec_.workers_per_rack; }

@@ -84,38 +84,6 @@ std::vector<trio::Router*> JobManager::routers() {
   return out;
 }
 
-trioml::TrioMlApp::JobSetup JobManager::leaf_setup(
-    const TenantSpec& spec, const cluster::RackNode& node) const {
-  trioml::TrioMlApp::JobSetup job;
-  job.job_id = spec.id;
-  job.src_ids = node.worker_src_ids;
-  job.block_grad_max = cluster_.spec().grads_per_packet;
-  job.block_cnt_max = spec.block_cnt_max;
-  job.block_exp_ms = cluster_.spec().block_exp_ms;
-  job.out_src = node.agg_ip;
-  job.out_dst = cluster_.tree().spine_ip;
-  job.out_nh = cluster_.on_backup_spine()
-                   ? cluster_.to_backup_spine_nexthop(node.rack)
-                   : cluster_.to_spine_nexthop(node.rack);
-  job.out_src_id = node.uplink_src_id;
-  return job;
-}
-
-trioml::TrioMlApp::JobSetup JobManager::spine_setup(const TenantSpec& spec,
-                                                    bool backup) const {
-  trioml::TrioMlApp::JobSetup job;
-  job.job_id = spec.id;
-  job.src_ids = cluster_.tree().spine_src_ids;
-  job.block_grad_max = cluster_.spec().grads_per_packet;
-  job.block_cnt_max = spec.block_cnt_max;
-  job.block_exp_ms = cluster_.spec().block_exp_ms;
-  job.out_src = cluster_.tree().spine_ip;
-  job.out_dst = cluster_.tree().result_group;
-  job.out_nh = backup ? cluster_.backup_spine_result_nexthop()
-                      : cluster_.spine_result_nexthop();
-  return job;
-}
-
 AdmissionResult JobManager::admit(const TenantSpec& spec) {
   if (spec.id == 0) return {false, "tenant id 0 is the untenanted class"};
   if (tenants_.count(spec.id)) {
@@ -133,8 +101,9 @@ AdmissionResult JobManager::admit(const TenantSpec& spec) {
     // The worst case is charged on *every* aggregating PFE before any job
     // record is written; a tenant that does not fit is rejected with the
     // cluster untouched.
-    const std::uint64_t need = trioml::TrioMlApp::job_worst_case_bytes(
-        leaf_setup(spec, cluster_.tree().racks.front()));
+    const std::uint64_t need =
+        trioml::TrioMlApp::job_worst_case_bytes(cluster_.leaf_job(
+            cluster_.tree().racks.front(), spec.id, spec.block_cnt_max));
     auto sms = aggregator_sms();
     for (auto* s : sms) {
       if (spec.sms_quota_bytes > 0) {
@@ -156,13 +125,15 @@ AdmissionResult JobManager::admit(const TenantSpec& spec) {
 
     // --- Job records over the physical aggregation tree ------------------
     if (!tenant.adopted_builtin) {
-      cluster_.spine_app().configure_job(spine_setup(spec, /*backup=*/false));
+      cluster_.spine_app().configure_job(
+          cluster_.spine_job(spec.id, spec.block_cnt_max, /*backup=*/false));
       if (cluster_.has_backup_spine()) {
         cluster_.backup_spine_app().configure_job(
-            spine_setup(spec, /*backup=*/true));
+            cluster_.spine_job(spec.id, spec.block_cnt_max, /*backup=*/true));
       }
       for (const auto& node : cluster_.tree().racks) {
-        cluster_.leaf_app(node.rack).configure_job(leaf_setup(spec, node));
+        cluster_.leaf_app(node.rack).configure_job(
+            cluster_.leaf_job(node, spec.id, spec.block_cnt_max));
       }
 
       // --- One worker per host, muxed onto the existing host links -------

@@ -187,10 +187,6 @@ class JobManager {
     bool torn_down = false;
   };
 
-  trioml::TrioMlApp::JobSetup leaf_setup(const TenantSpec& spec,
-                                         const cluster::RackNode& node) const;
-  trioml::TrioMlApp::JobSetup spine_setup(const TenantSpec& spec,
-                                          bool backup) const;
   std::vector<trio::SharedMemorySystem*> aggregator_sms();
   std::vector<trio::Router*> routers();
   void apply_weight(TenantId id, std::uint32_t weight);

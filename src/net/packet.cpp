@@ -6,8 +6,17 @@ Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
                        Ipv4Addr ip_src, Ipv4Addr ip_dst,
                        std::uint16_t udp_src, std::uint16_t udp_dst,
                        std::span<const std::uint8_t> payload) {
-  const std::size_t total = UdpFrameLayout::kPayloadOff + payload.size();
-  Buffer buf(total);
+  Buffer buf = build_udp_frame(eth_src, eth_dst, ip_src, ip_dst, udp_src,
+                               udp_dst, payload.size());
+  buf.write(UdpFrameLayout::kPayloadOff, payload);
+  return buf;
+}
+
+Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
+                       Ipv4Addr ip_src, Ipv4Addr ip_dst,
+                       std::uint16_t udp_src, std::uint16_t udp_dst,
+                       std::size_t payload_len) {
+  Buffer buf(UdpFrameLayout::kPayloadOff + payload_len);
 
   EthernetHeader eth;
   eth.src = eth_src;
@@ -20,16 +29,14 @@ Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
   ip.dst = ip_dst;
   ip.protocol = Ipv4Header::kProtoUdp;
   ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + UdpHeader::kSize + payload.size());
+      Ipv4Header::kSize + UdpHeader::kSize + payload_len);
   ip.write(buf, UdpFrameLayout::kIpOff);
 
   UdpHeader udp;
   udp.src_port = udp_src;
   udp.dst_port = udp_dst;
-  udp.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
+  udp.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload_len);
   udp.write(buf, UdpFrameLayout::kUdpOff);
-
-  buf.write(UdpFrameLayout::kPayloadOff, payload);
   return buf;
 }
 

@@ -85,6 +85,12 @@ Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
                        Ipv4Addr ip_src, Ipv4Addr ip_dst,
                        std::uint16_t udp_src, std::uint16_t udp_dst,
                        std::span<const std::uint8_t> payload);
+/// The same frame with `payload_len` zero bytes of payload, for builders
+/// that write their payload in place.
+Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
+                       Ipv4Addr ip_src, Ipv4Addr ip_dst,
+                       std::uint16_t udp_src, std::uint16_t udp_dst,
+                       std::size_t payload_len);
 
 /// Offsets of the standard headers in frames built by build_udp_frame.
 struct UdpFrameLayout {

@@ -1,7 +1,6 @@
 #include "netrpc/wire_format.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace netrpc {
 
@@ -43,9 +42,9 @@ net::Buffer build_netrpc_frame(const net::MacAddr& eth_src,
   if (value_words > kMaxValueWords || values.size() > value_words) {
     throw std::invalid_argument("netrpc frame: too many value words");
   }
-  std::vector<std::uint8_t> payload(NetRpcHeader::kSize + value_words * 4);
-  net::Buffer frame = net::build_udp_frame(eth_src, eth_dst, ip_src, ip_dst,
-                                           udp_src, udp_dst, payload);
+  net::Buffer frame =
+      net::build_udp_frame(eth_src, eth_dst, ip_src, ip_dst, udp_src, udp_dst,
+                           NetRpcHeader::kSize + std::size_t(value_words) * 4);
   NetRpcHeader h = hdr;
   h.value_cnt = static_cast<std::uint8_t>(value_words);
   h.write(frame, kNetRpcHdrOff);

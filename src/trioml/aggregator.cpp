@@ -347,8 +347,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         // Lost the creation race: another thread inserted this block
         // concurrently. Release our slab and active-block slot, then
         // take the found path.
-        app_.free_slab(TrioMlApp::Slab{
-            record_addr_, app_.buffer_of_record(record_addr_)});
+        app_.free_slab(record_addr_);
         queue_active_decrement();
         auto& lu = pending_.emplace_back().emplace<trio::ActSyncXtxn>();
         lu.req.op = trio::XtxnOp::kHashLookup;
@@ -511,6 +510,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
 
       ResultBuilder::Inputs in;
       in.key = key_;
+      in.record_addr = record_addr_;
       in.record = record_;
       in.job = job_;
       in.src_cnt = accum_src_cnt_;

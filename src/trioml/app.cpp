@@ -1,6 +1,6 @@
 #include "trioml/app.hpp"
 
-#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "trio/router.hpp"
@@ -10,23 +10,27 @@
 
 namespace trioml {
 
-TrioMlApp::TrioMlApp(trio::Pfe& pfe, Config config)
-    : pfe_(pfe), config_(config) {
+namespace {
+
+/// One slab's aggregation buffer: a full packet's gradients.
+constexpr std::size_t kBufferBytes = std::size_t(kMaxGradsPerPacket) * 4;
+
+}  // namespace
+
+TrioMlApp::TrioMlApp(trio::Pfe& pfe, std::size_t slab_pool)
+    : pfe_(pfe), slab_pool_(slab_pool) {
   // Pre-allocate the block slab pool: 64-byte records in on-chip SRAM
   // (hot, small), 4 KiB aggregation buffers in DMEM (large — §2.3 "data
   // structures to be placed in the type of memory that best matches
-  // their capacity and bandwidth requirements").
+  // their capacity and bandwidth requirements"). One range per memory
+  // puts slab i at a fixed stride from each base, the addresses a
+  // slab-at-a-time bump allocation would give it.
   auto& sms = pfe_.sms();
-  free_slabs_.reserve(config_.slab_pool);
-  for (std::size_t i = 0; i < config_.slab_pool; ++i) {
-    Slab slab;
-    slab.record_addr = sms.alloc_sram(kBlockSlabBytes, 64);
-    slab.buffer_addr =
-        sms.alloc_dram(std::size_t(kMaxGradsPerPacket) * 4, 64);
-    record_to_buffer_.emplace(slab.record_addr, slab.buffer_addr);
-    buffer_to_record_.emplace(slab.buffer_addr, slab.record_addr);
-    free_slabs_.push_back(slab);
-  }
+  records_base_ = sms.alloc_sram(slab_pool_ * kBlockSlabBytes, 64);
+  buffers_base_ = sms.alloc_dram(slab_pool_ * kBufferBytes, 64);
+  // Popped from the back: slab N-1 is allocated first.
+  free_slabs_.resize(slab_pool_);
+  std::iota(free_slabs_.begin(), free_slabs_.end(), 0u);
   auto& registry = pfe_.router().telemetry().metrics;
   const std::string prefix = pfe_.metric_prefix() + "trioml.";
   packet_latency_hist_ = registry.histogram(prefix + "packet_latency_ns");
@@ -36,6 +40,9 @@ TrioMlApp::TrioMlApp(trio::Pfe& pfe, Config config)
 void TrioMlApp::configure_job(const JobSetup& setup) {
   if (setup.src_ids.empty()) {
     throw std::invalid_argument("TrioMlApp: job needs at least one source");
+  }
+  if (has_job(setup.job_id)) {
+    throw std::invalid_argument("TrioMlApp: job already configured");
   }
   JobRecord rec;
   rec.block_cnt_max = setup.block_cnt_max & 0xfff;
@@ -57,34 +64,36 @@ void TrioMlApp::configure_job(const JobSetup& setup) {
   // A Packet/Byte counter per job tracks completed blocks / gradient bytes.
   const std::uint64_t ctr = sms.alloc_sram(16, 16);
   const std::uint64_t active = sms.alloc_sram(8, 8);
-  job_records_[setup.job_id] = addr;
-  job_counters_[setup.job_id] = ctr;
-  job_active_counters_[setup.job_id] = active;
   // Job records are control-plane state: pinned, so they survive the
   // generation bump a router kill triggers (invalidate_active_blocks).
   if (!pfe_.hash_table().insert(job_key(setup.job_id), addr,
                                 /*pinned=*/true)) {
-    throw std::invalid_argument("TrioMlApp: job already configured");
+    throw std::invalid_argument("TrioMlApp: job key already in the hash table");
   }
+  Job& job = jobs_[setup.job_id];
+  job.record = addr;
+  job.counter = ctr;
+  job.active_counter = active;
 }
 
 void TrioMlApp::remove_job(std::uint8_t job_id) {
   pfe_.hash_table().erase(job_key(job_id));
-  job_records_.erase(job_id);
+  // In-flight threads still post to the job's counters; only the record
+  // goes.
+  jobs_[job_id].record = 0;
 }
 
 std::vector<std::uint8_t> TrioMlApp::configured_jobs() const {
   std::vector<std::uint8_t> jobs;
-  jobs.reserve(job_records_.size());
-  for (const auto& [job, addr] : job_records_) jobs.push_back(job);
-  std::sort(jobs.begin(), jobs.end());
+  for (std::size_t id = 0; id < jobs_.size(); ++id) {
+    if (jobs_[id].record != 0) jobs.push_back(std::uint8_t(id));
+  }
   return jobs;
 }
 
 std::uint64_t TrioMlApp::job_worst_case_bytes(const JobSetup& setup) {
   const std::uint64_t control = JobRecord::kSize + 16 + 8;
-  const std::uint64_t per_block =
-      kBlockSlabBytes + std::uint64_t(kMaxGradsPerPacket) * 4;
+  const std::uint64_t per_block = kBlockSlabBytes + kBufferBytes;
   return control + std::uint64_t(setup.block_cnt_max & 0xfff) * per_block;
 }
 
@@ -101,22 +110,12 @@ std::size_t TrioMlApp::drop_active_blocks(std::uint8_t job_id) {
     // Co-tenant apps share the hash table: a foreign key (e.g. a netrpc
     // cache presence entry whose tenant id matches this job id) points at
     // SMS state that is not a block record — leave it alone.
-    if (record_to_buffer_.find(record_addr) == record_to_buffer_.end()) {
-      continue;
-    }
+    if (!is_slab_record(record_addr)) continue;
     hash.erase(key);
-    quarantine_slab(Slab{record_addr, buffer_of_record(record_addr)});
+    quarantine_slab(record_addr);
     ++dropped;
   }
-  // Rewind the job's active-block count so block_cnt_max capping stays
-  // accurate after the loss.
-  const std::uint64_t active_addr = job_active_counter_addr(job_id);
-  if (active_addr != 0 && dropped != 0) {
-    auto& sms = pfe_.sms();
-    const std::uint32_t active = sms.peek_u32(active_addr);
-    sms.poke_u32(active_addr,
-                 active >= dropped ? active - std::uint32_t(dropped) : 0);
-  }
+  rewind_active_blocks(job_id, std::uint32_t(dropped));
   stats_.blocks_lost_fault += dropped;
   return dropped;
 }
@@ -124,30 +123,33 @@ std::size_t TrioMlApp::drop_active_blocks(std::uint8_t job_id) {
 std::size_t TrioMlApp::invalidate_active_blocks() {
   auto& hash = pfe_.hash_table();
   hash.bump_generation();
-  std::unordered_map<std::uint8_t, std::uint32_t> per_job;
+  std::array<std::uint32_t, 256> lost{};  // by job id
   std::size_t dropped = hash.sweep_stale(
-      [this, &per_job](std::uint64_t key, std::uint64_t record_addr) {
+      [this, &lost](std::uint64_t key, std::uint64_t record_addr) {
+        // Swept foreign entries (a co-tenant app's keys — the kill took
+        // their state too) have no slab to free here.
+        if (!is_slab_record(record_addr)) return;
         std::uint8_t j;
         std::uint16_t gen;
         std::uint32_t block;
         split_key(key, j, gen, block);
-        // Swept foreign entries (a co-tenant app's keys — the kill took
-        // their state too) have no slab to free here.
-        if (record_to_buffer_.find(record_addr) == record_to_buffer_.end()) {
-          return;
-        }
-        ++per_job[j];
-        free_slab(Slab{record_addr, buffer_of_record(record_addr)});
+        ++lost[j];
+        free_slab(record_addr);
       });
-  auto& sms = pfe_.sms();
-  for (const auto& [job_id, lost] : per_job) {
-    const std::uint64_t active_addr = job_active_counter_addr(job_id);
-    if (active_addr == 0) continue;
-    const std::uint32_t active = sms.peek_u32(active_addr);
-    sms.poke_u32(active_addr, active >= lost ? active - lost : 0);
+  for (std::size_t j = 0; j < lost.size(); ++j) {
+    rewind_active_blocks(std::uint8_t(j), lost[j]);
   }
   stats_.blocks_lost_fault += dropped;
   return dropped;
+}
+
+void TrioMlApp::rewind_active_blocks(std::uint8_t job_id,
+                                     std::uint32_t lost) {
+  const std::uint64_t addr = job_active_counter_addr(job_id);
+  if (addr == 0 || lost == 0) return;
+  auto& sms = pfe_.sms();
+  const std::uint32_t active = sms.peek_u32(addr);
+  sms.poke_u32(addr, active >= lost ? active - lost : 0);
 }
 
 bool TrioMlApp::retarget_job_output(std::uint8_t job_id,
@@ -159,16 +161,6 @@ bool TrioMlApp::retarget_job_output(std::uint8_t job_id,
   rec.out_nh_addr = out_nh;
   sms.poke_bytes(addr, rec.pack());
   return true;
-}
-
-std::uint64_t TrioMlApp::job_counter_addr(std::uint8_t job_id) const {
-  auto it = job_counters_.find(job_id);
-  return it == job_counters_.end() ? 0 : it->second;
-}
-
-std::uint64_t TrioMlApp::job_active_counter_addr(std::uint8_t job_id) const {
-  auto it = job_active_counters_.find(job_id);
-  return it == job_active_counters_.end() ? 0 : it->second;
 }
 
 void TrioMlApp::install() {
@@ -192,34 +184,10 @@ void TrioMlApp::start_straggler_detection(int threads,
 void TrioMlApp::stop_straggler_detection() { pfe_.timers().stop(); }
 
 void TrioMlApp::enable_straggler_profiling(std::uint8_t job_id) {
-  if (profiling_.contains(job_id)) return;
-  Profiling p;
-  p.events_base = pfe_.sms().alloc_sram(256 * 16, 64);
-  p.state_base = pfe_.sms().alloc_sram(256 * 16, 64);
-  profiling_.emplace(job_id, p);
-}
-
-bool TrioMlApp::profiling_enabled(std::uint8_t job_id) const {
-  return profiling_.contains(job_id);
-}
-
-std::uint64_t TrioMlApp::straggler_event_counter_addr(
-    std::uint8_t job_id, std::uint8_t src) const {
-  auto it = profiling_.find(job_id);
-  return it == profiling_.end() ? 0
-                                : it->second.events_base + std::uint64_t(src) * 16;
-}
-
-std::uint64_t TrioMlApp::classifier_state_addr(std::uint8_t job_id,
-                                               std::uint8_t src) const {
-  auto it = profiling_.find(job_id);
-  return it == profiling_.end() ? 0
-                                : it->second.state_base + std::uint64_t(src) * 16;
-}
-
-std::uint64_t TrioMlApp::job_record_addr(std::uint8_t job_id) const {
-  auto it = job_records_.find(job_id);
-  return it == job_records_.end() ? 0 : it->second;
+  Job& job = jobs_[job_id];
+  if (job.events_base != 0) return;
+  job.events_base = pfe_.sms().alloc_sram(256 * 16, 64);
+  job.state_base = pfe_.sms().alloc_sram(256 * 16, 64);
 }
 
 int TrioMlApp::start_straggler_classification(std::uint8_t job_id,
@@ -237,26 +205,48 @@ int TrioMlApp::start_straggler_classification(std::uint8_t job_id,
       });
 }
 
+bool TrioMlApp::is_slab_record(std::uint64_t addr) const {
+  return addr >= records_base_ &&
+         addr - records_base_ < slab_pool_ * kBlockSlabBytes &&
+         (addr - records_base_) % kBlockSlabBytes == 0;
+}
+
+std::uint32_t TrioMlApp::slab_index(std::uint64_t record_addr) const {
+  if (!is_slab_record(record_addr)) {
+    throw std::logic_error("TrioMlApp: unknown block record");
+  }
+  return std::uint32_t((record_addr - records_base_) / kBlockSlabBytes);
+}
+
+TrioMlApp::Slab TrioMlApp::slab(std::uint32_t index) const {
+  return Slab{records_base_ + std::uint64_t(index) * kBlockSlabBytes,
+              buffers_base_ + std::uint64_t(index) * kBufferBytes};
+}
+
 std::optional<TrioMlApp::Slab> TrioMlApp::alloc_slab() {
   if (free_slabs_.empty()) {
     ++stats_.out_of_slabs;
     return std::nullopt;
   }
-  Slab slab = free_slabs_.back();
+  const std::uint32_t index = free_slabs_.back();
   free_slabs_.pop_back();
-  return slab;
+  return slab(index);
 }
 
-void TrioMlApp::free_slab(const Slab& slab) {
+void TrioMlApp::free_slab(std::uint64_t record_addr) {
+  free_slab_at(slab_index(record_addr));
+}
+
+void TrioMlApp::free_slab_at(std::uint32_t index) {
   // Zero the aggregation buffer so the next block starts clean. In
   // hardware this is done by an init-on-allocate background engine; here
   // it is functional-only (no time charged) — see DESIGN.md.
-  pfe_.sms().clear(slab.buffer_addr, std::size_t(kMaxGradsPerPacket) * 4);
-  free_slabs_.push_back(slab);
+  pfe_.sms().clear(slab(index).buffer_addr, kBufferBytes);
+  free_slabs_.push_back(index);
 }
 
-void TrioMlApp::quarantine_slab(const Slab& slab) {
-  quarantined_slabs_.push_back(slab);
+void TrioMlApp::quarantine_slab(std::uint64_t record_addr) {
+  quarantined_slabs_.push_back(slab_index(record_addr));
   schedule_slab_reclaim();
 }
 
@@ -267,28 +257,12 @@ void TrioMlApp::schedule_slab_reclaim() {
       sim::Duration::micros(10), [this] {
         reclaim_scheduled_ = false;
         if (pfe_.active_threads() == 0) {
-          for (const Slab& slab : quarantined_slabs_) free_slab(slab);
+          for (std::uint32_t index : quarantined_slabs_) free_slab_at(index);
           quarantined_slabs_.clear();
         } else {
           schedule_slab_reclaim();
         }
       });
-}
-
-void TrioMlApp::free_slab_by_buffer(std::uint64_t buffer_addr) {
-  auto it = buffer_to_record_.find(buffer_addr);
-  if (it == buffer_to_record_.end()) {
-    throw std::logic_error("TrioMlApp: unknown aggregation buffer");
-  }
-  free_slab(Slab{it->second, buffer_addr});
-}
-
-std::uint64_t TrioMlApp::buffer_of_record(std::uint64_t record_addr) const {
-  auto it = record_to_buffer_.find(record_addr);
-  if (it == record_to_buffer_.end()) {
-    throw std::logic_error("TrioMlApp: unknown block record");
-  }
-  return it->second;
 }
 
 }  // namespace trioml

@@ -7,10 +7,10 @@
 // workflow of Fig 10 packet by packet.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/headers.hpp"
@@ -24,14 +24,9 @@ namespace trioml {
 
 class TrioMlApp {
  public:
-  struct Config {
-    /// Slabs pre-allocated for the datapath (each = 64 B record slab +
-    /// a 4 KiB aggregation buffer in DMEM).
-    std::size_t slab_pool = 8192;
-  };
-
-  explicit TrioMlApp(trio::Pfe& pfe) : TrioMlApp(pfe, Config()) {}
-  TrioMlApp(trio::Pfe& pfe, Config config);
+  /// Pre-allocates `slab_pool` block slabs for the datapath, each a 64 B
+  /// record in SRAM and a 4 KiB aggregation buffer in DMEM.
+  explicit TrioMlApp(trio::Pfe& pfe, std::size_t slab_pool = 8192);
 
   /// One aggregation job (paper Fig 9 "Control Plane Job Records").
   struct JobSetup {
@@ -47,6 +42,8 @@ class TrioMlApp {
   };
 
   /// Writes the job record into SMS + hash table. Call before traffic.
+  /// Throws std::invalid_argument, with the app unchanged, when the job
+  /// is already configured.
   void configure_job(const JobSetup& setup);
   /// Removes the job (records of in-flight blocks are left to age out).
   void remove_job(std::uint8_t job_id);
@@ -54,9 +51,7 @@ class TrioMlApp {
   /// Job ids currently configured on this app, ascending. The failover
   /// path iterates this to re-home *every* tenant (docs/jobs.md).
   std::vector<std::uint8_t> configured_jobs() const;
-  bool has_job(std::uint8_t job_id) const {
-    return job_records_.count(job_id) != 0;
-  }
+  bool has_job(std::uint8_t job_id) const { return jobs_[job_id].record != 0; }
 
   /// Worst-case SMS bytes the job can occupy on one PFE: its control
   /// records plus block_cnt_max full slabs. The JobManager charges this
@@ -116,45 +111,59 @@ class TrioMlApp {
   /// for the job; the detection scan then charges missing sources on
   /// every aged block.
   void enable_straggler_profiling(std::uint8_t job_id);
-  bool profiling_enabled(std::uint8_t job_id) const;
+  bool profiling_enabled(std::uint8_t job_id) const {
+    return jobs_[job_id].events_base != 0;
+  }
   /// 16-byte Packet/Byte event counter for (job, src); 0 when disabled.
   std::uint64_t straggler_event_counter_addr(std::uint8_t job_id,
-                                             std::uint8_t src) const;
+                                             std::uint8_t src) const {
+    return per_source(jobs_[job_id].events_base, src);
+  }
   /// 16-byte classifier window state for (job, src); 0 when disabled.
   std::uint64_t classifier_state_addr(std::uint8_t job_id,
-                                      std::uint8_t src) const;
-  std::uint64_t job_record_addr(std::uint8_t job_id) const;
+                                      std::uint8_t src) const {
+    return per_source(jobs_[job_id].state_base, src);
+  }
+  /// The job's record; 0 when the job is not configured.
+  std::uint64_t job_record_addr(std::uint8_t job_id) const {
+    return jobs_[job_id].record;
+  }
   /// Starts the infrequent classification timer group; returns its id.
   int start_straggler_classification(std::uint8_t job_id,
                                      sim::Duration period,
                                      int permanent_after_windows = 3);
 
   // --- Datapath services (used by the aggregation / scan programs) -------
+  /// Slab i is the 64 B record at records_base + 64 i and the 4 KiB
+  /// buffer at buffers_base + 4096 i: its record address names it (the
+  /// record also holds the buffer's address, Fig 18 aggr_paddr).
   struct Slab {
     std::uint64_t record_addr = 0;
     std::uint64_t buffer_addr = 0;
   };
   std::optional<Slab> alloc_slab();
   std::size_t free_slab_count() const { return free_slabs_.size(); }
-  std::size_t slab_pool_size() const { return config_.slab_pool; }
-  void free_slab(const Slab& slab);
-  /// Frees via the aggregation-buffer address (slabs are paired 1:1).
-  void free_slab_by_buffer(std::uint64_t buffer_addr);
+  std::size_t slab_pool_size() const { return slab_pool_; }
+  /// Returns the slab whose record is at `record_addr` to the pool, its
+  /// buffer zeroed. Throws std::logic_error for any other address.
+  void free_slab(std::uint64_t record_addr);
   /// Fault-path free (bucket drops): in-flight PPE threads may still
   /// hold this slab's addresses, so it only rejoins the free pool once
   /// the PFE has drained to zero active threads — immediate reuse would
   /// let a stale thread's RMWs corrupt the next block allocated here.
-  void quarantine_slab(const Slab& slab);
-  /// Buffer address belonging to a record address (slabs are paired).
-  std::uint64_t buffer_of_record(std::uint64_t record_addr) const;
+  void quarantine_slab(std::uint64_t record_addr);
 
   trio::Pfe& pfe() { return pfe_; }
-  std::uint64_t job_counter_addr(std::uint8_t job_id) const;
+  std::uint64_t job_counter_addr(std::uint8_t job_id) const {
+    return jobs_[job_id].counter;
+  }
   /// Word holding the job's current number of active blocks; the
   /// datapath FetchAdd32s it to enforce block_cnt_max (Fig 17: "control
   /// memory sharing across jobs by capping the maximum number of
   /// concurrent aggregation blocks").
-  std::uint64_t job_active_counter_addr(std::uint8_t job_id) const;
+  std::uint64_t job_active_counter_addr(std::uint8_t job_id) const {
+    return jobs_[job_id].active_counter;
+  }
 
   // --- Statistics ----------------------------------------------------------
   struct Stats {
@@ -186,23 +195,37 @@ class TrioMlApp {
   telemetry::Histogram block_latency_hist() { return block_latency_hist_; }
 
  private:
+  /// SMS addresses of one job id; 0 where none is allocated.
+  struct Job {
+    std::uint64_t record = 0;  // cleared by remove_job
+    std::uint64_t counter = 0;
+    std::uint64_t active_counter = 0;
+    std::uint64_t events_base = 0;  // §5 profiling, 256 sources x 16 B
+    std::uint64_t state_base = 0;
+  };
+
+  static std::uint64_t per_source(std::uint64_t base, std::uint8_t src) {
+    return base == 0 ? 0 : base + std::uint64_t(src) * 16;
+  }
+  bool is_slab_record(std::uint64_t addr) const;
+  /// Index of the slab whose record is at `record_addr`; throws
+  /// std::logic_error when no slab's record is there.
+  std::uint32_t slab_index(std::uint64_t record_addr) const;
+  Slab slab(std::uint32_t index) const;
+  void free_slab_at(std::uint32_t index);
+  /// Lowers the job's active-block count by `lost`, clamped at zero, so
+  /// block_cnt_max capping stays accurate after blocks are lost.
+  void rewind_active_blocks(std::uint8_t job_id, std::uint32_t lost);
   void schedule_slab_reclaim();
 
   trio::Pfe& pfe_;
-  Config config_;
-  std::vector<Slab> free_slabs_;
-  std::vector<Slab> quarantined_slabs_;
+  std::size_t slab_pool_;
+  std::uint64_t records_base_ = 0;
+  std::uint64_t buffers_base_ = 0;
+  std::vector<std::uint32_t> free_slabs_;
+  std::vector<std::uint32_t> quarantined_slabs_;
   bool reclaim_scheduled_ = false;
-  std::unordered_map<std::uint64_t, std::uint64_t> record_to_buffer_;
-  std::unordered_map<std::uint64_t, std::uint64_t> buffer_to_record_;
-  std::unordered_map<std::uint8_t, std::uint64_t> job_records_;
-  std::unordered_map<std::uint8_t, std::uint64_t> job_counters_;
-  std::unordered_map<std::uint8_t, std::uint64_t> job_active_counters_;
-  struct Profiling {
-    std::uint64_t events_base = 0;
-    std::uint64_t state_base = 0;
-  };
-  std::unordered_map<std::uint8_t, Profiling> profiling_;
+  std::array<Job, 256> jobs_{};  // by job id
   std::optional<net::Ipv4Addr> agg_addr_;
   Stats stats_;
   telemetry::Histogram packet_latency_hist_;

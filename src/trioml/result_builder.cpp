@@ -7,10 +7,10 @@ namespace trioml {
 ResultBuilder::ResultBuilder(TrioMlApp& app, Inputs inputs)
     : app_(app), in_(std::move(inputs)) {
   grad_bytes_ = std::size_t(in_.record.grad_cnt) * 4;
-  // Pre-build the result packet's head: Eth/IP/UDP and the Trio-ML header
-  // are reconstructed from the block and job records (paper §4 "Result
-  // packet"). Gradients are appended chunk by chunk as they are read back
-  // from the aggregation buffer.
+  // Pre-build the result packet: Eth/IP/UDP and the Trio-ML header are
+  // reconstructed from the block and job records (paper §4 "Result
+  // packet"). The gradients stay zero until they are copied in chunk by
+  // chunk as they are read back from the aggregation buffer.
   std::uint8_t job_id;
   std::uint16_t gen_id;
   std::uint32_t block_id;
@@ -29,26 +29,11 @@ ResultBuilder::ResultBuilder(TrioMlApp& app, Inputs inputs)
 
   const net::MacAddr router_mac{0x02, 0x00, 0x00, 0x00, 0x00, 0xfe};
   const net::MacAddr mcast_mac{0x01, 0x00, 0x5e, 0x00, 0x00, 0x01};
-  frame_ = build_aggregation_frame(
+  frame_ = net::build_udp_frame(
       router_mac, mcast_mac, net::Ipv4Addr(in_.job.out_src_addr),
-      net::Ipv4Addr(in_.job.out_dst_addr), kTrioMlUdpPort, hdr,
-      std::span<const std::uint32_t>{});
-  // Reserve space for the gradients (zero-filled until chunks land).
-  frame_.resize(kGradOff + grad_bytes_);
-  // build_aggregation_frame stamps grad_cnt from the (empty) span; the
-  // result header must advertise the block's gradient count.
-  hdr.grad_cnt = in_.record.grad_cnt;
+      net::Ipv4Addr(in_.job.out_dst_addr), kTrioMlUdpPort, kTrioMlUdpPort,
+      TrioMlHeader::kSize + grad_bytes_);
   hdr.write(frame_, kTrioMlHdrOff);
-  // The frame length fields must cover the gradients.
-  net::Ipv4Header ip = net::Ipv4Header::parse(frame_, net::UdpFrameLayout::kIpOff);
-  ip.total_length = static_cast<std::uint16_t>(
-      net::Ipv4Header::kSize + net::UdpHeader::kSize + TrioMlHeader::kSize +
-      grad_bytes_);
-  ip.write(frame_, net::UdpFrameLayout::kIpOff);
-  net::UdpHeader udp = net::UdpHeader::parse(frame_, net::UdpFrameLayout::kUdpOff);
-  udp.length = static_cast<std::uint16_t>(net::UdpHeader::kSize +
-                                          TrioMlHeader::kSize + grad_bytes_);
-  udp.write(frame_, net::UdpFrameLayout::kUdpOff);
 }
 
 std::optional<trio::Action> ResultBuilder::step(trio::ThreadContext& ctx) {
@@ -85,7 +70,7 @@ std::optional<trio::Action> ResultBuilder::step(trio::ThreadContext& ctx) {
     case State::kEmit: {
       // Free the slab (control-plane bookkeeping; the hash record was
       // deleted by the caller before result generation began).
-      app_.free_slab_by_buffer(in_.record.aggr_paddr);
+      app_.free_slab(in_.record_addr);
 
       ++app_.stats().results_emitted;
       app_.stats().gradients_aggregated += in_.record.grad_cnt;

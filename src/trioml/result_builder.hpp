@@ -21,6 +21,7 @@ class ResultBuilder {
  public:
   struct Inputs {
     std::uint64_t key = 0;          // hash key of the block
+    std::uint64_t record_addr = 0;  // the block's slab
     BlockRecord record;             // block record (already read)
     JobRecord job;                  // job record (already read)
     std::uint8_t src_cnt = 0;       // contributors (slab scratch accumulator)

@@ -59,13 +59,8 @@ trio::Action StragglerScanProgram::do_step(trio::ThreadContext& ctx) {
         state_ = State::kNextAged;
         return do_step(ctx);
       }
-      record_addr_ = 0;  // filled from the hash value? the delete reply has none
-      // The hash value (record address) was returned by the scan via the
-      // key; re-derive it: block records are slab-allocated, so the app
-      // can map key -> record only through the hash. We read it before
-      // the delete in hardware; here the scan reply carried keys only, so
-      // the claim is followed by a slab read via the app's pairing.
-      // (The original lookup value is recovered from the delete reply.)
+      // The delete reply carries the deleted record's value: the block's
+      // record address.
       record_addr_ = ctx.reply.value;
       trio::ActSyncXtxn rd;
       rd.req.op = trio::XtxnOp::kRead;
@@ -82,7 +77,7 @@ trio::Action StragglerScanProgram::do_step(trio::ThreadContext& ctx) {
       if (accum_src_cnt_ == 0) {
         // Nothing was ever aggregated (cannot normally happen: the
         // creator contributes before the record can age). Recycle.
-        app_.free_slab_by_buffer(record_.aggr_paddr);
+        app_.free_slab(record_addr_);
         state_ = State::kNextAged;
         return do_step(ctx);
       }
@@ -132,6 +127,7 @@ trio::Action StragglerScanProgram::do_step(trio::ThreadContext& ctx) {
       }
       ResultBuilder::Inputs in;
       in.key = key_;
+      in.record_addr = record_addr_;
       in.record = record_;
       in.job = job;
       in.src_cnt = accum_src_cnt_;

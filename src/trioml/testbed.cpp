@@ -61,9 +61,7 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   auto make_app = [&](int pfe) -> TrioMlApp& {
     auto& slot = apps_[static_cast<std::size_t>(pfe)];
     if (!slot) {
-      TrioMlApp::Config app_config;
-      app_config.slab_pool = config_.slab_pool;
-      slot = std::make_unique<TrioMlApp>(router_->pfe(pfe), app_config);
+      slot = std::make_unique<TrioMlApp>(router_->pfe(pfe), config_.slab_pool);
       slot->set_aggregation_address(router_ip);
       slot->install();
     }

@@ -56,10 +56,9 @@ net::Buffer build_aggregation_frame(const net::MacAddr& eth_src,
   if (gradients.size() > kMaxGradsPerPacket) {
     throw std::invalid_argument("too many gradients for one packet");
   }
-  std::vector<std::uint8_t> payload(TrioMlHeader::kSize + gradients.size() * 4);
-  net::Buffer frame = net::build_udp_frame(eth_src, eth_dst, ip_src, ip_dst,
-                                           udp_src_port, kTrioMlUdpPort,
-                                           payload);
+  net::Buffer frame = net::build_udp_frame(
+      eth_src, eth_dst, ip_src, ip_dst, udp_src_port, kTrioMlUdpPort,
+      TrioMlHeader::kSize + gradients.size_bytes());
   TrioMlHeader h = hdr;
   h.grad_cnt = static_cast<std::uint16_t>(gradients.size());
   h.write(frame, kTrioMlHdrOff);

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -27,6 +28,8 @@
 #include "sim/simulator.hpp"
 #include "trio/router.hpp"
 #include "trio/sms.hpp"
+#include "trioml/app.hpp"
+#include "trioml/wire_format.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -467,6 +470,44 @@ TEST(AllocCount, ActionQueueOf65ActionsIsAllocationFree) {
   EXPECT_EQ(allocs() - before, 0u) << "16 queues of 65 actions";
 }
 
+TEST(AllocCount, AggregationFrameBuildIsAllocationFree) {
+  // The header and the gradients are written straight into the frame's
+  // recycled bytes: no payload is staged on the side.
+  const std::vector<std::uint32_t> grads(trioml::kMaxGradsPerPacket,
+                                         0x01020304);
+  const auto build = [&grads] {
+    return trioml::build_aggregation_frame(
+        {1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2},
+        net::Ipv4Addr::from_octets(10, 0, 0, 1),
+        net::Ipv4Addr::from_octets(10, 0, 0, 2), 1, trioml::TrioMlHeader{},
+        grads);
+  };
+  build();  // warm-up
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 16; ++i) {
+    const net::Buffer frame = build();
+    EXPECT_EQ(trioml::read_gradient(frame, grads.size() - 1), 0x01020304u);
+  }
+  EXPECT_EQ(allocs() - before, 0u) << "16 frames of 1024 gradients";
+}
+
+std::uint64_t app_build_allocs(trio::Pfe& pfe, std::size_t slabs) {
+  const std::uint64_t before = allocs();
+  auto app = std::make_unique<trioml::TrioMlApp>(pfe, slabs);
+  return allocs() - before;
+}
+
+TEST(AllocCount, TrioMlAppBuildDoesNotGrowWithItsSlabPool) {
+  // A slab is its index: the pool is one SRAM range, one DMEM range and
+  // a free list of indices, so building it costs the same at any size.
+  sim::Simulator sim;
+  trio::Router router(sim, trio::Calibration{}, 2, 1, "r");
+  const std::uint64_t small = app_build_allocs(router.pfe(0), 64);
+  const std::uint64_t large = app_build_allocs(router.pfe(1), 8192);
+  EXPECT_EQ(large, small) << "8192 slabs against 64";
+  EXPECT_LE(large, 4u);
+}
+
 std::uint64_t pfe_packets(cluster::Cluster& cl) {
   std::uint64_t n = 0;
   for (int r = 0; r <= cl.num_racks(); ++r) {
@@ -480,9 +521,10 @@ std::uint64_t pfe_packets(cluster::Cluster& cl) {
 
 TEST(AllocCount, AllreduceStepStaysUnderBudget) {
   // A warm 2x2 allreduce step at 1024 gradients per packet. Aggregation
-  // packets cost the PFEs nothing; what allocates is building each
-  // block's result and the host endpoints (about 185 allocations per PFE
-  // packet before XTXN payloads went inline and programs were recycled).
+  // packets cost the PFEs nothing and frames are built in place; what
+  // allocates is the host endpoints' bookkeeping (about 185 allocations
+  // per PFE packet before XTXN payloads went inline and programs were
+  // recycled, 1.7 before frames were built in place, 0.8 after).
   cluster::ClusterSpec spec;
   spec.grads_per_packet = 1024;
   cluster::Cluster cl(spec);
@@ -497,7 +539,7 @@ TEST(AllocCount, AllreduceStepStaysUnderBudget) {
   const std::uint64_t packets = pfe_packets(cl) - packets_before;
   EXPECT_EQ(run.finished, cl.num_workers());
   ASSERT_GT(packets, 0u);
-  constexpr std::uint64_t kBudgetPerPfePacket = 4;
+  constexpr std::uint64_t kBudgetPerPfePacket = 1;
   EXPECT_LE(n, kBudgetPerPfePacket * packets)
       << n << " allocations over " << packets << " PFE packets";
 }

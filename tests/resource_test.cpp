@@ -3,6 +3,8 @@
 // (the §6.1 claim justifying the paper's choice of baseline variant).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "switchml/switchml.hpp"
 #include "trioml/testbed.hpp"
 
@@ -45,6 +47,48 @@ TEST(SlabPool, ReturnsToFullAfterAgedWorkload) {
   EXPECT_EQ(done, 1);
   EXPECT_EQ(tb.app(0).free_slab_count(), tb.app(0).slab_pool_size())
       << "aged blocks must release their slabs too";
+}
+
+TEST(SlabPool, SlabsKeepTheAddressesOfASlabAtATimeAllocation) {
+  // Slab i lies at a fixed stride from each base: the addresses that
+  // bump-allocating one record and one buffer per slab hands out, and the
+  // last slab is allocated first.
+  constexpr std::size_t kSlabs = 5;
+  sim::Simulator sim;
+  trio::Router reference(sim, trio::Calibration{}, 1, 1, "reference");
+  trio::Router router(sim, trio::Calibration{}, 1, 1, "router");
+  auto& ref_sms = reference.pfe(0).sms();
+  std::vector<TrioMlApp::Slab> expected;
+  for (std::size_t i = 0; i < kSlabs; ++i) {
+    TrioMlApp::Slab slab;
+    slab.record_addr = ref_sms.alloc_sram(kBlockSlabBytes, 64);
+    slab.buffer_addr = ref_sms.alloc_dram(kMaxGradsPerPacket * 4, 64);
+    expected.push_back(slab);
+  }
+  TrioMlApp app(router.pfe(0), kSlabs);
+  for (std::size_t i = kSlabs; i-- > 0;) {
+    const auto slab = app.alloc_slab();
+    ASSERT_TRUE(slab.has_value());
+    EXPECT_EQ(slab->record_addr, expected[i].record_addr) << "slab " << i;
+    EXPECT_EQ(slab->buffer_addr, expected[i].buffer_addr) << "slab " << i;
+  }
+  EXPECT_FALSE(app.alloc_slab().has_value());
+  auto& sms = router.pfe(0).sms();
+  EXPECT_EQ(sms.alloc_sram(8, 8), ref_sms.alloc_sram(8, 8));
+  EXPECT_EQ(sms.alloc_dram(8, 8), ref_sms.alloc_dram(8, 8));
+
+  // Only a slab's record address names a slab.
+  const TrioMlApp::Slab& first = expected.front();
+  const TrioMlApp::Slab& last = expected.back();
+  EXPECT_THROW(app.free_slab(first.record_addr + 8), std::logic_error);
+  EXPECT_THROW(app.free_slab(first.buffer_addr), std::logic_error);
+  EXPECT_THROW(app.quarantine_slab(last.record_addr + kBlockSlabBytes),
+               std::logic_error);
+  EXPECT_EQ(app.free_slab_count(), 0u);
+  app.free_slab(expected[2].record_addr);
+  const auto again = app.alloc_slab();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->buffer_addr, expected[2].buffer_addr);
 }
 
 TEST(SlabPool, FreedBuffersAreZeroedForReuse) {

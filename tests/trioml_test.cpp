@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "trioml/records.hpp"
 #include "trioml/testbed.hpp"
 #include "trioml/wire_format.hpp"
@@ -525,6 +527,54 @@ TEST(Aggregation, GenerationsKeptSeparate) {
   ASSERT_EQ(done, 4);
   EXPECT_NEAR(gen_results[1].grads[0], 5 * gen_results[0].grads[0], 1e-5);
   EXPECT_EQ(tb.app(0).stats().blocks_completed, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Job configuration
+
+TEST(JobConfig, SecondConfigureThrowsAndChangesNothing) {
+  // A rejected configure must leave the job where it is: a failover
+  // retargets the record the hash table holds, and the block cap counts
+  // on the word in-flight blocks decrement.
+  Testbed tb(TestbedConfig{});
+  TrioMlApp& app = tb.app(0);
+  const std::uint8_t job = tb.config().job_id;
+  const std::uint64_t record = app.job_record_addr(job);
+  const std::uint64_t counter = app.job_counter_addr(job);
+  const std::uint64_t active = app.job_active_counter_addr(job);
+  TrioMlApp::JobSetup setup;
+  setup.job_id = job;
+  setup.src_ids = {0, 1};
+  EXPECT_THROW(app.configure_job(setup), std::invalid_argument);
+  EXPECT_EQ(app.job_record_addr(job), record);
+  EXPECT_EQ(app.job_counter_addr(job), counter);
+  EXPECT_EQ(app.job_active_counter_addr(job), active);
+  EXPECT_EQ(tb.router().pfe(0).hash_table().lookup(job_key(job)).value_or(0),
+            record);
+}
+
+TEST(JobConfig, RemoveKeepsTheCountersOfInFlightBlocks) {
+  Testbed tb(TestbedConfig{});
+  TrioMlApp& app = tb.app(0);
+  const std::uint8_t job = tb.config().job_id;
+  const std::uint64_t counter = app.job_counter_addr(job);
+  const std::uint64_t active = app.job_active_counter_addr(job);
+  app.remove_job(job);
+  EXPECT_FALSE(app.has_job(job));
+  EXPECT_EQ(app.job_record_addr(job), 0u);
+  EXPECT_TRUE(app.configured_jobs().empty());
+  EXPECT_EQ(app.job_counter_addr(job), counter);
+  EXPECT_EQ(app.job_active_counter_addr(job), active);
+
+  // Configured again, the job gets fresh words; ids list ascending.
+  TrioMlApp::JobSetup setup;
+  setup.src_ids = {0, 1};
+  for (const std::uint8_t id : {std::uint8_t(9), job}) {
+    setup.job_id = id;
+    app.configure_job(setup);
+  }
+  EXPECT_NE(app.job_counter_addr(job), counter);
+  EXPECT_EQ(app.configured_jobs(), (std::vector<std::uint8_t>{job, 9}));
 }
 
 }  // namespace
