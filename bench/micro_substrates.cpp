@@ -192,6 +192,17 @@ void BM_HashScanPartitioned(benchmark::State& state) {
 }
 BENCHMARK(BM_HashScanPartitioned)->Arg(1)->Arg(10)->Arg(100);
 
+void BM_HashTableBuild(benchmark::State& state) {
+  // Every PFE builds a 16 384-bucket table at router construction: one
+  // build and teardown, before any record is inserted.
+  sim::Simulator sim;
+  for (auto _ : state) {
+    trio::HwHashTable table(sim, trio::Calibration{}, 1 << 14);
+    benchmark::DoNotOptimize(table.bucket_count());
+  }
+}
+BENCHMARK(BM_HashTableBuild);
+
 void BM_PacketParse(benchmark::State& state) {
   std::vector<std::uint32_t> grads(256, 7);
   trioml::TrioMlHeader hdr;

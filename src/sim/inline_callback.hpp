@@ -16,9 +16,15 @@
 // sync-XTXN wake-up (this, slot, issue time, op: 32 B). Each of those
 // sites static_asserts that its closure is stored inline. XTXN replies
 // are written by the target block at issue, so no closure carries one.
+//
+// An inline closure that is trivially copyable and trivially destructible,
+// such as the PPE's [this, slot], has no manager: a move copies the
+// inline bytes and destruction does nothing, so moving it through the
+// event queue costs no indirect call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -43,7 +49,10 @@ class InlineFunction<R(Args...), InlineBytes> {
     if constexpr (stores_inline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &inline_invoke<Fn>;
-      manage_ = &inline_manage<Fn>;
+      if constexpr (!std::is_trivially_copyable_v<Fn> ||
+                    !std::is_trivially_destructible_v<Fn>) {
+        manage_ = &inline_manage<Fn>;
+      }
     } else {
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       invoke_ = &heap_invoke<Fn>;
@@ -124,7 +133,11 @@ class InlineFunction<R(Args...), InlineBytes> {
 
   void move_from(InlineFunction& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    other.manage_(Op::kMoveTo, other.storage_, storage_);
+    if (other.manage_ == nullptr) {  // trivially copyable, stored inline
+      std::memcpy(storage_, other.storage_, InlineBytes);
+    } else {
+      other.manage_(Op::kMoveTo, other.storage_, storage_);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;
@@ -132,16 +145,14 @@ class InlineFunction<R(Args...), InlineBytes> {
   }
 
   void reset() noexcept {
-    if (invoke_ != nullptr) {
-      manage_(Op::kDestroy, storage_, nullptr);
-      invoke_ = nullptr;
-      manage_ = nullptr;
-    }
+    if (manage_ != nullptr) manage_(Op::kDestroy, storage_, nullptr);
+    invoke_ = nullptr;
+    manage_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char storage_[InlineBytes];
   Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
+  Manage manage_ = nullptr;  // null for an empty or trivial closure
 };
 
 /// The event queue's callback type: a nullary inline closure.

@@ -8,103 +8,126 @@ namespace trio {
 
 HwHashTable::HwHashTable(sim::Simulator& simulator, const Calibration& cal,
                          std::size_t buckets)
-    : sim_(simulator), cal_(cal), buckets_(buckets) {
+    : sim_(simulator), cal_(cal), heads_(buckets, kNil) {
   if (buckets == 0) throw std::invalid_argument("HwHashTable: 0 buckets");
 }
 
 std::size_t HwHashTable::bucket_index(std::uint64_t key) const {
-  if (partitions_ == 0) return mix64(key) % buckets_.size();
+  if (partitions_ == 0) return mix64(key) % heads_.size();
   // Both block and job keys carry the job id in the top byte
   // (trioml/records.hpp), so every record of a job lands in its slice.
-  const std::size_t span = buckets_.size() / partitions_;
+  const std::size_t span = heads_.size() / partitions_;
   const std::size_t slice = std::size_t(key >> 48) % partitions_;
   return slice * span + mix64(key) % span;
 }
 
 std::pair<std::size_t, std::size_t> HwHashTable::partition_range(
     std::uint8_t job) const {
-  if (partitions_ == 0) return {0, buckets_.size()};
-  const std::size_t span = buckets_.size() / partitions_;
+  if (partitions_ == 0) return {0, heads_.size()};
+  const std::size_t span = heads_.size() / partitions_;
   const std::size_t slice = std::size_t(job) % partitions_;
   return {slice * span, slice * span + span};
 }
 
 void HwHashTable::enable_key_partitions(std::uint32_t partitions) {
-  if (partitions > buckets_.size()) {
+  if (partitions > heads_.size()) {
     throw std::invalid_argument("HwHashTable: more partitions than buckets");
   }
   if (partitions == partitions_) return;
-  // Rehash in place: pull every record (live or stale, preserving flags
-  // and generations) and redistribute under the new placement.
-  std::vector<Record> records;
-  records.reserve(size_);
-  for (auto& bucket : buckets_) {
-    records.insert(records.end(), bucket.begin(), bucket.end());
-    bucket.clear();
+  // Rehash in place: relink every node (live or stale, keeping flags and
+  // generations) under the new placement, in bucket-then-chain order.
+  std::vector<std::uint32_t> order;
+  order.reserve(size_);
+  for (std::uint32_t& head : heads_) {
+    for (std::uint32_t n = head; n != kNil; n = nodes_[n].next) {
+      order.push_back(n);
+    }
+    head = kNil;
   }
   partitions_ = partitions;
-  for (const Record& r : records) {
-    buckets_[bucket_index(r.key)].push_back(r);
+  std::vector<std::uint32_t> tails(heads_.size(), kNil);
+  for (const std::uint32_t n : order) {
+    const std::size_t b = bucket_index(nodes_[n].key);
+    (tails[b] == kNil ? heads_[b] : nodes_[tails[b]].next) = n;
+    tails[b] = n;
+    nodes_[n].next = kNil;
   }
 }
 
-std::vector<HwHashTable::Record>& HwHashTable::bucket_for(std::uint64_t key) {
-  return buckets_[bucket_index(key)];
+std::uint32_t* HwHashTable::find(std::uint64_t key) {
+  std::uint32_t* link = &heads_[bucket_index(key)];
+  while (*link != kNil && nodes_[*link].key != key) {
+    link = &nodes_[*link].next;
+  }
+  return link;
 }
 
-void HwHashTable::drop_record(std::vector<Record>& bucket, std::size_t i) {
-  bucket[i] = bucket.back();
-  bucket.pop_back();
+void HwHashTable::drop_record(std::uint32_t& link) {
+  const std::uint32_t at = link;
+  std::uint32_t* last = &link;
+  while (nodes_[*last].next != kNil) last = &nodes_[*last].next;
+  const std::uint32_t freed = *last;
+  if (freed != at) {
+    const std::uint32_t next = nodes_[at].next;
+    nodes_[at] = nodes_[freed];
+    nodes_[at].next = next;
+  }
+  *last = kNil;
+  nodes_[freed].next = free_;
+  free_ = freed;
   --size_;
 }
 
 bool HwHashTable::insert(std::uint64_t key, std::uint64_t value, bool pinned) {
-  auto& b = bucket_for(key);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    if (b[i].key != key) continue;
-    if (!stale(b[i])) return false;
+  if (std::uint32_t* link = find(key); *link != kNil) {
+    if (!stale(nodes_[*link])) return false;
     // A stale record does not block re-insertion under the new generation.
     ++stale_reclaimed_;
-    drop_record(b, i);
-    break;
+    drop_record(*link);
   }
-  b.push_back(Record{key, value, /*ref=*/true, pinned, generation_});
+  std::uint32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[n].next;
+  } else {
+    if (nodes_.size() == kNil) {
+      throw std::length_error("HwHashTable: node pool exhausted");
+    }
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[n] = Node{key, value, generation_, kNil, /*ref=*/true, pinned};
   ++size_;
+  // Walk to the chain's end only now: growing the pool moves its links.
+  *find(key) = n;
   return true;
 }
 
 std::optional<std::uint64_t> HwHashTable::lookup(std::uint64_t key) {
-  auto& b = bucket_for(key);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    auto& r = b[i];
-    if (r.key != key) continue;
-    if (stale(r)) {
-      ++stale_reclaimed_;
-      drop_record(b, i);
-      return std::nullopt;
-    }
-    r.ref = true;  // REF set on every reference
-    return r.value;
+  std::uint32_t* link = find(key);
+  if (*link == kNil) return std::nullopt;
+  Node& r = nodes_[*link];
+  if (stale(r)) {
+    ++stale_reclaimed_;
+    drop_record(*link);
+    return std::nullopt;
   }
-  return std::nullopt;
+  r.ref = true;  // REF set on every reference
+  return r.value;
 }
 
 bool HwHashTable::erase(std::uint64_t key) {
-  auto& b = bucket_for(key);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    if (b[i].key != key) continue;
-    const bool was_stale = stale(b[i]);
-    if (was_stale) ++stale_reclaimed_;
-    drop_record(b, i);
-    return !was_stale;  // stale records read as already-absent
-  }
-  return false;
+  std::uint32_t* link = find(key);
+  if (*link == kNil) return false;
+  const bool was_stale = stale(nodes_[*link]);
+  if (was_stale) ++stale_reclaimed_;
+  drop_record(*link);
+  return !was_stale;  // stale records read as already-absent
 }
 
 bool HwHashTable::contains(std::uint64_t key) const {
-  const auto& b = buckets_[bucket_index(key)];
-  for (const auto& r : b) {
-    if (r.key == key) return !stale(r);
+  for (std::uint32_t n = heads_[bucket_index(key)]; n != kNil;
+       n = nodes_[n].next) {
+    if (nodes_[n].key == key) return !stale(nodes_[n]);
   }
   return false;
 }
@@ -113,8 +136,9 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> HwHashTable::entries()
     const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   out.reserve(size_);
-  for (const auto& bucket : buckets_) {
-    for (const auto& r : bucket) {
+  for (const std::uint32_t head : heads_) {
+    for (std::uint32_t n = head; n != kNil; n = nodes_[n].next) {
+      const Node& r = nodes_[n];
       if (!stale(r)) out.emplace_back(r.key, r.value);
     }
   }
@@ -124,51 +148,63 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> HwHashTable::entries()
 std::size_t HwHashTable::sweep_stale(
     const std::function<void(std::uint64_t, std::uint64_t)>& reclaim) {
   std::size_t swept = 0;
-  for (auto& bucket : buckets_) {
-    for (std::size_t i = 0; i < bucket.size();) {
-      if (stale(bucket[i])) {
-        if (reclaim) reclaim(bucket[i].key, bucket[i].value);
+  for (std::uint32_t& head : heads_) {
+    for (std::uint32_t* link = &head; *link != kNil;) {
+      const Node& r = nodes_[*link];
+      if (stale(r)) {
+        if (reclaim) reclaim(r.key, r.value);
         ++stale_reclaimed_;
         ++swept;
-        drop_record(bucket, i);
+        drop_record(*link);
       } else {
-        ++i;
+        link = &nodes_[*link].next;
       }
     }
   }
   return swept;
 }
 
-std::vector<std::uint64_t> HwHashTable::scan_partition(std::uint32_t part,
-                                                       std::uint32_t parts,
-                                                       std::size_t max_out) {
+template <typename Aged>
+void HwHashTable::scan(std::uint32_t part, std::uint32_t parts,
+                       std::size_t max_out, Aged&& aged) {
   if (parts == 0 || part >= parts) {
     throw std::invalid_argument("HwHashTable::scan_partition: bad partition");
   }
   const std::size_t span = partition_buckets(parts);
   const std::size_t begin = static_cast<std::size_t>(part) * span;
   const std::size_t end =
-      begin + span < buckets_.size() ? begin + span : buckets_.size();
-  std::vector<std::uint64_t> aged;
+      begin + span < heads_.size() ? begin + span : heads_.size();
+  std::size_t reported = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    auto& bucket = buckets_[i];
-    for (std::size_t j = 0; j < bucket.size();) {
-      auto& r = bucket[j];
+    for (std::uint32_t* link = &heads_[i]; *link != kNil;) {
+      Node& r = nodes_[*link];
       if (stale(r)) {
         // Invalidated generation: reclaim silently, never report as aged
         // (the owner already handed the paired storage off at bump time).
         ++stale_reclaimed_;
-        drop_record(bucket, j);
+        drop_record(*link);
         continue;
       }
       if (!r.ref) {
-        if (aged.size() < max_out) aged.push_back(r.key);
+        if (reported < max_out) {
+          aged(r.key);
+          ++reported;
+        }
       } else {
         r.ref = false;
       }
-      ++j;
+      link = &r.next;
     }
   }
+}
+
+std::vector<std::uint64_t> HwHashTable::scan_partition(std::uint32_t part,
+                                                       std::uint32_t parts,
+                                                       std::size_t max_out) {
+  std::vector<std::uint64_t> aged;
+  scan(part, parts, max_out, [&aged](std::uint64_t key) {
+    aged.push_back(key);
+  });
   return aged;
 }
 
@@ -194,31 +230,27 @@ sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnReply& reply) {
       // delete conditional on the stored value: a thread deleting "its"
       // record cannot take out a record re-created under the same key
       // after its own was dropped.
-      auto& b = bucket_for(req.arg0);
-      reply.ok = false;
-      for (auto& r : b) {
-        if (r.key == req.arg0 && !stale(r) &&
-            (req.arg1 == 0 || r.value == req.arg1)) {
-          reply.ok = true;
-          reply.value = r.value;
-          break;
-        }
+      std::uint32_t* link = find(req.arg0);
+      reply.ok = *link != kNil && !stale(nodes_[*link]) &&
+                 (req.arg1 == 0 || nodes_[*link].value == req.arg1);
+      if (reply.ok) {
+        reply.value = nodes_[*link].value;
+        drop_record(*link);
       }
-      if (reply.ok) erase(req.arg0);
       break;
     }
     case XtxnOp::kHashScanStep: {
       const auto parts = static_cast<std::uint32_t>(req.arg0 >> 32);
       const auto part = static_cast<std::uint32_t>(req.arg0);
-      auto aged = scan_partition(part, parts == 0 ? 1 : parts,
-                                 req.arg1 == 0 ? 64 : req.arg1);
-      reply.value = aged.size();
-      reply.data.resize(aged.size() * 8);
-      for (std::size_t j = 0; j < aged.size(); ++j) {
-        for (std::size_t i = 0; i < 8; ++i) {
-          reply.data[j * 8 + i] = static_cast<std::uint8_t>(aged[j] >> (8 * i));
-        }
-      }
+      scan(part, parts == 0 ? 1 : parts, req.arg1 == 0 ? 64 : req.arg1,
+           [&reply](std::uint64_t key) {
+             std::uint8_t bytes[8];
+             for (std::size_t i = 0; i < 8; ++i) {
+               bytes[i] = static_cast<std::uint8_t>(key >> (8 * i));
+             }
+             reply.data.append(bytes);
+           });
+      reply.value = reply.data.size() / 8;
       // A scan touches a whole partition slice; charge proportional time.
       service_cycles = static_cast<int>(
           partition_buckets(parts == 0 ? 1 : parts) * 2);

@@ -4,8 +4,11 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
 
+#include "sim/recycler.hpp"
 #include "trio/trace_rows.hpp"
 
 namespace trio {
@@ -75,10 +78,15 @@ void SharedMemorySystem::instrument(telemetry::Telemetry& telem, int pid,
   }
 }
 
+void SharedMemorySystem::PageRelease::operator()(Page* p) const noexcept {
+  static_assert(std::is_trivially_destructible_v<Page>);
+  sim::recycle_free(p, kPageBytes);
+}
+
 std::uint8_t* SharedMemorySystem::page(std::size_t index) {
   if (index >= pages_.size()) pages_.resize(index + 1);
   auto& p = pages_[index];
-  if (!p) p = std::make_unique<Page>();
+  if (!p) p.reset(::new (sim::recycle_alloc(kPageBytes)) Page{});
   return p->data();
 }
 
@@ -195,11 +203,24 @@ std::vector<std::uint8_t> SharedMemorySystem::peek_bytes(
 
 void SharedMemorySystem::clear(std::uint64_t addr, std::size_t len) {
   check_addr(addr, len);
+  static constexpr Page kZero{};
   for_each_span<kPageBytes>(addr, len, [&](std::size_t index,
                                            std::size_t off, std::size_t n) {
-    if (index < pages_.size() && pages_[index]) {
-      std::memset(pages_[index]->data() + off, 0, n);
+    if (index >= pages_.size() || !pages_[index]) return;
+    PagePtr& p = pages_[index];
+    if (n < kPageBytes) {
+      // Trio-ML's slab buffers start 64 B past a page boundary, so a slab
+      // clear only ever covers part of a page: release the page once the
+      // bytes around the span are zero too.
+      std::uint8_t* bytes = p->data();
+      std::memset(bytes + off, 0, n);
+      const std::size_t end = off + n;
+      if (std::memcmp(bytes, kZero.data(), off) != 0 ||
+          std::memcmp(bytes + end, kZero.data(), kPageBytes - end) != 0) {
+        return;
+      }
     }
+    p.reset();  // an absent page reads as zero
   });
 }
 

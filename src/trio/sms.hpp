@@ -20,10 +20,13 @@
 // (writes, counter increments, vector adds) wake nothing.
 //
 // Host-side store: a page table over the whole address space holds 4 KiB
-// pages allocated on first write; unwritten bytes read as zero. Every
-// access is bounds-checked once, up front, and words move with memcpy.
-// Vector RMW ops run one loop per page-contiguous span. The DRAM cache's
-// tags live in 4 KiB chunks of sets, each allocated on first touch.
+// pages allocated on first write; an absent page reads as zero. A clear
+// that leaves a page all zero releases it, so a cleared Trio-ML slab
+// buffer costs nothing until it is written again. Pages come from and go
+// back to the thread's recycler (sim/recycler.hpp). Every access is
+// bounds-checked once, up front, and words move with memcpy. Vector RMW
+// ops run one loop per page-contiguous span. The DRAM cache's tags live
+// in 4 KiB chunks of sets, each allocated on first touch.
 #pragma once
 
 #include <array>
@@ -75,7 +78,8 @@ class SharedMemorySystem {
   void poke_bytes(std::uint64_t addr, const std::vector<std::uint8_t>& data);
   std::vector<std::uint8_t> peek_bytes(std::uint64_t addr,
                                        std::size_t len) const;
-  /// Zeroes [addr, addr + len). Pages never written stay unallocated.
+  /// Zeroes [addr, addr + len). Pages never written stay unallocated, and
+  /// a page the clear leaves all zero is released.
   void clear(std::uint64_t addr, std::size_t len);
 
   /// Initialises a policer record at `addr` (32 bytes).
@@ -153,6 +157,11 @@ class SharedMemorySystem {
   // check the whole access first.
   static constexpr std::size_t kPageBytes = 4096;
   using Page = std::array<std::uint8_t, kPageBytes>;
+  /// Hands a page back to the recycler.
+  struct PageRelease {
+    void operator()(Page* p) const noexcept;
+  };
+  using PagePtr = std::unique_ptr<Page, PageRelease>;
   /// Page `index` (addr / kPageBytes), allocated zeroed if absent.
   std::uint8_t* page(std::size_t index);
   void read(std::uint64_t addr, void* out, std::size_t len) const;
@@ -174,7 +183,7 @@ class SharedMemorySystem {
   Calibration cal_;
   XtxnReply discarded_;
   std::vector<Bank> banks_;
-  std::vector<std::unique_ptr<Page>> pages_;  // index addr / kPageBytes
+  std::vector<PagePtr> pages_;  // index addr / kPageBytes
   std::unordered_map<std::uint8_t, TenantAccount> tenant_accounts_;
 
   // Direct-mapped model of the off-chip DRAM's on-chip cache, used only to

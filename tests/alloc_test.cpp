@@ -26,6 +26,7 @@
 #include "net/packet.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
+#include "trio/hash_table.hpp"
 #include "trio/router.hpp"
 #include "trio/sms.hpp"
 #include "trioml/app.hpp"
@@ -326,6 +327,98 @@ TEST(AllocCount, SmsRmwOpsAreAllocationFree) {
   for (int round = 0; round < 64; ++round) batch();
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_EQ(sms.peek_u64(sram), 68u);  // CounterInc packets
+}
+
+TEST(AllocCount, SmsSlabCycleReusesItsPages) {
+  // Trio-ML's slab buffers as TrioMlApp lays them out: 4 KiB apart from
+  // 64 B past a page boundary, so each spans two pages. A buffer that is
+  // added to and then cleared hands both pages back to the recycler, and
+  // the next buffer takes them: 1 000 buffers in turn cost two pages, plus
+  // the page directory's growth.
+  constexpr std::size_t kBuffers = 1000;
+  constexpr std::size_t kBufferBytes = 4096;
+  sim::Simulator sim;
+  trio::SharedMemorySystem sms(sim, trio::Calibration{});
+  const std::uint64_t base = sms.alloc_dram(kBuffers * kBufferBytes, 64);
+  ASSERT_EQ(base % 4096, 64u);
+  trio::XtxnReply reply;
+  // Reads allocate no page: they warm the DRAM-cache tag chunks that the
+  // buffers' first lines map to, which are not what this test counts.
+  trio::XtxnRequest read;
+  read.op = trio::XtxnOp::kRead;
+  read.len = 4;
+  for (std::size_t i = 0; i < kBuffers; ++i) {
+    read.addr = base + i * kBufferBytes;
+    sms.issue(read, reply);
+  }
+  trio::XtxnRequest add;
+  add.op = trio::XtxnOp::kAddVec32;
+  add.data.assign(kBufferBytes, 1);
+  const std::uint64_t before = allocs();
+  for (std::size_t i = 0; i < kBuffers; ++i) {
+    add.addr = base + i * kBufferBytes;
+    sms.issue(add, reply);
+    sms.clear(add.addr, kBufferBytes);
+  }
+  EXPECT_LE(allocs() - before, 4u) << kBuffers << " buffers added and cleared";
+  EXPECT_EQ(sms.peek_u32(base + (kBuffers - 1) * kBufferBytes), 0u);
+}
+
+TEST(AllocCount, HashTableBuildIsSmall) {
+  // Every PFE builds a 16 384-bucket hash block before it holds a record:
+  // one 4-byte chain head per bucket, not an empty vector per bucket
+  // (384 KiB).
+  sim::Simulator sim;
+  const std::uint64_t before = alloc_bytes();
+  { trio::HwHashTable table(sim, trio::Calibration{}, 1 << 14); }
+  EXPECT_LE(alloc_bytes() - before, 80u * 1024) << "16 384 empty buckets";
+}
+
+TEST(AllocCount, HashTableChurnIsAllocationFree) {
+  // Block records come and go with their blocks: once the node pool has
+  // held the peak and the reply has held the longest aged list, fresh
+  // keys' inserts, lookups and conditional deletes and a scan step that
+  // reports aged keys take nothing from the allocator.
+  sim::Simulator sim;
+  trio::HwHashTable table(sim, trio::Calibration{});
+  trio::XtxnRequest req;
+  trio::XtxnReply reply;
+  std::uint64_t next_key = 1;
+  std::uint64_t hits = 0;
+  std::uint64_t aged = 0;
+  const auto xtxn = [&](trio::XtxnOp op, std::uint64_t arg0,
+                        std::uint64_t arg1) {
+    req.op = op;
+    req.arg0 = arg0;
+    req.arg1 = arg1;
+    table.issue(req, reply);
+    return reply.ok;
+  };
+  const auto round = [&] {
+    const std::uint64_t first = next_key;
+    next_key += 256;
+    for (std::uint64_t k = first; k < next_key; ++k) {
+      hits += xtxn(trio::XtxnOp::kHashInsert, k, 3 * k);
+    }
+    for (std::uint64_t k = first; k < next_key; ++k) {
+      hits += xtxn(trio::XtxnOp::kHashLookup, k, 0);
+    }
+    // The first pass clears every REF flag, the second reports 64 keys.
+    for (int pass = 0; pass < 2; ++pass) {
+      xtxn(trio::XtxnOp::kHashScanStep, std::uint64_t(1) << 32, 0);
+    }
+    aged += reply.value;
+    for (std::uint64_t k = first; k < next_key; ++k) {
+      hits += xtxn(trio::XtxnOp::kHashDelete, k, 3 * k);
+    }
+  };
+  for (int i = 0; i < 2; ++i) round();  // warm-up
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 16; ++i) round();
+  EXPECT_EQ(allocs() - before, 0u) << "16 rounds of 256 fresh keys";
+  EXPECT_EQ(hits, 18u * 3 * 256);
+  EXPECT_EQ(aged, 18u * 64);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(AllocCount, RouterForwardingSteadyStateIsAllocationFree) {

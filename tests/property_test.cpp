@@ -3,17 +3,23 @@
 // failure is reproducible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "microcode/bitfield.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "trio/forwarding.hpp"
+#include "trio/hash.hpp"
+#include "trio/hash_table.hpp"
 #include "trio/reorder.hpp"
 #include "trio/sms.hpp"
 #include "trioml/testbed.hpp"
@@ -419,6 +425,302 @@ TEST(ReorderProperty, StreamMatchesPerFlowFifoModel) {
   close_at(0);
   EXPECT_EQ(released, expected);
   EXPECT_EQ(re.pending(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hash table against a per-bucket vector model
+
+/// The hash block as it stored its records before the node pool: one
+/// vector per bucket, an insert appending, a drop swapping in the bucket's
+/// last record. Its order is the contract the node pool keeps.
+class VectorHashModel {
+ public:
+  struct Record {
+    std::uint64_t key, value;
+    bool ref, pinned;
+    std::uint32_t gen;
+  };
+  using Reclaimed = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+  explicit VectorHashModel(std::size_t buckets) : buckets_(buckets) {}
+
+  std::size_t bucket_index(std::uint64_t key) const {
+    if (partitions_ == 0) return trio::mix64(key) % buckets_.size();
+    const std::size_t span = buckets_.size() / partitions_;
+    return std::size_t(key >> 48) % partitions_ * span +
+           trio::mix64(key) % span;
+  }
+  void enable_key_partitions(std::uint32_t partitions) {
+    if (partitions == partitions_) return;
+    std::vector<Record> records;
+    for (auto& bucket : buckets_) {
+      records.insert(records.end(), bucket.begin(), bucket.end());
+      bucket.clear();
+    }
+    partitions_ = partitions;
+    for (const Record& r : records) buckets_[bucket_index(r.key)].push_back(r);
+  }
+  std::uint32_t bump_generation() { return ++generation_; }
+
+  bool insert(std::uint64_t key, std::uint64_t value, bool pinned) {
+    auto& b = buckets_[bucket_index(key)];
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (b[i].key != key) continue;
+      if (!stale(b[i])) return false;
+      ++stale_reclaimed_;
+      drop(b, i);
+      break;
+    }
+    b.push_back(Record{key, value, true, pinned, generation_});
+    return true;
+  }
+  std::optional<std::uint64_t> lookup(std::uint64_t key) {
+    auto& b = buckets_[bucket_index(key)];
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (b[i].key != key) continue;
+      if (stale(b[i])) {
+        ++stale_reclaimed_;
+        drop(b, i);
+        return std::nullopt;
+      }
+      b[i].ref = true;
+      return b[i].value;
+    }
+    return std::nullopt;
+  }
+  bool erase(std::uint64_t key) {
+    auto& b = buckets_[bucket_index(key)];
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (b[i].key != key) continue;
+      const bool was_stale = stale(b[i]);
+      if (was_stale) ++stale_reclaimed_;
+      drop(b, i);
+      return !was_stale;
+    }
+    return false;
+  }
+  bool contains(std::uint64_t key) const {
+    for (const auto& r : buckets_[bucket_index(key)]) {
+      if (r.key == key) return !stale(r);
+    }
+    return false;
+  }
+  /// kHashDelete: conditional on the value when `expect` is nonzero.
+  std::optional<std::uint64_t> take(std::uint64_t key, std::uint64_t expect) {
+    for (const auto& r : buckets_[bucket_index(key)]) {
+      if (r.key == key && !stale(r) && (expect == 0 || r.value == expect)) {
+        const std::uint64_t value = r.value;
+        erase(key);
+        return value;
+      }
+    }
+    return std::nullopt;
+  }
+  Reclaimed entries() const {
+    Reclaimed out;
+    for (const auto& b : buckets_) {
+      for (const auto& r : b) {
+        if (!stale(r)) out.emplace_back(r.key, r.value);
+      }
+    }
+    return out;
+  }
+  Reclaimed sweep_stale() {
+    Reclaimed reclaimed;
+    for (auto& b : buckets_) {
+      for (std::size_t i = 0; i < b.size();) {
+        if (!stale(b[i])) {
+          ++i;
+          continue;
+        }
+        reclaimed.emplace_back(b[i].key, b[i].value);
+        ++stale_reclaimed_;
+        drop(b, i);
+      }
+    }
+    return reclaimed;
+  }
+  std::vector<std::uint64_t> scan_partition(std::uint32_t part,
+                                            std::uint32_t parts,
+                                            std::size_t max_out) {
+    const std::size_t span = (buckets_.size() + parts - 1) / parts;
+    const std::size_t begin = std::size_t(part) * span;
+    const std::size_t end = std::min(begin + span, buckets_.size());
+    std::vector<std::uint64_t> aged;
+    for (std::size_t i = begin; i < end; ++i) {
+      auto& b = buckets_[i];
+      for (std::size_t j = 0; j < b.size();) {
+        if (stale(b[j])) {
+          ++stale_reclaimed_;
+          drop(b, j);
+          continue;
+        }
+        if (!b[j].ref) {
+          if (aged.size() < max_out) aged.push_back(b[j].key);
+        } else {
+          b[j].ref = false;
+        }
+        ++j;
+      }
+    }
+    return aged;
+  }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& b : buckets_) n += b.size();
+    return n;
+  }
+  std::uint64_t stale_reclaimed() const { return stale_reclaimed_; }
+
+ private:
+  bool stale(const Record& r) const {
+    return !r.pinned && r.gen != generation_;
+  }
+  static void drop(std::vector<Record>& b, std::size_t i) {
+    b[i] = b.back();
+    b.pop_back();
+  }
+
+  std::vector<std::vector<Record>> buckets_;
+  std::uint32_t partitions_ = 0;
+  std::uint32_t generation_ = 0;
+  std::uint64_t stale_reclaimed_ = 0;
+};
+
+std::vector<std::uint64_t> packed_keys(const trio::XtxnPayload& data) {
+  std::vector<std::uint64_t> keys(data.size() / 8);
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    for (int i = 7; i >= 0; --i) {
+      keys[j] = keys[j] << 8 | data[j * 8 + std::size_t(i)];
+    }
+  }
+  return keys;
+}
+
+TEST(HashTableProperty, MatchesPerBucketVectorModel) {
+  // 50 000 seeded operations on a 64-bucket table that holds up to about
+  // 590 records, nine a bucket, so most drops move a record. Every
+  // return value, XTXN reply, aged list (in order), reclaim call and,
+  // after each phase, entries() must equal the vector model's, with
+  // key partitions switched 0 -> 4 -> 0 mid-run.
+  constexpr std::size_t kBuckets = 64;
+  sim::Simulator sim;
+  const trio::Calibration cal;
+  trio::HwHashTable table(sim, cal, kBuckets);
+  VectorHashModel model(kBuckets);
+  sim::Rng rng(0xb0c4e7);
+  // A job id from bit 48 up, where key partitions slice.
+  const auto random_key = [&rng] {
+    return rng.next_below(8) << 48 | (1 + rng.next_below(100));
+  };
+  std::uint64_t next_value = 1;
+  // The table's one service engine, with the clock standing at 0.
+  std::int64_t engine_free_ns = 0;
+  const auto reply_ns = [&](std::int64_t cycles) {
+    const std::int64_t start =
+        std::max(cal.crossbar_latency.ns(), engine_free_ns);
+    engine_free_ns =
+        start + sim::Duration::cycles(cycles, cal.clock_hz).ns();
+    return engine_free_ns + cal.hash_op_latency.ns();
+  };
+
+  constexpr int kOps = 50000;
+  const std::uint32_t kPhasePartitions[] = {0, 4, 0};
+  trio::XtxnReply reply;
+  for (int phase = 0; phase < 3; ++phase) {
+    table.enable_key_partitions(kPhasePartitions[phase]);
+    model.enable_key_partitions(kPhasePartitions[phase]);
+    ASSERT_EQ(table.entries(), model.entries()) << "rehash, phase " << phase;
+    for (int op = phase * kOps / 3; op < (phase + 1) * kOps / 3; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const std::uint64_t key = random_key();
+      const std::uint64_t kind = rng.next_below(1000);
+      if (kind < 300) {
+        const bool pinned = rng.next_below(8) == 0;
+        const std::uint64_t value = next_value++;
+        ASSERT_EQ(table.insert(key, value, pinned),
+                  model.insert(key, value, pinned));
+      } else if (kind < 380) {
+        ASSERT_EQ(table.lookup(key), model.lookup(key));
+      } else if (kind < 430) {
+        ASSERT_EQ(table.erase(key), model.erase(key));
+      } else if (kind < 470) {
+        ASSERT_EQ(table.contains(key), model.contains(key));
+      } else if (kind < 860) {  // one XTXN
+        trio::XtxnRequest req;
+        req.arg0 = key;
+        trio::XtxnReply want;
+        std::vector<std::uint64_t> want_aged;
+        std::int64_t cycles = 8;
+        if (kind < 570) {
+          req.op = trio::XtxnOp::kHashLookup;
+          const auto v = model.lookup(key);
+          want.ok = v.has_value();
+          want.value = v.value_or(0);
+        } else if (kind < 700) {
+          req.op = trio::XtxnOp::kHashInsert;
+          req.arg1 = next_value++;
+          want.ok = model.insert(key, req.arg1, false);
+        } else if (kind < 800) {
+          req.op = trio::XtxnOp::kHashDelete;
+          // Unconditional, conditional on the stored value, or on a
+          // value no record holds.
+          const auto held = model.entries();
+          const auto it = std::find_if(held.begin(), held.end(),
+                                       [key](const auto& e) {
+                                         return e.first == key;
+                                       });
+          const std::uint64_t pick = rng.next_below(3);
+          req.arg1 = pick == 0                       ? 0
+                     : pick == 1 && it != held.end() ? it->second
+                                                     : next_value + 7;
+          const auto v = model.take(key, req.arg1);
+          want.ok = v.has_value();
+          want.value = v.value_or(0);
+        } else {
+          req.op = trio::XtxnOp::kHashScanStep;
+          const std::uint32_t parts = 1 + std::uint32_t(rng.next_below(6));
+          const std::uint32_t part = std::uint32_t(rng.next_below(parts));
+          req.arg0 = std::uint64_t(parts) << 32 | part;
+          req.arg1 = rng.next_below(6);  // 0 reports up to 64
+          want_aged =
+              model.scan_partition(part, parts, req.arg1 == 0 ? 64 : req.arg1);
+          want.value = want_aged.size();
+          cycles = std::int64_t(table.partition_buckets(parts)) * 2;
+        }
+        const std::int64_t want_ns = reply_ns(cycles);
+        ASSERT_EQ(table.issue(req, reply).ns(), want_ns);
+        ASSERT_EQ(reply.ok, want.ok);
+        ASSERT_EQ(reply.value, want.value);
+        ASSERT_EQ(reply.data.size(), 8 * want_aged.size());
+        ASSERT_EQ(packed_keys(reply.data), want_aged);
+      } else if (kind < 998) {
+        static constexpr std::uint32_t kParts[] = {1, 4, 10};
+        const std::uint32_t parts = kParts[rng.next_below(3)];
+        const std::uint32_t part = std::uint32_t(rng.next_below(parts));
+        const std::size_t max_out = 1 + rng.next_below(6);
+        ASSERT_EQ(table.scan_partition(part, parts, max_out),
+                  model.scan_partition(part, parts, max_out));
+      } else {
+        // A generation bump, half the time swept at once as recovery
+        // sweeps; otherwise scans and accesses reclaim lazily.
+        ASSERT_EQ(table.bump_generation(), model.bump_generation());
+        if (kind == 998) continue;
+        VectorHashModel::Reclaimed got;
+        const std::size_t swept =
+            table.sweep_stale([&got](std::uint64_t k, std::uint64_t v) {
+              got.emplace_back(k, v);
+            });
+        const auto want = model.sweep_stale();
+        ASSERT_EQ(swept, want.size());
+        ASSERT_EQ(got, want);
+      }
+      ASSERT_EQ(table.size(), model.size());
+      ASSERT_EQ(table.stale_reclaimed(), model.stale_reclaimed());
+    }
+    ASSERT_EQ(table.entries(), model.entries()) << "end of phase " << phase;
+  }
+  EXPECT_GT(model.stale_reclaimed(), 0u);
 }
 
 // ---------------------------------------------------------------------------

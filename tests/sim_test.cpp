@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/random.hpp"
 #include "sim/recycler.hpp"
 #include "sim/simulator.hpp"
@@ -279,6 +282,87 @@ TEST(Recycler, RequestsAboveTheCapBypassTheLists) {
   void* again = sim::recycle_alloc(kTop);
   EXPECT_EQ(again, top);         // …nor parked on it
   sim::recycle_free(again, kTop);
+}
+
+TEST(InlineFunction, TriviallyCopyableClosureSurvivesMoves) {
+  // The PPE's [this, slot] shape: no manager, so moves copy the inline
+  // bytes and destruction does nothing.
+  int target = 0;
+  const std::uint64_t a = 0x1122334455667788ull;
+  const std::uint32_t b = 77;
+  auto closure = [p = &target, a, b] { *p += int(a % 1000) + int(b); };
+  static_assert(std::is_trivially_copyable_v<decltype(closure)>);
+  static_assert(sim::InlineCallback::stores_inline<decltype(closure)>());
+  sim::InlineCallback f(closure);
+  sim::InlineCallback g(std::move(f));
+  sim::InlineCallback h(std::move(g));
+  EXPECT_FALSE(f);
+  EXPECT_FALSE(g);
+  sim::InlineCallback i([] {});
+  i = std::move(h);  // over another trivial closure
+  sim::InlineCallback j;
+  j = std::move(i);  // over an empty one
+  EXPECT_FALSE(h);
+  EXPECT_FALSE(i);
+  ASSERT_TRUE(j);
+  j();
+  j();
+  EXPECT_EQ(target, 2 * (int(a % 1000) + int(b)));
+}
+
+/// Owns a count of its destructions: moved-from copies count nothing.
+struct CountedToken {
+  explicit CountedToken(int* destroyed) : destroyed(destroyed) {}
+  CountedToken(CountedToken&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  CountedToken& operator=(CountedToken&&) = delete;
+  ~CountedToken() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  int* destroyed;
+};
+
+TEST(InlineFunction, OwningClosureIsDestroyedOnceAcrossMoves) {
+  int destroyed = 0;
+  int calls = 0;
+  auto owning = [&calls, &destroyed] {
+    return [&calls, t = CountedToken(&destroyed)] {
+      calls += t.destroyed != nullptr;
+    };
+  };
+  static_assert(!std::is_trivially_copyable_v<decltype(owning())>);
+  static_assert(sim::InlineCallback::stores_inline<decltype(owning())>());
+  {
+    sim::InlineCallback f(owning());
+    EXPECT_EQ(destroyed, 0) << "construction moves the temporary only";
+    sim::InlineCallback g(std::move(f));
+    sim::InlineCallback h(owning());
+    h = std::move(g);  // destroys h's own token
+    EXPECT_EQ(destroyed, 1);
+    h();
+    EXPECT_EQ(calls, 1);
+    h = nullptr;  // reset
+    EXPECT_EQ(destroyed, 2);
+    sim::InlineCallback k(owning());
+  }  // k's destructor
+  EXPECT_EQ(destroyed, 3);
+
+  // Too big to store inline: one heap cell, moved by pointer.
+  auto big = [&calls, t = CountedToken(&destroyed),
+              pad = std::array<char, 96>{}] {
+    calls += t.destroyed != nullptr && pad[0] == 0;
+  };
+  static_assert(!sim::InlineCallback::stores_inline<decltype(big)>());
+  {
+    sim::InlineCallback f(std::move(big));
+    sim::InlineCallback g(std::move(f));
+    sim::InlineCallback h;
+    h = std::move(g);
+    h();
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(destroyed, 3);
+  }
+  EXPECT_EQ(destroyed, 4);
 }
 
 TEST(Rng, DeterministicForSeed) {

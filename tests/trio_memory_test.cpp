@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 
@@ -300,13 +301,18 @@ struct ByteModel {
       bytes[a + std::uint64_t(i)] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
+  void zero(std::uint64_t a, std::uint64_t len) {
+    bytes.erase(bytes.lower_bound(a), bytes.lower_bound(a + len));
+  }
 };
 
 TEST_F(SmsTest, StoreMatchesAByteModelUnderRandomOperations) {
   // Random peeks, pokes, clears and XTXN ops over windows that put words
   // across 4 KiB pages, on the SRAM/DRAM boundary, high in DRAM and on
   // the last bytes of the address space; every reply and, at the end,
-  // every byte of every window must equal the byte model's.
+  // every byte of every window must equal the byte model's. Clears of
+  // whole pages, and of spans that leave a page all zero, release pages
+  // that later ops write again.
   const std::uint64_t end = sms.dram_base() + cal.dram_bytes;
   struct Window {
     std::uint64_t base, len;
@@ -353,7 +359,15 @@ TEST_F(SmsTest, StoreMatchesAByteModelUnderRandomOperations) {
         below(3) == 0 ? w.base + below(w.len)
                       : (w.base + below(w.len) + 4095) / 4096 * 4096 - 16 +
                             below(32);
-    const int kind = static_cast<int>(below(20));
+    const int kind = static_cast<int>(below(21));
+    std::uint64_t whole_pages = 0;
+    if (kind == 20) {  // page-aligned whole pages inside the window
+      const std::uint64_t first = (w.base + 4095) / 4096 * 4096;
+      const std::uint64_t pages = (w.base + w.len - first) / 4096;
+      const std::uint64_t k = below(pages);
+      addr = first + 4096 * k;
+      whole_pages = 1 + below(std::min<std::uint64_t>(2, pages - k));
+    }
     const auto in_range = [&](std::uint64_t len) {
       return addr <= end && len <= end - addr;
     };
@@ -413,6 +427,9 @@ TEST_F(SmsTest, StoreMatchesAByteModelUnderRandomOperations) {
       for (std::uint64_t i = 0; i < len; ++i) {
         model.put(addr + i, kind == 7 ? data[i] : 0, 1);
       }
+    } else if (kind == 20) {  // clear of whole pages
+      sms.clear(addr, whole_pages * 4096);
+      model.zero(addr, whole_pages * 4096);
     } else {  // one XTXN
       trio::XtxnRequest req;
       req.addr = addr;
