@@ -72,8 +72,7 @@ Outcome run_point(double kill_us, std::size_t blocks,
   recovery::RecoveryManager mgr(cl, rc);
   mgr.start();
 
-  faults::FaultInjector injector(cl.simulator(), nullptr);
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   if (kill_us >= 0) {
     faults::FaultSchedule schedule;
     schedule.kill(sim::Time() + sim::Duration(std::int64_t(kill_us * 1000)),

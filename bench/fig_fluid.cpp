@@ -131,9 +131,8 @@ ModeResult run_mode(const cluster::ClusterSpec& spec, double load,
   for (int h = 0; h < cl.num_workers(); ++h) {
     fluid.add_background_stream(h, /*tenant=*/9, load);
   }
-  faults::FaultInjector injector(cl.simulator());
+  faults::FaultInjector injector(cl);
   if (schedule != nullptr) {
-    injector.bind(cl);
     injector.arm(*schedule);
     fluid.observe(*schedule);
   }

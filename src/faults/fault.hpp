@@ -36,11 +36,11 @@ enum class FaultKind {
 /// instance of the kind (e.g. burst loss on every host link).
 enum class TargetKind {
   kHostLink,    // worker `index`'s access link
-  kFabricLink,  // rack `index`'s leaf->spine trunk (cluster only)
+  kFabricLink,  // rack `index`'s leaf->spine trunk
   kWorker,      // worker `index`
-  kLeafRouter,  // rack `index`'s leaf router (testbed: the one router)
-  kSpineRouter, // the spine router (cluster only)
-  kLeafAgg,     // rack `index`'s aggregation app (testbed: app on PFE idx)
+  kLeafRouter,  // rack `index`'s leaf router
+  kSpineRouter, // the spine router
+  kLeafAgg,     // rack `index`'s aggregation app
   kSpineAgg,    // the spine's aggregation app
 };
 

@@ -53,29 +53,12 @@ class Packet {
 
   // -- Metadata carried alongside the frame (not on the wire) -------------
 
-  std::uint64_t id() const { return id_; }
-  void set_id(std::uint64_t id) { id_ = id; }
-
-  int ingress_port() const { return ingress_port_; }
-  void set_ingress_port(int p) { ingress_port_ = p; }
-
-  int egress_port() const { return egress_port_; }
-  void set_egress_port(int p) { egress_port_ = p; }
-
-  /// Flow hash assigned by the Dispatch module; the Reorder Engine keeps
-  /// packets with equal flow hash in arrival order.
-  std::uint64_t flow_hash() const { return flow_hash_; }
-  void set_flow_hash(std::uint64_t h) { flow_hash_ = h; }
-
+  /// When the packet entered its current PFE (Pfe::ingress).
   sim::Time arrival_time() const { return arrival_time_; }
   void set_arrival_time(sim::Time t) { arrival_time_ = t; }
 
  private:
   Buffer frame_;
-  std::uint64_t id_ = 0;
-  int ingress_port_ = -1;
-  int egress_port_ = -1;
-  std::uint64_t flow_hash_ = 0;
   sim::Time arrival_time_;
 };
 

@@ -23,7 +23,6 @@ void Switch::receive(net::PacketPtr pkt, int port) {
     throw std::out_of_range("pisa::Switch::receive: bad port");
   }
   ++packets_received_;
-  pkt->set_ingress_port(port);
   pipes_[static_cast<std::size_t>(pipeline_of_port(port))]->inject(
       std::move(pkt));
 }
@@ -57,7 +56,6 @@ void Switch::egress(Phv&& phv) {
 void Switch::port_out(int port, net::PacketPtr pkt) {
   if (port < 0 || port >= num_ports()) return;
   ++packets_transmitted_;
-  pkt->set_egress_port(port);
   auto* tx = port_tx_[static_cast<std::size_t>(port)];
   if (tx != nullptr) {
     tx->send(std::move(pkt));

@@ -243,9 +243,10 @@ void Pfe::ingress(net::PacketPtr pkt) {
   ++packets_in_;
   packets_in_ctr_.inc();
   pkt->set_arrival_time(sim_.now());
-  pkt->set_flow_hash(compute_flow_hash(pkt->frame()));
-  // Open the reorder ticket in arrival order, before any queueing.
-  const std::uint64_t ticket = reorder_.open(pkt->flow_hash());
+  // Open the reorder ticket in arrival order, before any queueing: the
+  // Reorder Engine keeps packets with equal flow hash in that order.
+  const std::uint64_t flow_hash = compute_flow_hash(pkt->frame());
+  const std::uint64_t ticket = reorder_.open(flow_hash);
   note_reorder_depth();
   if (dispatch_queue_.size() >= cal_.dispatch_queue_limit) {
     ++dispatch_drops_;

@@ -139,7 +139,6 @@ void Router::receive(net::PacketPtr pkt, int port) {
   }
   ++packets_received_;
   rx_ctr_.inc();
-  pkt->set_ingress_port(port);
   if (sim_.now() < stalled_until_) {
     ++stall_held_frames_;
     stall_held_ctr_.inc();
@@ -207,9 +206,7 @@ void Router::transmit(int src_pfe, net::PacketPtr pkt,
   } else if (const auto* mc = std::get_if<NexthopMulticast>(&nh)) {
     // Replication: each member gets its own copy of the frame.
     for (std::uint32_t member : mc->members) {
-      auto clone = net::Packet::make(pkt->frame());
-      clone->set_ingress_port(pkt->ingress_port());
-      transmit(src_pfe, std::move(clone), member);
+      transmit(src_pfe, net::Packet::make(pkt->frame()), member);
     }
   } else if (const auto* tp = std::get_if<NexthopToPfe>(&nh)) {
     // Hierarchical aggregation: hand the packet to the target PFE for
@@ -231,9 +228,7 @@ void Router::egress_enqueue(int src_pfe, int global_port, net::PacketPtr pkt,
     return;
   }
   // Egress rewrite: destination MAC from the nexthop.
-  net::EthernetHeader eth = net::EthernetHeader::parse(pkt->frame(), 0);
-  eth.dst = dst_mac;
-  eth.write(pkt->frame(), 0);
+  pkt->frame().write(0, dst_mac);
 
   const int dst_pfe = pfe_of_port(global_port);
   if (dst_pfe == src_pfe) {
@@ -331,7 +326,6 @@ void Router::port_out_now(int global_port, net::PacketPtr pkt) {
   }
   ++packets_transmitted_;
   tx_ctr_.inc();
-  pkt->set_egress_port(global_port);
   auto* tx = port_tx_[static_cast<std::size_t>(global_port)];
   if (tx != nullptr) {
     tx->send(std::move(pkt));

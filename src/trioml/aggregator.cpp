@@ -464,7 +464,6 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       const sim::Time now = app_.pfe().router().simulator().now();
       const sim::Duration block_age =
           now - sim::Time(static_cast<std::int64_t>(record_.block_start_time));
-      app_.stats().block_latency_us.add(block_age.us());
       app_.block_latency_hist().record(block_age.ns());
       if (have_job_) {
         state_ = State::kScratch;

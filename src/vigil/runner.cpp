@@ -158,9 +158,8 @@ RunReport run_schedule(const Scenario& sc, Built* keep) {
   if (mgr) inv.attach_jobs(*mgr, sc.jobs);
 
   // --- Faults + recovery machinery -----------------------------------------
-  b.injector = std::make_unique<faults::FaultInjector>(s, spec.telemetry);
+  b.injector = std::make_unique<faults::FaultInjector>(cl);
   if (!sc.schedule.empty()) {
-    b.injector->bind(cl);
     if (mgr) mgr->bind_fault_injector(*b.injector);
     b.injector->set_base_seed(sc.seed);
     b.injector->arm(sc.schedule);

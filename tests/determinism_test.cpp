@@ -273,8 +273,7 @@ TEST(ShardInvariance, ChaosReplayIsShardCountInvariant) {
     spec.telemetry = &telem;
     cluster::Cluster cl(spec);
     EXPECT_EQ(cl.num_shards(), shards);
-    faults::FaultInjector injector(cl.simulator(), &telem);
-    injector.bind(cl);
+    faults::FaultInjector injector(cl);
     injector.arm(schedule);
     for (int w = 0; w < 4; ++w) {
       cl.worker(w).enable_hardened_retransmit(sim::Duration::millis(5),
@@ -323,8 +322,7 @@ TEST(ShardInvariance, ScriptedFailoverIsShardCountInvariant) {
                                               /*retry_budget=*/50,
                                               sim::Duration::millis(8));
     }
-    faults::FaultInjector injector(cl.simulator(), nullptr);
-    injector.bind(cl);
+    faults::FaultInjector injector(cl);
     faults::FaultSchedule schedule;
     schedule.kill(sim::Time() + sim::Duration::micros(100),
                   faults::FaultSchedule::spine_router());

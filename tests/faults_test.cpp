@@ -17,7 +17,6 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "sim/digest.hpp"
-#include "trioml/testbed.hpp"
 
 namespace {
 
@@ -128,23 +127,20 @@ TEST(FaultInjector, RejectsOutOfRangeTargetsAtArmTime) {
   spec.grads_per_packet = 128;
   spec.slab_pool = 256;
   cluster::Cluster cl(spec);
-  FaultInjector injector(cl.simulator(), nullptr);
-  injector.bind(cl);
-  FaultSchedule bad;
-  bad.crash(sim::Time(), /*worker=*/99);
-  EXPECT_THROW(injector.arm(bad), std::out_of_range);
-
-  // And a testbed has no spine to target.
-  trioml::TestbedConfig tc;
-  tc.num_workers = 2;
-  tc.grads_per_packet = 128;
-  trioml::Testbed tb(tc);
-  FaultInjector tb_injector(tb.simulator(), nullptr);
-  tb_injector.bind(tb);
-  FaultSchedule spine_stall;
-  spine_stall.stall(sim::Time(), FaultSchedule::spine_router(),
-                    sim::Duration::micros(10));
-  EXPECT_THROW(tb_injector.arm(spine_stall), std::out_of_range);
+  FaultInjector injector(cl);
+  // One target per kind, each one past the end of the 2x2 cluster.
+  for (const char* bad : {"at 0us flap host:4 for 10us", "at 0us down fabric:2",
+                          "at 0us stall leaf:2 for 10us",
+                          "at 0us drop-buckets leaf:2",
+                          "at 0us crash worker:99"}) {
+    EXPECT_THROW(injector.arm(FaultSchedule::parse(bad)), std::out_of_range)
+        << bad;
+  }
+  // A wildcard and the spine are always in range.
+  EXPECT_NO_THROW(
+      injector.arm(FaultSchedule::parse("at 0us loss host:* 0.01 for 10us")));
+  EXPECT_NO_THROW(
+      injector.arm(FaultSchedule::parse("at 0us stall spine for 10us")));
 }
 
 struct ChaosRun {
@@ -178,8 +174,7 @@ ChaosRun run_chaos(const FaultSchedule& schedule) {
   }
   cl.start_straggler_detection(/*threads=*/10, sim::Duration::millis(1));
 
-  FaultInjector injector(cl.simulator(), &telem);
-  injector.bind(cl);
+  FaultInjector injector(cl);
   injector.arm(schedule);
 
   const auto grads = cluster::patterned_gradients(8, 128 * 32);

@@ -213,9 +213,8 @@ ControllerRun run_with_background(const ClusterSpec& spec, bool forced_packet,
   for (int h = 0; h < cl.num_workers(); ++h) {
     fluid.add_background_stream(h, /*tenant=*/9, /*load=*/0.5);
   }
-  faults::FaultInjector injector(cl.simulator());
+  faults::FaultInjector injector(cl);
   if (schedule != nullptr) {
-    injector.bind(cl);
     injector.arm(*schedule);
     fluid.observe(*schedule);
   }
@@ -300,8 +299,7 @@ TEST(FluidController, ChaosWindowForcesPacketMode) {
   for (int h = 0; h < cl.num_workers(); ++h) {
     fluid.add_background_stream(h, 9, 0.5);
   }
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   injector.arm(schedule);
   fluid.observe(schedule);
   EXPECT_EQ(fluid.windows_observed(), 1u);
@@ -343,8 +341,7 @@ TEST(FluidController, WindowedStreamOffersItsLoad) {
   jobs::FluidController fluid(cl);
   const double load = 0.8;
   fluid.add_background_stream(/*host=*/0, /*tenant=*/9, load);
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   injector.arm(schedule);
   fluid.observe(schedule);
 

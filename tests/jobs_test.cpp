@@ -286,8 +286,7 @@ TEST(Faults, TenantQualifiedCrashHitsOnlyThatTenant) {
   ASSERT_TRUE(mgr.admit(allreduce_tenant(2)).admitted);
   ASSERT_TRUE(mgr.admit(allreduce_tenant(3)).admitted);
 
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   mgr.bind_fault_injector(injector);
   injector.arm(faults::FaultSchedule::parse("at 30us crash worker:1 tenant=2"));
 
@@ -307,8 +306,7 @@ TEST(Faults, TenantQualifiedCrashHitsOnlyThatTenant) {
 
 TEST(Faults, TenantQualifierRequiresResolver) {
   Cluster cl(small_spec());
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   injector.arm(faults::FaultSchedule::parse("at 5us crash worker:0 tenant=7"));
   EXPECT_THROW(cl.simulator().run_until(at_us(10)), std::logic_error);
 }
@@ -374,8 +372,7 @@ TEST(Failover, ThreeLiveTenantsAllRehomeAndFinishBitIdentical) {
   recovery::RecoveryManager rmgr(cl, rc);
   rmgr.start();
 
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   injector.arm(faults::FaultSchedule::parse("at 60us kill spine"));
 
   const auto run = mgr.run(1, at_us(80'000));

@@ -237,8 +237,7 @@ TEST(NetRpc, CrashedReplicaCompletesDegradedViaAging) {
   spec.rpc_puts = 0;
   ASSERT_TRUE(mgr.admit(spec).admitted);
 
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   mgr.bind_fault_injector(injector);
   // Replica 2 sits on host 3 (servers take the last hosts of rack 0).
   injector.arm(faults::FaultSchedule::parse("at 1us crash worker:3 tenant=4"));
@@ -383,8 +382,7 @@ TEST(NetRpc, CacheDropFaultForcesRefill) {
   netrpc::RpcClient* client = mgr.tenant_rpc_client(4, 0);
   auto& sim = cl.simulator();
 
-  faults::FaultInjector injector(cl.simulator());
-  injector.bind(cl);
+  faults::FaultInjector injector(cl);
   mgr.bind_fault_injector(injector);
   injector.arm(
       faults::FaultSchedule::parse("at 500us drop-buckets leaf:0 tenant=4"));
