@@ -316,17 +316,15 @@ int main(int argc, char** argv) {
     const bool ok = r.digest == digest_1 && r.fluid_bytes == fluid_1 &&
                     r.packet_frames == frames_1 && r.transitions >= 2;
     if (!ok) ++failures;
-    char dig[20];
-    std::snprintf(dig, sizeof dig, "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    benchutil::row({std::to_string(shards), dig,
+    const std::string digest = benchutil::hex64(r.digest);
+    benchutil::row({std::to_string(shards), digest,
                     benchutil::fmt(double(r.fluid_bytes) / 1e6, 1),
                     std::to_string(r.packet_frames),
                     benchutil::fmt(r.wall_ms, 0), ok ? "yes" : "NO"},
                    18);
     series.string("metric", "shard_sweep")
         .number("shards", std::uint64_t(shards))
-        .number("digest", r.digest)
+        .string("digest", digest)
         .number("fluid_bytes", r.fluid_bytes)
         .number("packet_frames", r.packet_frames)
         .number("wall_ms", r.wall_ms)

@@ -309,13 +309,6 @@ PisaOutcome run_pisa(Scenario sc, int calls) {
   return out;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 bool pisa_rejects_majority() {
   sim::Simulator sim;
   pisa::Switch sw(sim, pisa::SwitchConfig{});
@@ -511,8 +504,8 @@ int main(int argc, char** argv) {
   if (!deterministic) ++failures;
   series.string("check", "golden_digest_determinism")
       .boolean("deterministic", deterministic && co_deterministic)
-      .string("clean_digest", hex64(g1.digest))
-      .string("crash_digest", hex64(f1.digest))
+      .string("clean_digest", benchutil::hex64(g1.digest))
+      .string("crash_digest", benchutil::hex64(f1.digest))
       .end_row();
 
   if (!json_out.empty() && series.write_file(json_out)) {

@@ -18,6 +18,7 @@ constexpr std::uint16_t kBuiltinBlockCntMax = 4095;
 
 Cluster::Cluster(ClusterSpec spec)
     : spec_(std::move(spec)),
+      telem_(telemetry::or_disabled(spec_.telemetry)),
       tree_(build_aggregation_tree(spec_)),
       engine_(std::uint32_t(spec_.routers()), std::uint32_t(spec_.shards),
               spec_.fabric_link.latency) {
@@ -29,17 +30,14 @@ Cluster::Cluster(ClusterSpec spec)
   // the trunk (port `wpr`), the spine one trunk port per rack. The pid
   // slot doubles as the router's simulation-domain id.
   auto make_router = [&](int pid_router, const std::string& name,
-                         int ports) -> std::unique_ptr<trio::Router> {
-    sim::Simulator& rsim = dsim(std::uint32_t(pid_router));
-    if (spec_.telemetry == nullptr) {
-      return std::make_unique<trio::Router>(rsim, spec_.cal, 1, ports, name);
-    }
+                         int ports) {
     trio::TelemetryScope scope;
     scope.trace_pid_base = pid_router * kPidStride;
     scope.metric_prefix = name + ".";
-    scope.process_prefix = name + ".";
-    return std::make_unique<trio::Router>(rsim, spec_.cal, 1, ports,
-                                          *spec_.telemetry, scope, name);
+    scope.process_prefix = scope.metric_prefix;
+    return std::make_unique<trio::Router>(dsim(std::uint32_t(pid_router)),
+                                          spec_.cal, 1, ports, telem_,
+                                          std::move(scope), name);
   };
   spine_ = make_router(racks, "spine", std::max(1, racks));
   // The standby spine gets the pid slot after the primary; each leaf gets
@@ -67,12 +65,11 @@ Cluster::Cluster(ClusterSpec spec)
   for (const RackNode& node : tree_.racks) build_rack(node);
 
   // --- Per-rack trace summary rows ---------------------------------------
-  if (spec_.telemetry != nullptr && spec_.telemetry->tracer.enabled()) {
-    auto& tracer = spec_.telemetry->tracer;
+  if (telem_.tracer.enabled()) {
     for (int r = 0; r < racks; ++r) {
-      tracer.set_process_name(kSummaryPidBase + r, rack_name(r));
+      telem_.tracer.set_process_name(kSummaryPidBase + r, rack_name(r));
     }
-    tracer.set_process_name(kSummaryPidBase + racks, "spine");
+    telem_.tracer.set_process_name(kSummaryPidBase + racks, "spine");
   }
 }
 
@@ -119,14 +116,14 @@ std::uint32_t Cluster::build_trunk(trio::Router& leaf, int r, bool backup) {
     trunk->set_loss(fabric.loss, fabric.loss_seed + (backup ? 0x10000 : 0) +
                                      std::uint64_t(r));
   }
-  if (spec_.telemetry != nullptr) {
-    // Tier counters share one registry cell across all fabric links, so
-    // "cluster.tier.fabric.up.tx_frames" is the tier total.
-    const std::string tier =
-        backup ? "cluster.tier.fabric_backup." : "cluster.tier.fabric.";
-    trunk->a_to_b().instrument(spec_.telemetry->metrics, tier + "up.");
-    trunk->b_to_a().instrument(spec_.telemetry->metrics, tier + "down.");
-  }
+  // Tier counters share one registry cell across all fabric links, so
+  // "cluster.tier.fabric.up.tx_frames" is the tier total.
+  trunk->a_to_b().instrument(telem_.metrics,
+                             backup ? "cluster.tier.fabric_backup.up."
+                                    : "cluster.tier.fabric.up.");
+  trunk->b_to_a().instrument(telem_.metrics,
+                             backup ? "cluster.tier.fabric_backup.down."
+                                    : "cluster.tier.fabric.down.");
   const std::uint32_t nh = leaf.forwarding().add_nexthop(trio::NexthopUnicast{
       port, backup ? trioml::backup_spine_mac() : trioml::spine_mac()});
   (backup ? backup_fabric_links_ : fabric_links_).push_back(std::move(trunk));
@@ -185,15 +182,11 @@ void Cluster::build_rack(const RackNode& node) {
                      spec_.host_link.loss_seed +
                          std::uint64_t(r * wpr + i) * 2 + 1);
     }
-    if (spec_.telemetry != nullptr) {
-      link->a_to_b().instrument(spec_.telemetry->metrics,
-                                "cluster.tier.host.up.");
-      link->b_to_a().instrument(spec_.telemetry->metrics,
-                                "cluster.tier.host.down.");
-      // Shared across workers: tier totals of the recovery-path counters
-      // (retransmits, backoff re-arms, exhausted budgets, crashes).
-      worker->instrument(spec_.telemetry->metrics, "cluster.worker.");
-    }
+    link->a_to_b().instrument(telem_.metrics, "cluster.tier.host.up.");
+    link->b_to_a().instrument(telem_.metrics, "cluster.tier.host.down.");
+    // Shared across workers: tier totals of the recovery-path counters
+    // (retransmits, backoff re-arms, exhausted budgets, crashes).
+    worker->instrument(telem_.metrics, "cluster.worker.");
     host_links_.push_back(std::move(link));
     workers_.push_back(std::move(worker));
   }
@@ -283,8 +276,8 @@ void Cluster::stop_straggler_detection() {
 }
 
 void Cluster::sample_trace_counters() {
-  if (spec_.telemetry == nullptr || !spec_.telemetry->tracer.enabled()) return;
-  auto& tracer = spec_.telemetry->tracer;
+  if (!telem_.tracer.enabled()) return;
+  telemetry::Tracer& tracer = telem_.tracer;
   const sim::Time now = simulator().now();
   for (int r = 0; r < spec_.racks; ++r) {
     const int pid = kSummaryPidBase + r;
@@ -301,7 +294,7 @@ void Cluster::sample_trace_counters() {
 
 void Cluster::start_trace_sampling(sim::Duration period) {
   stop_trace_sampling();
-  if (spec_.telemetry == nullptr || !spec_.telemetry->tracer.enabled()) return;
+  if (!telem_.tracer.enabled()) return;
   trace_sampling_ = true;
   trace_period_ = period;
   sample_trace_counters();

@@ -37,6 +37,10 @@ class Cluster {
   int num_shards() const { return int(engine_.num_shards()); }
   const ClusterSpec& spec() const { return spec_; }
   const AggregationTree& tree() const { return tree_; }
+  /// The bundle every router, link, worker and control-plane component
+  /// of the cluster binds to: spec.telemetry, or the shared disabled
+  /// bundle when that is null.
+  telemetry::Telemetry& telemetry() { return telem_; }
 
   int num_racks() const { return spec_.racks; }
   int workers_per_rack() const { return spec_.workers_per_rack; }
@@ -126,7 +130,7 @@ class Cluster {
   void sample_trace_counters();
   /// Recurring sampling on the simulated clock, as an engine global
   /// action. The recurring action keeps the engine pending — pair with
-  /// run_until() + stop_trace_sampling(), like registry snapshots.
+  /// run_until() + stop_trace_sampling().
   void start_trace_sampling(sim::Duration period);
   void stop_trace_sampling();
 
@@ -157,6 +161,7 @@ class Cluster {
   sim::Simulator& dsim(std::uint32_t d) { return engine_.domain_sim(d); }
 
   ClusterSpec spec_;
+  telemetry::Telemetry& telem_;
   AggregationTree tree_;
   sim::ShardedSimulator engine_;
   std::unique_ptr<trio::Router> spine_;

@@ -65,7 +65,8 @@ struct ClusterSpec {
   /// When set, every router is built observed by this bundle (which must
   /// outlive the Cluster) under a per-router trio::TelemetryScope
   /// ("rackN.*" / "spine.*"), and the links register per-tier counters
-  /// (docs/telemetry.md "Cluster telemetry").
+  /// (docs/telemetry.md "Cluster telemetry"). When null, the cluster
+  /// binds to the shared disabled bundle (telemetry::disabled()).
   telemetry::Telemetry* telemetry = nullptr;
 
   int total_workers() const { return racks * workers_per_rack; }

@@ -65,13 +65,12 @@ void for_each_instance(const cluster::Cluster& cl, const Target& t, Fn&& fn) {
 }  // namespace
 
 FaultInjector::FaultInjector(cluster::Cluster& cluster)
-    : cluster_(cluster), telem_(cluster.spec().telemetry) {
-  if (telem_ != nullptr) {
-    injected_ctr_ = telem_->metrics.counter("faults.injected");
-    recovered_ctr_ = telem_->metrics.counter("faults.recovered");
-    buckets_ctr_ = telem_->metrics.counter("faults.buckets_dropped");
-    invalidated_ctr_ = telem_->metrics.counter("faults.blocks_invalidated");
-  }
+    : cluster_(cluster) {
+  telemetry::Registry& metrics = cluster_.telemetry().metrics;
+  metrics.bind(faults_injected_, "faults.injected");
+  metrics.bind(recoveries_, "faults.recovered");
+  metrics.bind(buckets_dropped_, "faults.buckets_dropped");
+  metrics.bind(blocks_invalidated_, "faults.blocks_invalidated");
 }
 
 void FaultInjector::arm(const FaultSchedule& schedule) {
@@ -115,15 +114,11 @@ void FaultInjector::record(const std::string& what, bool recovery) {
   const sim::Time now = cluster_.simulator().now();
   log_.push_back(LogEntry{now, what});
   if (recovery) {
-    ++recoveries_;
-    recovered_ctr_.inc();
+    recoveries_.inc();
   } else {
-    ++faults_injected_;
-    injected_ctr_.inc();
+    faults_injected_.inc();
   }
-  if (telem_ != nullptr) {
-    telem_->tracer.instant(kTracePid, recovery ? 1 : 0, what, now);
-  }
+  cluster_.telemetry().tracer.instant(kTracePid, recovery ? 1 : 0, what, now);
 }
 
 void FaultInjector::apply_to_link(const FaultEvent& event, net::Link& link,
@@ -283,8 +278,7 @@ void FaultInjector::execute(const FaultEvent& event) {
             trioml::TrioMlApp& app =
                 spine ? cluster_.spine_app() : cluster_.leaf_app(r);
             const std::size_t invalidated = app.invalidate_active_blocks();
-            blocks_invalidated_ += invalidated;
-            invalidated_ctr_.inc(invalidated);
+            blocks_invalidated_.inc(invalidated);
             record("kill " + name + " (" + std::to_string(invalidated) +
                        " blocks invalidated)",
                    false);
@@ -310,8 +304,7 @@ void FaultInjector::execute(const FaultEvent& event) {
         trioml::TrioMlApp& app =
             spine ? cluster_.spine_app() : cluster_.leaf_app(r);
         const std::size_t n = app.drop_active_blocks(event.job_id);
-        buckets_dropped_ += n;
-        buckets_ctr_.inc(n);
+        buckets_dropped_.inc(n);
         record("drop-buckets " + node_name(spine, r) + " job=" +
                    std::to_string(int(event.job_id)) + " (" +
                    std::to_string(n) + " blocks)",
@@ -323,8 +316,7 @@ void FaultInjector::execute(const FaultEvent& event) {
           (t.index == Target::kAll || t.index == 0)) {
         const std::size_t n = cache_dropper_(event.job_id);
         if (n > 0) {
-          buckets_dropped_ += n;
-          buckets_ctr_.inc(n);
+          buckets_dropped_.inc(n);
           record("drop-cache leaf:0 tenant=" +
                      std::to_string(int(event.job_id)) + " (" +
                      std::to_string(n) + " entries)",

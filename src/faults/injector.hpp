@@ -34,9 +34,8 @@ namespace faults {
 
 class FaultInjector {
  public:
-  /// Injects into `cluster`, which must outlive the injector. Counters and
-  /// trace rows go to the cluster's telemetry (`spec().telemetry`; none
-  /// when it is null).
+  /// Injects into `cluster`, which must outlive the injector. Counts and
+  /// trace rows go to the cluster's telemetry (Cluster::telemetry()).
   ///
   /// Every fault executes as a *global action* of the cluster's sharded
   /// engine — on the engine's window-planning thread, with all shards
@@ -92,12 +91,14 @@ class FaultInjector {
   /// FNV-1a fingerprint of the log — equal across deterministic replays.
   std::uint64_t digest() const;
 
-  std::uint64_t faults_injected() const { return faults_injected_; }
-  std::uint64_t recoveries() const { return recoveries_; }
+  std::uint64_t faults_injected() const { return faults_injected_.value(); }
+  std::uint64_t recoveries() const { return recoveries_.value(); }
   /// Total block records destroyed by kBucketDrop events.
-  std::uint64_t buckets_dropped() const { return buckets_dropped_; }
+  std::uint64_t buckets_dropped() const { return buckets_dropped_.value(); }
   /// Total block records invalidated by kRouterKill generation bumps.
-  std::uint64_t blocks_invalidated() const { return blocks_invalidated_; }
+  std::uint64_t blocks_invalidated() const {
+    return blocks_invalidated_.value();
+  }
 
   /// Trace pid for chaos instant rows (clears the Cluster summary band).
   static constexpr int kTracePid = 999'000;
@@ -112,21 +113,16 @@ class FaultInjector {
   void schedule_after(sim::Duration delay, sim::EventQueue::Callback fn);
 
   cluster::Cluster& cluster_;
-  telemetry::Telemetry* telem_;
   std::uint64_t base_seed_ = 0;
   std::function<trioml::TrioMlWorker*(int tenant, int host)> tenant_resolver_;
   std::function<bool(int tenant, int host, bool restart)> tenant_host_handler_;
   std::function<std::size_t(std::uint8_t tenant)> cache_dropper_;
 
   std::vector<LogEntry> log_;
-  std::uint64_t faults_injected_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t buckets_dropped_ = 0;
-  std::uint64_t blocks_invalidated_ = 0;
-  telemetry::Counter injected_ctr_;
-  telemetry::Counter recovered_ctr_;
-  telemetry::Counter buckets_ctr_;
-  telemetry::Counter invalidated_ctr_;
+  telemetry::Counter faults_injected_;
+  telemetry::Counter recoveries_;
+  telemetry::Counter buckets_dropped_;
+  telemetry::Counter blocks_invalidated_;
 };
 
 }  // namespace faults

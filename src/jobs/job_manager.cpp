@@ -1,6 +1,7 @@
 #include "jobs/job_manager.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 #include "cluster/allreduce.hpp"
@@ -138,6 +139,7 @@ AdmissionResult JobManager::admit(const TenantSpec& spec) {
 
       // --- One worker per host, muxed onto the existing host links -------
       const int wpr = cluster_.workers_per_rack();
+      const std::string scope = tenant_scope(spec.id).metric_prefix;
       for (const auto& node : cluster_.tree().racks) {
         for (int i = 0; i < wpr; ++i) {
           const int g = node.rack * wpr + i;
@@ -154,11 +156,10 @@ AdmissionResult JobManager::admit(const TenantSpec& spec) {
           wc.expected_sources = cluster_.tree().expected_sources;
           auto worker = std::make_unique<trioml::TrioMlWorker>(
               host_sim(g), wc, cluster_.link(g).a_to_b());
-          if (cluster_.spec().telemetry) {
-            worker->instrument(cluster_.spec().telemetry->metrics,
-                               tenant_scope(spec.id).metric_prefix +
-                                   "worker" + std::to_string(g) + ".");
-          }
+          char prefix[48];
+          std::snprintf(prefix, sizeof(prefix), "%sworker%d.", scope.c_str(),
+                        g);
+          worker->instrument(cluster_.telemetry().metrics, prefix);
           muxes_[std::size_t(g)]->add_endpoint(spec.id, *worker, 0);
           tenant.workers.push_back(std::move(worker));
         }
@@ -267,7 +268,6 @@ AdmissionResult JobManager::admit_netrpc(const TenantSpec& spec,
     return {false, "tenant " + std::to_string(int(spec.id)) + ": " + e.what()};
   }
 
-  telemetry::Telemetry* telem = cluster_.spec().telemetry;
   const std::string scope = tenant_scope(spec.id).metric_prefix;
 
   for (int s = 0; s < int(spec.rpc_servers); ++s) {
@@ -305,10 +305,9 @@ AdmissionResult JobManager::admit_netrpc(const TenantSpec& spec,
     cc.retransmit = true;
     auto client = std::make_unique<netrpc::RpcClient>(
         host_sim(c), cc, cluster_.link(c).a_to_b());
-    if (telem) {
-      client->instrument(telem->metrics,
-                         scope + "client" + std::to_string(c) + ".");
-    }
+    char prefix[48];
+    std::snprintf(prefix, sizeof(prefix), "%sclient%d.", scope.c_str(), c);
+    client->instrument(cluster_.telemetry().metrics, prefix);
     muxes_[std::size_t(c)]->add_endpoint(spec.id, *client, 0);
     tenant.client_hosts.push_back(c);
     tenant.rpc_clients.push_back(std::move(client));

@@ -47,10 +47,8 @@ bool LinkEndpoint::send(PacketPtr pkt) {
     throw std::logic_error("LinkEndpoint::send: endpoint not connected");
   }
   if (down_) {
-    ++frames_dropped_;
-    ++down_drops_;
-    drops_ctr_.inc();
-    down_drops_ctr_.inc();
+    frames_dropped_.inc();
+    down_drops_.inc();
     return false;
   }
   if (burst_enabled_) {
@@ -64,17 +62,14 @@ bool LinkEndpoint::send(PacketPtr pkt) {
     const double p =
         burst_bad_ ? burst_model_.loss_bad : burst_model_.loss_good;
     if (p > 0.0 && burst_rng_.bernoulli(p)) {
-      ++frames_dropped_;
-      ++burst_drops_;
-      drops_ctr_.inc();
-      burst_drops_ctr_.inc();
+      frames_dropped_.inc();
+      burst_drops_.inc();
       return false;
     }
   }
   if (in_flight_ >= queue_frames_ ||
       (loss_probability_ > 0.0 && loss_rng_.bernoulli(loss_probability_))) {
-    ++frames_dropped_;
-    drops_ctr_.inc();
+    frames_dropped_.inc();
     return false;
   }
   if (corrupt_probability_ > 0.0 &&
@@ -89,18 +84,15 @@ bool LinkEndpoint::send(PacketPtr pkt) {
     const auto mask = static_cast<std::uint8_t>(
         1 + corrupt_rng_.next_below(255));
     pkt->frame().set_u8(off, pkt->frame().u8(off) ^ mask);
-    ++frames_corrupted_;
-    corrupt_ctr_.inc();
+    frames_corrupted_.inc();
   }
   const sim::Time start =
       busy_until_ > sim_.now() ? busy_until_ : sim_.now();
   const sim::Time tx_end = start + serialization_delay(pkt->size());
   busy_until_ = tx_end;
   ++in_flight_;
-  ++frames_sent_;
-  bytes_sent_ += pkt->size();
-  tx_frames_ctr_.inc();
-  tx_bytes_ctr_.inc(pkt->size());
+  frames_sent_.inc();
+  bytes_sent_.inc(pkt->size());
 
   Node* peer = peer_;
   const int port = peer_port_;
@@ -112,9 +104,8 @@ bool LinkEndpoint::send(PacketPtr pkt) {
     // orders it by (arrival, source domain, sequence) at any shard count.
     auto wire_done = [this, frame_bytes] {
       --in_flight_;
-      ++frames_delivered_;
+      frames_delivered_.inc();
       bytes_delivered_ += frame_bytes;
-      rx_frames_ctr_.inc();
     };
     auto receive = [peer, port, pkt = std::move(pkt)]() mutable {
       peer->receive(std::move(pkt), port);
@@ -128,9 +119,8 @@ bool LinkEndpoint::send(PacketPtr pkt) {
   auto deliver = [this, peer, port, frame_bytes,
                   pkt = std::move(pkt)]() mutable {
     --in_flight_;
-    ++frames_delivered_;
+    frames_delivered_.inc();
     bytes_delivered_ += frame_bytes;
-    rx_frames_ctr_.inc();
     peer->receive(std::move(pkt), port);
   };
   static_assert(sim::InlineCallback::stores_inline<decltype(deliver)>());

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
@@ -100,13 +101,13 @@ class LinkEndpoint {
   /// stresses the receiver's parse/validation path, not delivery.
   void set_corruption(double probability, std::uint64_t seed = 1);
 
-  std::uint64_t down_drops() const { return down_drops_; }
-  std::uint64_t burst_drops() const { return burst_drops_; }
-  std::uint64_t frames_corrupted() const { return frames_corrupted_; }
+  std::uint64_t down_drops() const { return down_drops_.value(); }
+  std::uint64_t burst_drops() const { return burst_drops_.value(); }
+  std::uint64_t frames_corrupted() const { return frames_corrupted_.value(); }
 
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t frames_dropped() const { return frames_dropped_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  std::uint64_t frames_sent() const { return frames_sent_.value(); }
+  std::uint64_t frames_dropped() const { return frames_dropped_.value(); }
+  std::uint64_t bytes_sent() const { return bytes_sent_.value(); }
   double gbps() const { return gbps_; }
 
   // --- Conservation accounting (src/vigil/, docs/vigil.md) ---------------
@@ -116,7 +117,7 @@ class LinkEndpoint {
   /// which the vigil invariant engine checks on every link — a cheap
   /// always-on detector for lost or duplicated deliveries (e.g. across
   /// shard boundaries).
-  std::uint64_t frames_delivered() const { return frames_delivered_; }
+  std::uint64_t frames_delivered() const { return frames_delivered_.value(); }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
   /// Frames serialized or propagating right now (on the wire).
   std::uint64_t frames_in_flight() const { return in_flight_; }
@@ -147,19 +148,18 @@ class LinkEndpoint {
     return wire_time(bytes, effective_gbps());
   }
 
-  /// Registers `<prefix>tx_frames`, `<prefix>tx_bytes`, `<prefix>rx_frames`
-  /// and `<prefix>drops` for this direction, plus the fault-class
-  /// breakdowns `<prefix>fault.down_drops`, `<prefix>fault.burst_drops`
-  /// and `<prefix>fault.corrupt_frames`. Un-instrumented endpoints pay
-  /// nothing.
-  void instrument(telemetry::Registry& registry, const std::string& prefix) {
-    tx_frames_ctr_ = registry.counter(prefix + "tx_frames");
-    tx_bytes_ctr_ = registry.counter(prefix + "tx_bytes");
-    rx_frames_ctr_ = registry.counter(prefix + "rx_frames");
-    drops_ctr_ = registry.counter(prefix + "drops");
-    down_drops_ctr_ = registry.counter(prefix + "fault.down_drops");
-    burst_drops_ctr_ = registry.counter(prefix + "fault.burst_drops");
-    corrupt_ctr_ = registry.counter(prefix + "fault.corrupt_frames");
+  /// Binds this direction's counts as `<prefix>tx_frames`,
+  /// `<prefix>tx_bytes`, `<prefix>rx_frames` and `<prefix>drops`, plus the
+  /// fault-class breakdowns `<prefix>fault.down_drops`,
+  /// `<prefix>fault.burst_drops` and `<prefix>fault.corrupt_frames`.
+  void instrument(telemetry::Registry& registry, std::string_view prefix) {
+    registry.bind(frames_sent_, prefix, "tx_frames");
+    registry.bind(bytes_sent_, prefix, "tx_bytes");
+    registry.bind(frames_delivered_, prefix, "rx_frames");
+    registry.bind(frames_dropped_, prefix, "drops");
+    registry.bind(down_drops_, prefix, "fault.down_drops");
+    registry.bind(burst_drops_, prefix, "fault.burst_drops");
+    registry.bind(frames_corrupted_, prefix, "fault.corrupt_frames");
   }
 
  private:
@@ -175,10 +175,10 @@ class LinkEndpoint {
   sim::Time busy_until_;
   double fluid_load_gbps_ = 0.0;
   std::size_t in_flight_ = 0;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_dropped_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t frames_delivered_ = 0;
+  telemetry::Counter frames_sent_;
+  telemetry::Counter frames_dropped_;
+  telemetry::Counter bytes_sent_;
+  telemetry::Counter frames_delivered_;
   std::uint64_t bytes_delivered_ = 0;
   double loss_probability_ = 0.0;
   sim::Rng loss_rng_{1};
@@ -189,16 +189,9 @@ class LinkEndpoint {
   sim::Rng burst_rng_{1};
   double corrupt_probability_ = 0.0;
   sim::Rng corrupt_rng_{1};
-  std::uint64_t down_drops_ = 0;
-  std::uint64_t burst_drops_ = 0;
-  std::uint64_t frames_corrupted_ = 0;
-  telemetry::Counter tx_frames_ctr_;
-  telemetry::Counter tx_bytes_ctr_;
-  telemetry::Counter rx_frames_ctr_;
-  telemetry::Counter drops_ctr_;
-  telemetry::Counter down_drops_ctr_;
-  telemetry::Counter burst_drops_ctr_;
-  telemetry::Counter corrupt_ctr_;
+  telemetry::Counter down_drops_;
+  telemetry::Counter burst_drops_;
+  telemetry::Counter frames_corrupted_;
 };
 
 /// Full-duplex link: two endpoints wired between nodes a and b.
@@ -251,12 +244,6 @@ class Link {
   void set_corruption(double probability, std::uint64_t seed = 1) {
     a_to_b_.set_corruption(probability, seed);
     b_to_a_.set_corruption(probability, seed + 0x9e3779b97f4a7c15ull);
-  }
-
-  /// Instruments both directions: `<prefix>ab.*` and `<prefix>ba.*`.
-  void instrument(telemetry::Registry& registry, const std::string& prefix) {
-    a_to_b_.instrument(registry, prefix + "ab.");
-    b_to_a_.instrument(registry, prefix + "ba.");
   }
 
  private:

@@ -369,7 +369,7 @@ class CacheScanProgram : public trio::PpeProgram {
 NetRpcApp::NetRpcApp(trio::Pfe& pfe) : pfe_(pfe) {
   auto& registry = pfe_.router().telemetry().metrics;
   pfe_latency_hist_ =
-      registry.histogram(pfe_.metric_prefix() + "netrpc.pfe_latency_ns");
+      registry.histogram(pfe_.metric_prefix(), "netrpc.pfe_latency_ns");
 }
 
 void NetRpcApp::configure_service(const ServiceSetup& setup) {

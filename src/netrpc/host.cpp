@@ -105,8 +105,7 @@ void RpcClient::give_up_call(std::uint32_t rpc_id, std::uint64_t epoch) {
   auto done = std::move(it->second.done);
   calls_.erase(it);
   ++calls_completed_;
-  ++degraded_calls_;
-  degraded_ctr_.inc();
+  degraded_calls_.inc();
   call_latency_us_.add(res.latency.us());
   if (done) done(std::move(res));
 }
@@ -174,8 +173,7 @@ void RpcClient::arm_retransmit(std::uint32_t rpc_id) {
           }
           return;
         }
-        ++retransmissions_;
-        retransmits_ctr_.inc();
+        retransmissions_.inc();
         const std::uint64_t key = make_key(config_.tenant, op.user_key);
         if (op.get_done) {
           send_request(Op::kGetReq, home_server(op.user_key), rpc_id, key, {});
@@ -242,8 +240,7 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       calls_.erase(it);
       ++calls_completed_;
       if (res.degraded) {
-        ++degraded_calls_;
-        degraded_ctr_.inc();
+        degraded_calls_.inc();
       }
       call_latency_us_.add(res.latency.us());
       if (done) done(std::move(res));
@@ -287,8 +284,7 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       auto done = std::move(it->second.get_done);
       key_ops_.erase(it);
       if (res.cached) {
-        ++cached_gets_;
-        cached_ctr_.inc();
+        cached_gets_.inc();
         get_hit_latency_us_.add(res.latency.us());
       } else {
         get_miss_latency_us_.add(res.latency.us());
@@ -320,7 +316,7 @@ void RpcClient::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++epoch_;  // strands every armed retransmit timer
-  crash_ctr_.inc();
+  crashes_.inc();
   for (auto& [id, op] : key_ops_) sim_.cancel(op.timer);
   for (auto& [id, call] : calls_) sim_.cancel(call.timer);
   calls_.clear();

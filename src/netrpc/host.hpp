@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -118,11 +119,11 @@ class RpcClient : public net::Node {
     on_restart_ = std::move(hook);
   }
 
-  void instrument(telemetry::Registry& registry, const std::string& prefix) {
-    retransmits_ctr_ = registry.counter(prefix + "retransmits");
-    degraded_ctr_ = registry.counter(prefix + "degraded_calls");
-    cached_ctr_ = registry.counter(prefix + "cached_gets");
-    crash_ctr_ = registry.counter(prefix + "crashes");
+  void instrument(telemetry::Registry& registry, std::string_view prefix) {
+    registry.bind(retransmissions_, prefix, "retransmits");
+    registry.bind(degraded_calls_, prefix, "degraded_calls");
+    registry.bind(cached_gets_, prefix, "cached_gets");
+    registry.bind(crashes_, prefix, "crashes");
   }
 
   // --- Statistics ---------------------------------------------------------
@@ -131,10 +132,10 @@ class RpcClient : public net::Node {
   sim::Samples& get_miss_latency_us() { return get_miss_latency_us_; }
   sim::Samples& put_latency_us() { return put_latency_us_; }
   std::uint64_t calls_completed() const { return calls_completed_; }
-  std::uint64_t degraded_calls() const { return degraded_calls_; }
+  std::uint64_t degraded_calls() const { return degraded_calls_.value(); }
   std::uint64_t host_merged_calls() const { return host_merged_calls_; }
-  std::uint64_t cached_gets() const { return cached_gets_; }
-  std::uint64_t retransmissions() const { return retransmissions_; }
+  std::uint64_t cached_gets() const { return cached_gets_.value(); }
+  std::uint64_t retransmissions() const { return retransmissions_.value(); }
   std::uint64_t packets_sent() const { return packets_sent_; }
   const Config& config() const { return config_; }
 
@@ -195,15 +196,12 @@ class RpcClient : public net::Node {
   sim::Samples get_miss_latency_us_;
   sim::Samples put_latency_us_;
   std::uint64_t calls_completed_ = 0;
-  std::uint64_t degraded_calls_ = 0;
+  telemetry::Counter degraded_calls_;
   std::uint64_t host_merged_calls_ = 0;
-  std::uint64_t cached_gets_ = 0;
-  std::uint64_t retransmissions_ = 0;
+  telemetry::Counter cached_gets_;
+  telemetry::Counter retransmissions_;
   std::uint64_t packets_sent_ = 0;
-  telemetry::Counter retransmits_ctr_;
-  telemetry::Counter degraded_ctr_;
-  telemetry::Counter cached_ctr_;
-  telemetry::Counter crash_ctr_;
+  telemetry::Counter crashes_;
 };
 
 class RpcServer : public net::Node {

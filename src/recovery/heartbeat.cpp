@@ -58,21 +58,16 @@ double PhiEstimator::phi(sim::Time now) const {
 }
 
 HeartbeatMonitor::HeartbeatMonitor(sim::ShardedSimulator& engine,
-                                   telemetry::Telemetry* telem,
+                                   telemetry::Telemetry& telem,
                                    HeartbeatConfig config)
     : engine_(engine), telem_(telem), config_(config) {
   if (config_.period.ns() <= 0 || config_.check_period.ns() <= 0 ||
       config_.timers <= 0 || config_.phi_threshold <= 0) {
     throw std::invalid_argument("HeartbeatMonitor: bad config");
   }
-  if (telem_ != nullptr) {
-    heartbeat_ctr_ = telem_->metrics.counter("recovery.heartbeats");
-    death_ctr_ = telem_->metrics.counter("recovery.deaths_declared");
-    revival_ctr_ = telem_->metrics.counter("recovery.revivals_detected");
-    if (telem_->tracer.enabled()) {
-      telem_->tracer.set_process_name(kTracePid, "recovery");
-    }
-  }
+  telem_.metrics.bind(deaths_declared_, "recovery.deaths_declared");
+  telem_.metrics.bind(revivals_detected_, "recovery.revivals_detected");
+  telem_.tracer.set_process_name(kTracePid, "recovery");
 }
 
 int HeartbeatMonitor::watch(const std::string& name, trio::Router& router) {
@@ -83,6 +78,7 @@ int HeartbeatMonitor::watch(const std::string& name, trio::Router& router) {
   w.name = name;
   w.router = &router;
   w.estimator = PhiEstimator(config_.ewma_alpha);
+  telem_.metrics.bind(w.beats, "recovery.heartbeats");
   watched_.push_back(std::move(w));
   return static_cast<int>(watched_.size()) - 1;
 }
@@ -143,15 +139,14 @@ const PhiEstimator& HeartbeatMonitor::estimator(int idx) const {
 
 std::uint64_t HeartbeatMonitor::heartbeats() const {
   std::uint64_t n = 0;
-  for (const Watched& w : watched_) n += w.beats;
+  for (const Watched& w : watched_) n += w.beats.value();
   return n;
 }
 
 void HeartbeatMonitor::on_heartbeat(int idx) {
   Watched& w = watched_.at(std::size_t(idx));
   const sim::Time now = w.router->simulator().now();
-  ++w.beats;
-  heartbeat_ctr_.inc();
+  w.beats.inc();
   w.estimator.observe(now);
   // First heartbeat after a death declaration: the router is back. The
   // next check logs the revival at this instant.
@@ -171,8 +166,7 @@ void HeartbeatMonitor::check() {
     Watched& w = watched_[std::size_t(i)];
     w.dead = false;
     w.revived_at = sim::Time::max();
-    ++revivals_;
-    revival_ctr_.inc();
+    revivals_detected_.inc();
     transition(i, /*dead=*/false, at);
   }
   const sim::Time now = engine_.now();
@@ -181,8 +175,7 @@ void HeartbeatMonitor::check() {
     if (w.dead || !w.estimator.primed()) continue;
     if (w.estimator.phi(now) >= config_.phi_threshold) {
       w.dead = true;
-      ++deaths_;
-      death_ctr_.inc();
+      deaths_declared_.inc();
       transition(i, /*dead=*/true, now);
     }
   }
@@ -193,9 +186,7 @@ void HeartbeatMonitor::transition(int idx, bool dead, sim::Time at) {
   const std::string what =
       (dead ? "dead " : "revival ") + watched_[std::size_t(idx)].name;
   log_.push_back(LogEntry{at, what});
-  if (telem_ != nullptr) {
-    telem_->tracer.instant(kTracePid, dead ? 0 : 1, what, at);
-  }
+  telem_.tracer.instant(kTracePid, dead ? 0 : 1, what, at);
   if (hook_) hook_(idx, dead, at);
 }
 

@@ -72,9 +72,9 @@ struct HeartbeatConfig {
 
 class HeartbeatMonitor {
  public:
-  /// `telem` may be null (no counters / trace rows). `engine` runs the
-  /// watched routers (Cluster::engine()).
-  HeartbeatMonitor(sim::ShardedSimulator& engine, telemetry::Telemetry* telem,
+  /// Counts and trace rows go to `telem` (Cluster::telemetry()). `engine`
+  /// runs the watched routers (Cluster::engine()).
+  HeartbeatMonitor(sim::ShardedSimulator& engine, telemetry::Telemetry& telem,
                    HeartbeatConfig config);
 
   /// Registers a router to watch. Call before start(); returns the
@@ -115,8 +115,10 @@ class HeartbeatMonitor {
   std::uint64_t digest() const;
 
   std::uint64_t heartbeats() const;
-  std::uint64_t deaths_declared() const { return deaths_; }
-  std::uint64_t revivals_detected() const { return revivals_; }
+  std::uint64_t deaths_declared() const { return deaths_declared_.value(); }
+  std::uint64_t revivals_detected() const {
+    return revivals_detected_.value();
+  }
 
   /// Trace pid for liveness instant rows (below the injector's 999'000).
   static constexpr int kTracePid = 998'000;
@@ -126,7 +128,8 @@ class HeartbeatMonitor {
     std::string name;
     trio::Router* router = nullptr;
     PhiEstimator estimator;
-    std::uint64_t beats = 0;
+    /// Written on the router's shard, so one count per watched router.
+    telemetry::Counter beats;
     bool dead = false;
     /// First heartbeat since the death declaration; max() when none.
     sim::Time revived_at = sim::Time::max();
@@ -138,7 +141,7 @@ class HeartbeatMonitor {
   void transition(int idx, bool dead, sim::Time at);
 
   sim::ShardedSimulator& engine_;
-  telemetry::Telemetry* telem_;
+  telemetry::Telemetry& telem_;
   HeartbeatConfig config_;
   std::vector<Watched> watched_;
   TransitionHook hook_;
@@ -147,11 +150,8 @@ class HeartbeatMonitor {
   std::uint64_t epoch_ = 0;
 
   std::vector<LogEntry> log_;
-  std::uint64_t deaths_ = 0;
-  std::uint64_t revivals_ = 0;
-  telemetry::Counter heartbeat_ctr_;
-  telemetry::Counter death_ctr_;
-  telemetry::Counter revival_ctr_;
+  telemetry::Counter deaths_declared_;
+  telemetry::Counter revivals_detected_;
 };
 
 }  // namespace recovery

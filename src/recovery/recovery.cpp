@@ -8,14 +8,12 @@ RecoveryManager::RecoveryManager(cluster::Cluster& cluster,
                                  RecoveryConfig config)
     : cluster_(cluster),
       config_(config),
-      monitor_(cluster.engine(), cluster.spec().telemetry, config.heartbeat) {
-  telemetry::Telemetry* telem = cluster_.spec().telemetry;
-  if (telem != nullptr) {
-    failover_ctr_ = telem->metrics.counter("recovery.failovers");
-    rejoin_ctr_ = telem->metrics.counter("recovery.rejoins");
-    detach_ctr_ = telem->metrics.counter("recovery.subtree_detachments");
-    invalidated_ctr_ = telem->metrics.counter("recovery.blocks_invalidated");
-  }
+      monitor_(cluster.engine(), cluster.telemetry(), config.heartbeat) {
+  telemetry::Registry& metrics = cluster_.telemetry().metrics;
+  metrics.bind(failovers_, "recovery.failovers");
+  metrics.bind(rejoins_, "recovery.rejoins");
+  metrics.bind(subtree_detachments_, "recovery.subtree_detachments");
+  metrics.bind(blocks_invalidated_, "recovery.blocks_invalidated");
   spine_idx_ = monitor_.watch("spine", cluster_.spine());
   for (int r = 0; r < cluster_.num_racks(); ++r) {
     leaf_idx_.push_back(
@@ -45,11 +43,9 @@ void RecoveryManager::on_transition(int idx, bool dead, sim::Time at) {
         // kill without the injector (direct Router::kill()).
         const std::size_t inv =
             cluster_.spine_app().invalidate_active_blocks();
-        blocks_invalidated_ += inv;
-        invalidated_ctr_.inc(inv);
+        blocks_invalidated_.inc(inv);
         cluster_.fail_over_to_backup();
-        ++failovers_;
-        failover_ctr_.inc();
+        failovers_.inc();
         last_failover_at_ = at;
         record("failover spine->spine-b (" + std::to_string(inv) +
                    " blocks invalidated)",
@@ -62,11 +58,9 @@ void RecoveryManager::on_transition(int idx, bool dead, sim::Time at) {
       // The primary rebooted empty-handed; anything it absorbed before
       // dying was invalidated, so rejoin is just pointing the leaves back.
       const std::size_t inv = cluster_.spine_app().invalidate_active_blocks();
-      blocks_invalidated_ += inv;
-      invalidated_ctr_.inc(inv);
+      blocks_invalidated_.inc(inv);
       cluster_.restore_primary_spine();
-      ++rejoins_;
-      rejoin_ctr_.inc();
+      rejoins_.inc();
       record("rejoin spine-b->spine", /*recovery=*/true, at);
     }
     return;
@@ -78,8 +72,7 @@ void RecoveryManager::on_transition(int idx, bool dead, sim::Time at) {
   for (std::size_t r = 0; r < leaf_idx_.size(); ++r) {
     if (leaf_idx_[r] != idx) continue;
     if (dead) {
-      ++subtree_detachments_;
-      detach_ctr_.inc();
+      subtree_detachments_.inc();
       record("subtree detached rack" + std::to_string(r) + " (" +
                  std::to_string(cluster_.workers_per_rack()) + " workers)",
              /*recovery=*/false, at);
@@ -94,11 +87,8 @@ void RecoveryManager::on_transition(int idx, bool dead, sim::Time at) {
 void RecoveryManager::record(const std::string& what, bool recovery,
                              sim::Time at) {
   log_.push_back(LogEntry{at, what});
-  telemetry::Telemetry* telem = cluster_.spec().telemetry;
-  if (telem != nullptr) {
-    telem->tracer.instant(HeartbeatMonitor::kTracePid, recovery ? 3 : 2, what,
-                          at);
-  }
+  cluster_.telemetry().tracer.instant(HeartbeatMonitor::kTracePid,
+                                      recovery ? 3 : 2, what, at);
 }
 
 std::uint64_t RecoveryManager::digest() const {

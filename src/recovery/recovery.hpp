@@ -67,12 +67,16 @@ class RecoveryManager {
     return false;
   }
 
-  std::uint64_t failovers() const { return failovers_; }
-  std::uint64_t rejoins() const { return rejoins_; }
-  std::uint64_t subtree_detachments() const { return subtree_detachments_; }
+  std::uint64_t failovers() const { return failovers_.value(); }
+  std::uint64_t rejoins() const { return rejoins_.value(); }
+  std::uint64_t subtree_detachments() const {
+    return subtree_detachments_.value();
+  }
   /// Blocks invalidated by this manager's generation bumps (on failover
   /// and rejoin; the fault injector's kill-time bump counts separately).
-  std::uint64_t blocks_invalidated() const { return blocks_invalidated_; }
+  std::uint64_t blocks_invalidated() const {
+    return blocks_invalidated_.value();
+  }
 
   /// Recovery-time instrumentation for bench/fig_failover.
   sim::Time last_death_at() const { return last_death_at_; }
@@ -98,16 +102,12 @@ class RecoveryManager {
   std::vector<int> leaf_idx_;  // watch index per rack
 
   std::vector<LogEntry> log_;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t rejoins_ = 0;
-  std::uint64_t subtree_detachments_ = 0;
-  std::uint64_t blocks_invalidated_ = 0;
+  telemetry::Counter failovers_;
+  telemetry::Counter rejoins_;
+  telemetry::Counter subtree_detachments_;
+  telemetry::Counter blocks_invalidated_;
   sim::Time last_death_at_;
   sim::Time last_failover_at_;
-  telemetry::Counter failover_ctr_;
-  telemetry::Counter rejoin_ctr_;
-  telemetry::Counter detach_ctr_;
-  telemetry::Counter invalidated_ctr_;
 };
 
 }  // namespace recovery

@@ -70,28 +70,35 @@ std::int64_t HistogramData::percentile(double p) const {
 // ---------------------------------------------------------------------------
 // Registry
 
-Counter Registry::counter(const std::string& name) {
-  if (!enabled_) return Counter{};
+template <typename Cell>
+Cell* Registry::cell(Cells<Cell>& cells, std::string_view prefix,
+                     std::string_view name) {
+  std::string key;
+  key.reserve(prefix.size() + name.size());
+  key.append(prefix).append(name);
   std::lock_guard<std::mutex> lk(mu_);
-  auto& cell = counters_[name];
-  if (!cell) cell = std::make_unique<std::atomic<std::uint64_t>>(0);
-  return Counter{cell.get()};
+  auto& slot = cells[std::move(key)];
+  if (!slot) slot = std::make_unique<Cell>();
+  return slot.get();
 }
 
-Gauge Registry::gauge(const std::string& name) {
-  if (!enabled_) return Gauge{};
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& cell = gauges_[name];
-  if (!cell) cell = std::make_unique<std::atomic<std::int64_t>>(0);
-  return Gauge{cell.get()};
+void Registry::bind(Counter& counter, std::string_view prefix,
+                    std::string_view name) {
+  counter.cell_ = enabled_ ? cell(counters_, prefix, name) : nullptr;
 }
 
-Histogram Registry::histogram(const std::string& name) {
-  if (!enabled_) return Histogram{};
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& cell = histograms_[name];
-  if (!cell) cell = std::make_unique<HistogramData>();
-  return Histogram{cell.get()};
+Counter Registry::counter(std::string_view prefix, std::string_view name) {
+  Counter c;
+  bind(c, prefix, name);
+  return c;
+}
+
+Gauge Registry::gauge(std::string_view prefix, std::string_view name) {
+  return enabled_ ? Gauge{cell(gauges_, prefix, name)} : Gauge{};
+}
+
+Histogram Registry::histogram(std::string_view prefix, std::string_view name) {
+  return enabled_ ? Histogram{cell(histograms_, prefix, name)} : Histogram{};
 }
 
 std::uint64_t Registry::counter_value(const std::string& name) const {
@@ -112,43 +119,6 @@ const HistogramData* Registry::find_histogram(const std::string& name) const {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = histograms_.find(name);
   return it != histograms_.end() ? it->second.get() : nullptr;
-}
-
-void Registry::take_snapshot(sim::Time now) {
-  if (!enabled_) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  Snapshot snap;
-  snap.t_ns = now.ns();
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, cell] : counters_) {
-    snap.counters.emplace_back(name, cell->load(std::memory_order_relaxed));
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges.emplace_back(name, cell->load(std::memory_order_relaxed));
-  }
-  snapshots_.push_back(std::move(snap));
-}
-
-void Registry::start_snapshots(sim::Simulator& sim, sim::Duration period) {
-  if (!enabled_ || snapshots_running_) return;
-  snapshot_sim_ = &sim;
-  snapshot_period_ = period;
-  snapshots_running_ = true;
-  arm_snapshot();
-}
-
-void Registry::arm_snapshot() {
-  snapshot_event_ = snapshot_sim_->schedule_in(snapshot_period_, [this] {
-    take_snapshot(snapshot_sim_->now());
-    if (snapshots_running_) arm_snapshot();
-  });
-}
-
-void Registry::stop_snapshots() {
-  if (!snapshots_running_) return;
-  snapshot_sim_->cancel(snapshot_event_);
-  snapshots_running_ = false;
 }
 
 void Registry::write_json(std::ostream& os, sim::Time now) const {
@@ -194,32 +164,7 @@ void Registry::write_json(std::ostream& os, sim::Time now) const {
     }
     os << "}";
   }
-  os << (first ? "}" : "\n  }") << ",\n";
-
-  os << "  \"snapshots\": [";
-  first = true;
-  for (const auto& snap : snapshots_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    os << "{\"t_ns\": " << snap.t_ns << ", \"counters\": {";
-    bool f2 = true;
-    for (const auto& [name, v] : snap.counters) {
-      if (!f2) os << ", ";
-      f2 = false;
-      json_string(os, name);
-      os << ": " << v;
-    }
-    os << "}, \"gauges\": {";
-    f2 = true;
-    for (const auto& [name, v] : snap.gauges) {
-      if (!f2) os << ", ";
-      f2 = false;
-      json_string(os, name);
-      os << ": " << v;
-    }
-    os << "}}";
-  }
-  os << (first ? "]" : "\n  ]") << "\n}\n";
+  os << (first ? "}" : "\n  }") << "\n}\n";
 }
 
 bool Registry::write_json_file(const std::string& path, sim::Time now) const {

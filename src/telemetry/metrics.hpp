@@ -1,20 +1,23 @@
 // The telemetry metrics registry: named counters, gauges and HDR-style
-// log-linear histograms, with optional time-series snapshots driven by
-// the sim::Simulator clock and a JSON exporter.
+// log-linear histograms, with a JSON exporter.
 //
 // Design constraints (ROADMAP: "the observability substrate every later
 // perf PR will measure against"):
 //
-//  * Zero overhead when disabled. Handles (Counter/Gauge/Histogram) are a
-//    single pointer into registry-owned storage; a disabled registry hands
-//    out null handles, so the hot-path cost of an un-recorded metric is
-//    one perfectly-predicted branch and no allocation. Instrumented code
-//    never checks an "is telemetry on?" flag itself.
+//  * One count per event. A Counter is the owning component's statistic:
+//    inc() adds to its own total, which the component's accessor reads,
+//    and a counter bound to an enabled registry also adds to the shared
+//    cell. Instrumented code never checks an "is telemetry on?" flag and
+//    never keeps a second copy of a count.
+//
+//  * A disabled registry names nothing. Names are composed by the
+//    registry from a prefix and a name, and only when it is enabled, so
+//    instrumenting against a disabled registry allocates nothing and a
+//    disabled counter costs one add and one predicted branch.
 //
 //  * Stable addresses. Metric cells are heap-allocated individually and
-//    never move, so handles stay valid for the registry's lifetime and
-//    may be copied freely (e.g. one shared "instructions" counter handed
-//    to every PPE of a PFE).
+//    never move, so bound handles stay valid for the registry's lifetime
+//    (e.g. one "instructions" cell shared by every PPE of a PFE).
 //
 //  * Deterministic export. Metrics are kept in name order so two runs of
 //    a deterministic simulation produce byte-identical JSON.
@@ -29,32 +32,32 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace telemetry {
 
-/// Monotonically increasing event count. Handle; copy freely. Cells are
-/// relaxed atomics: tier-level counters are shared across simulation
-/// shards (sim/shard.hpp), and a plain add would race. Relaxed suffices —
-/// counters carry no synchronisation, and reads happen after the engine's
-/// end-of-run barrier.
+/// A component's count of one kind of event. The total is the owner's:
+/// inc() adds to it bound or not, and value() reads it. Bound to an
+/// enabled registry (Registry::bind), the counter also adds each later
+/// increment to the registry's cell. Cells are relaxed atomics: tier-level
+/// cells are shared across simulation shards (sim/shard.hpp), and a plain
+/// add would race. Relaxed suffices — counters carry no synchronisation,
+/// and reads happen after the engine's end-of-run barrier. The total has
+/// one writer, the owning component on its shard.
 class Counter {
  public:
-  Counter() = default;
   void inc(std::uint64_t n = 1) {
+    total_ += n;
     if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t value() const {
-    return cell_ != nullptr ? cell_->load(std::memory_order_relaxed) : 0;
-  }
+  std::uint64_t value() const { return total_; }
   bool live() const { return cell_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Counter(std::atomic<std::uint64_t>* cell) : cell_(cell) {}
+  std::uint64_t total_ = 0;
   std::atomic<std::uint64_t>* cell_ = nullptr;
 };
 
@@ -159,38 +162,28 @@ class Registry {
 
   bool enabled() const { return enabled_; }
 
-  /// Finds or creates the named metric. Same name -> same cell, so
-  /// independent components may share an accumulator. On a disabled
-  /// registry these return null handles and allocate nothing.
-  Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
-  Histogram histogram(const std::string& name);
+  /// Binds `counter` to the cell named `prefix` followed by `name`, found
+  /// or created; same name -> same cell, so independent components may
+  /// share an accumulator. The counter keeps its total, and the cell
+  /// receives only increments made after binding. A disabled registry
+  /// unbinds the counter and composes no name.
+  void bind(Counter& counter, std::string_view prefix,
+            std::string_view name = {});
+  /// A fresh counter (total 0) bound as by bind().
+  Counter counter(std::string_view prefix, std::string_view name = {});
+  /// Gauge and histogram handles for the metric named `prefix` followed
+  /// by `name`; null handles, and no name, from a disabled registry.
+  Gauge gauge(std::string_view prefix, std::string_view name = {});
+  Histogram histogram(std::string_view prefix, std::string_view name = {});
 
   // --- Read-back (tests, exporters). Unknown names read as zero. --------
   std::uint64_t counter_value(const std::string& name) const;
   std::int64_t gauge_value(const std::string& name) const;
   const HistogramData* find_histogram(const std::string& name) const;
 
-  // --- Time-series snapshots --------------------------------------------
-  /// Starts periodic capture of every counter and gauge on the simulated
-  /// clock. The recurring event keeps the simulator's queue non-empty, so
-  /// pair with run_until() + stop_snapshots() (same discipline as
-  /// trio::TimerWheel). No-op on a disabled registry.
-  void start_snapshots(sim::Simulator& sim, sim::Duration period);
-  void stop_snapshots();
-  /// One-shot capture at time `now` (usable without start_snapshots).
-  void take_snapshot(sim::Time now);
-
-  struct Snapshot {
-    std::int64_t t_ns = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, std::int64_t>> gauges;
-  };
-  const std::vector<Snapshot>& snapshots() const { return snapshots_; }
-
   // --- Export ------------------------------------------------------------
-  /// Writes the full registry (counters, gauges, histogram summaries,
-  /// snapshots) as one JSON object. `now` stamps the export time.
+  /// Writes the full registry (counters, gauges, histogram summaries) as
+  /// one JSON object. `now` stamps the export time.
   void write_json(std::ostream& os, sim::Time now) const;
   /// Convenience: write_json to `path`. Returns false on I/O failure.
   bool write_json_file(const std::string& path, sim::Time now) const;
@@ -201,7 +194,14 @@ class Registry {
   }
 
  private:
-  void arm_snapshot();
+  template <typename Cell>
+  using Cells = std::map<std::string, std::unique_ptr<Cell>>;
+
+  /// The cell named `prefix` + `name` in `cells`, created zeroed if new.
+  /// Enabled registries only.
+  template <typename Cell>
+  Cell* cell(Cells<Cell>& cells, std::string_view prefix,
+             std::string_view name);
 
   bool enabled_;
   // Name -> individually heap-allocated cell: stable addresses, ordered
@@ -211,15 +211,9 @@ class Registry {
   // shards register their own metrics. The cells themselves are not
   // guarded: counters/gauges are atomic, histograms single-writer.
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>> counters_;
-  std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramData>> histograms_;
-
-  std::vector<Snapshot> snapshots_;
-  sim::Simulator* snapshot_sim_ = nullptr;
-  sim::Duration snapshot_period_ = sim::Duration::zero();
-  sim::EventId snapshot_event_;
-  bool snapshots_running_ = false;
+  Cells<std::atomic<std::uint64_t>> counters_;
+  Cells<std::atomic<std::int64_t>> gauges_;
+  Cells<HistogramData> histograms_;
 };
 
 }  // namespace telemetry

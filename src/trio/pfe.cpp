@@ -15,9 +15,9 @@ Mqss::Mqss(sim::Simulator& simulator, const Calibration& cal)
     : sim_(simulator), cal_(cal) {}
 
 void Mqss::instrument(telemetry::Telemetry& telem, int pid,
-                      const std::string& prefix) {
-  tail_bytes_ctr_ = telem.metrics.counter(prefix + "tail_bytes_read");
-  pmem_bytes_ctr_ = telem.metrics.counter(prefix + "pmem_bytes_written");
+                      std::string_view prefix) {
+  telem.metrics.bind(tail_bytes_read_, prefix, "mqss.tail_bytes_read");
+  telem.metrics.bind(pmem_bytes_written_, prefix, "mqss.pmem_bytes_written");
   if (telem.tracer.enabled()) {
     tracer_ = &telem.tracer;
     trace_pid_ = pid;
@@ -49,8 +49,7 @@ sim::Time Mqss::tail_read(const net::Packet& pkt, std::uint64_t offset,
   if (offset + len > pkt.tail_size()) {
     throw std::out_of_range("Mqss::tail_read: beyond tail");
   }
-  tail_bytes_read_ += len;
-  tail_bytes_ctr_.inc(len);
+  tail_bytes_read_.inc(len);
   reply.reset();
   reply.data.assign(pkt.frame().view(head + offset, len));
   return service(len, cal_.tail_read_latency, "tail_read");
@@ -60,8 +59,7 @@ sim::Time Mqss::pmem_write(std::size_t len, XtxnReply& reply) {
   if (len > cal_.pmem_chunk_bytes) {
     throw std::invalid_argument("Mqss::pmem_write: chunk exceeds 256 bytes");
   }
-  pmem_bytes_written_ += len;
-  pmem_bytes_ctr_.inc(len);
+  pmem_bytes_written_.inc(len);
   reply.reset();
   return service(len, cal_.pmem_write_latency, "pmem_write");
 }
@@ -201,15 +199,14 @@ Pfe::Pfe(sim::Simulator& simulator, const Calibration& cal, Router& router,
     tracer_->set_thread_name(trace_pid_, trace_rows::kReorder, "reorder");
     tracer_->set_thread_name(trace_pid_, trace_rows::kCrossbar, "crossbar");
   }
-  packets_in_ctr_ = telem.metrics.counter(metric_prefix_ + "packets_in");
-  packets_dispatched_ctr_ =
-      telem.metrics.counter(metric_prefix_ + "packets_dispatched");
-  dispatch_drops_ctr_ = telem.metrics.counter(metric_prefix_ + "dispatch_drops");
+  telem.metrics.bind(packets_in_, metric_prefix_, "packets_in");
+  telem.metrics.bind(packets_dispatched_, metric_prefix_, "packets_dispatched");
+  telem.metrics.bind(dispatch_drops_, metric_prefix_, "dispatch_drops");
   dispatch_depth_gauge_ =
-      telem.metrics.gauge(metric_prefix_ + "dispatch_queue_depth");
-  sms_.instrument(telem, trace_pid_, metric_prefix_ + "sms.");
-  mqss_.instrument(telem, trace_pid_, metric_prefix_ + "mqss.");
-  reorder_.instrument(telem.metrics, metric_prefix_ + "reorder.");
+      telem.metrics.gauge(metric_prefix_, "dispatch_queue_depth");
+  sms_.instrument(telem, trace_pid_, metric_prefix_);
+  mqss_.instrument(telem, trace_pid_, metric_prefix_);
+  reorder_.instrument(telem.metrics, metric_prefix_);
   ppes_.reserve(static_cast<std::size_t>(cal_.ppes_per_pfe));
   for (int i = 0; i < cal_.ppes_per_pfe; ++i) {
     ppes_.push_back(std::make_unique<Ppe>(simulator, cal_, *this, i));
@@ -240,8 +237,7 @@ std::uint64_t compute_flow_hash(const net::Buffer& frame) {
 }
 
 void Pfe::ingress(net::PacketPtr pkt) {
-  ++packets_in_;
-  packets_in_ctr_.inc();
+  packets_in_.inc();
   pkt->set_arrival_time(sim_.now());
   // Open the reorder ticket in arrival order, before any queueing: the
   // Reorder Engine keeps packets with equal flow hash in that order.
@@ -249,8 +245,7 @@ void Pfe::ingress(net::PacketPtr pkt) {
   const std::uint64_t ticket = reorder_.open(flow_hash);
   note_reorder_depth();
   if (dispatch_queue_.size() >= cal_.dispatch_queue_limit) {
-    ++dispatch_drops_;
-    dispatch_drops_ctr_.inc();
+    dispatch_drops_.inc();
     reorder_.close(ticket);  // consumed with no output
     note_reorder_depth();
     return;
@@ -292,13 +287,12 @@ void Pfe::try_dispatch() {
                              ? program_factory_(*pending.pkt)
                              : router_.make_forwarding_program();
     if (!program) {
-      ++dispatch_drops_;
-      dispatch_drops_ctr_.inc();
+      dispatch_drops_.inc();
       reorder_.close(pending.ticket);
       note_reorder_depth();
       continue;
     }
-    packets_dispatched_ctr_.inc();
+    packets_dispatched_.inc();
     ppe->spawn(std::move(program), std::move(pending.pkt), pending.ticket, 0);
   }
 }

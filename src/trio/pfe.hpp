@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
@@ -43,13 +44,16 @@ class Mqss {
   /// with the emitting program). `reply` becomes a fresh, empty reply.
   sim::Time pmem_write(std::size_t len, XtxnReply& reply);
 
-  std::uint64_t tail_bytes_read() const { return tail_bytes_read_; }
-  std::uint64_t pmem_bytes_written() const { return pmem_bytes_written_; }
+  std::uint64_t tail_bytes_read() const { return tail_bytes_read_.value(); }
+  std::uint64_t pmem_bytes_written() const {
+    return pmem_bytes_written_.value();
+  }
 
-  /// Byte counters under `<prefix>`; when tracing, each chunk becomes a
-  /// service span on the PFE's "mqss" row. Called by the owning Pfe.
+  /// Binds the byte counters as `<prefix>mqss.*`; when tracing, each
+  /// chunk becomes a service span on the PFE's "mqss" row. Called by the
+  /// owning Pfe with its metric prefix.
   void instrument(telemetry::Telemetry& telem, int pid,
-                  const std::string& prefix);
+                  std::string_view prefix);
 
  private:
   sim::Time service(std::size_t len, sim::Duration latency,
@@ -58,10 +62,8 @@ class Mqss {
   sim::Simulator& sim_;
   const Calibration& cal_;
   sim::Time engine_free_;
-  std::uint64_t tail_bytes_read_ = 0;
-  std::uint64_t pmem_bytes_written_ = 0;
-  telemetry::Counter tail_bytes_ctr_;
-  telemetry::Counter pmem_bytes_ctr_;
+  telemetry::Counter tail_bytes_read_;
+  telemetry::Counter pmem_bytes_written_;
   telemetry::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;
 };
@@ -177,6 +179,9 @@ class Pfe {
   SharedMemorySystem& sms() { return sms_; }
   HwHashTable& hash_table() { return hash_; }
   Mqss& mqss() { return mqss_; }
+  ReorderEngine& reorder() { return reorder_; }
+  /// PPE `i`, 0 <= i < cal().ppes_per_pfe.
+  Ppe& ppe(int i) { return *ppes_.at(static_cast<std::size_t>(i)); }
   TimerWheel& timers() { return *timers_; }
   Router& router() { return router_; }
   const Calibration& cal() const { return cal_; }
@@ -184,8 +189,10 @@ class Pfe {
 
   int free_threads() const;
   int active_threads() const;
-  std::uint64_t packets_in() const { return packets_in_; }
-  std::uint64_t packets_dropped_dispatch() const { return dispatch_drops_; }
+  std::uint64_t packets_in() const { return packets_in_.value(); }
+  std::uint64_t packets_dropped_dispatch() const {
+    return dispatch_drops_.value();
+  }
   std::uint64_t instructions_issued() const;
   std::size_t dispatch_queue_depth() const { return dispatch_queue_.size(); }
 
@@ -227,13 +234,11 @@ class Pfe {
   sim::RingQueue<PendingInternal> internal_queue_;
   static constexpr std::size_t kInternalQueueLimit = 512;
 
-  std::uint64_t packets_in_ = 0;
-  std::uint64_t dispatch_drops_ = 0;
+  telemetry::Counter packets_in_;
+  telemetry::Counter packets_dispatched_;
+  telemetry::Counter dispatch_drops_;
 
   std::string metric_prefix_;
-  telemetry::Counter packets_in_ctr_;
-  telemetry::Counter packets_dispatched_ctr_;
-  telemetry::Counter dispatch_drops_ctr_;
   telemetry::Gauge dispatch_depth_gauge_;
   telemetry::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;

@@ -21,9 +21,9 @@ Ppe::Ppe(sim::Simulator& simulator, const Calibration& cal, Pfe& pfe,
 }
 
 void Ppe::instrument(telemetry::Telemetry& telem, int pid,
-                     const std::string& prefix) {
-  instr_ctr_ = telem.metrics.counter(prefix + "instructions");
-  started_ctr_ = telem.metrics.counter(prefix + "threads_started");
+                     std::string_view prefix) {
+  telem.metrics.bind(instructions_issued_, prefix, "instructions");
+  telem.metrics.bind(threads_started_, prefix, "threads_started");
   if (telem.tracer.enabled()) {
     tracer_ = &telem.tracer;
     trace_pid_ = pid;
@@ -67,8 +67,7 @@ bool Ppe::spawn(ProgramPtr program, net::PacketPtr pkt,
   th.ticket = ticket;
   th.async_done_at = sim_.now();
   th.active = true;
-  ++threads_started_;
-  started_ctr_.inc();
+  threads_started_.inc();
 
   auto step = [this, slot] { advance(slot); };
   static_assert(sim::InlineCallback::stores_inline<decltype(step)>());
@@ -92,8 +91,7 @@ void Ppe::advance(int slot) {
   Action action = th.program->step(th.ctx);
   const std::uint32_t k = action_instructions(action);
   th.ctx.instructions_executed += k;
-  instructions_issued_ += k;
-  instr_ctr_.inc(k);
+  instructions_issued_.inc(k);
 
   const sim::Time start = sim_.now() > issue_free_ ? sim_.now() : issue_free_;
   issue_free_ = start + cal_.issue_interval * k;

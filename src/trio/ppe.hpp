@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -44,8 +44,10 @@ class Ppe {
   bool spawn(ProgramPtr program, net::PacketPtr pkt,
              std::optional<std::uint64_t> ticket, std::uint32_t timer_index);
 
-  std::uint64_t instructions_issued() const { return instructions_issued_; }
-  std::uint64_t threads_started() const { return threads_started_; }
+  std::uint64_t instructions_issued() const {
+    return instructions_issued_.value();
+  }
+  std::uint64_t threads_started() const { return threads_started_.value(); }
   int index() const { return index_; }
 
   /// PFE-wide counters (`<prefix>instructions`, `<prefix>threads_started`
@@ -53,7 +55,7 @@ class Ppe {
   /// named row per thread slot carrying packet/timer lifetime spans and
   /// stall:<op> spans for synchronous XTXN waits. Called by the owning Pfe.
   void instrument(telemetry::Telemetry& telem, int pid,
-                  const std::string& prefix);
+                  std::string_view prefix);
 
  private:
   struct Thread {
@@ -88,10 +90,8 @@ class Ppe {
   // thread's ctx.reply as the last sync reply left it.
   XtxnReply posted_reply_;
   sim::Time issue_free_;
-  std::uint64_t instructions_issued_ = 0;
-  std::uint64_t threads_started_ = 0;
-  telemetry::Counter instr_ctr_;
-  telemetry::Counter started_ctr_;
+  telemetry::Counter instructions_issued_;
+  telemetry::Counter threads_started_;
   telemetry::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;
 };

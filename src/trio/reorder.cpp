@@ -96,8 +96,7 @@ void ReorderEngine::flush(std::uint64_t flow) {
       Output out = std::move(outputs_[node].out);
       outputs_[node].next = free_output_;
       free_output_ = node;
-      ++released_;
-      released_ctr_.inc();
+      released_.inc();
       release_(std::move(out));
       node = next;
     }

@@ -20,7 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -51,16 +51,16 @@ class ReorderEngine {
 
   /// Tickets opened and not yet released.
   std::size_t pending() const { return pending_; }
-  std::uint64_t released() const { return released_; }
+  std::uint64_t released() const { return released_.value(); }
   /// Ticket slots in the ring.
   std::size_t capacity() const { return ring_.size(); }
 
-  /// Registers `<prefix>pending` (open-ticket gauge) and
-  /// `<prefix>released` (released-output counter). Normally called by the
-  /// owning Pfe; un-instrumented engines pay nothing.
-  void instrument(telemetry::Registry& registry, const std::string& prefix) {
-    pending_gauge_ = registry.gauge(prefix + "pending");
-    released_ctr_ = registry.counter(prefix + "released");
+  /// Registers `<prefix>reorder.pending` (open-ticket gauge) and binds
+  /// the released-output count as `<prefix>reorder.released`. Called by
+  /// the owning Pfe with its metric prefix.
+  void instrument(telemetry::Registry& registry, std::string_view prefix) {
+    pending_gauge_ = registry.gauge(prefix, "reorder.pending");
+    registry.bind(released_, prefix, "reorder.released");
   }
 
  private:
@@ -104,9 +104,8 @@ class ReorderEngine {
   std::size_t flow_count_ = 0;   // at most half of flows_
   std::vector<OutputNode> outputs_;
   std::uint32_t free_output_ = kNoOutput;
-  std::uint64_t released_ = 0;
+  telemetry::Counter released_;
   telemetry::Gauge pending_gauge_;
-  telemetry::Counter released_ctr_;
 };
 
 }  // namespace trio

@@ -67,60 +67,28 @@ class ForwardingProgram : public PpeProgram {
 }  // namespace
 
 Router::Router(sim::Simulator& simulator, Calibration cal, int num_pfes,
-               int ports_per_pfe, std::string name)
-    : sim_(simulator),
-      cal_(cal),
-      ports_per_pfe_(ports_per_pfe),
-      name_(std::move(name)),
-      owned_telem_(std::make_unique<telemetry::Telemetry>()),
-      telem_(owned_telem_.get()),
-      fabric_(simulator, cal_, num_pfes) {
-  init(num_pfes);
-}
-
-Router::Router(sim::Simulator& simulator, Calibration cal, int num_pfes,
-               int ports_per_pfe, telemetry::Telemetry& telem,
-               std::string name)
-    : sim_(simulator),
-      cal_(cal),
-      ports_per_pfe_(ports_per_pfe),
-      name_(std::move(name)),
-      telem_(&telem),
-      fabric_(simulator, cal_, num_pfes) {
-  init(num_pfes);
-}
-
-Router::Router(sim::Simulator& simulator, Calibration cal, int num_pfes,
                int ports_per_pfe, telemetry::Telemetry& telem,
                TelemetryScope scope, std::string name)
     : sim_(simulator),
       cal_(cal),
       ports_per_pfe_(ports_per_pfe),
       name_(std::move(name)),
-      telem_(&telem),
+      telem_(telem),
       scope_(std::move(scope)),
       fabric_(simulator, cal_, num_pfes) {
-  init(num_pfes);
-}
-
-void Router::init(int num_pfes) {
   if (num_pfes <= 0 || ports_per_pfe_ <= 0) {
     throw std::invalid_argument("Router: need at least one PFE and port");
   }
-  rx_ctr_ = telem_->metrics.counter(scope_.metric_prefix +
-                                    "router.packets_received");
-  tx_ctr_ = telem_->metrics.counter(scope_.metric_prefix +
-                                    "router.packets_transmitted");
-  discard_ctr_ = telem_->metrics.counter(scope_.metric_prefix +
-                                         "router.packets_discarded");
-  no_route_ctr_ =
-      telem_->metrics.counter(scope_.metric_prefix + "router.no_route_drops");
-  stall_ctr_ = telem_->metrics.counter(scope_.metric_prefix + "router.stalls");
-  stall_held_ctr_ = telem_->metrics.counter(scope_.metric_prefix +
-                                            "router.stall_held_frames");
-  kill_ctr_ = telem_->metrics.counter(scope_.metric_prefix + "router.kills");
-  kill_drop_ctr_ = telem_->metrics.counter(scope_.metric_prefix +
-                                           "router.kill_dropped_frames");
+  telemetry::Registry& m = telem_.metrics;
+  const std::string& prefix = scope_.metric_prefix;
+  m.bind(packets_received_, prefix, "router.packets_received");
+  m.bind(packets_transmitted_, prefix, "router.packets_transmitted");
+  m.bind(packets_discarded_, prefix, "router.packets_discarded");
+  m.bind(no_route_drops_, prefix, "router.no_route_drops");
+  m.bind(stalls_, prefix, "router.stalls");
+  m.bind(stall_held_frames_, prefix, "router.stall_held_frames");
+  m.bind(kills_, prefix, "router.kills");
+  m.bind(kill_dropped_frames_, prefix, "router.kill_dropped_frames");
   for (int i = 0; i < num_pfes; ++i) {
     pfes_.push_back(std::make_unique<Pfe>(sim_, cal_, *this, i));
   }
@@ -133,15 +101,12 @@ void Router::receive(net::PacketPtr pkt, int port) {
     throw std::out_of_range("Router::receive: bad port");
   }
   if (killed_) {
-    ++kill_dropped_frames_;
-    kill_drop_ctr_.inc();
+    kill_dropped_frames_.inc();
     return;
   }
-  ++packets_received_;
-  rx_ctr_.inc();
+  packets_received_.inc();
   if (sim_.now() < stalled_until_) {
-    ++stall_held_frames_;
-    stall_held_ctr_.inc();
+    stall_held_frames_.inc();
     stalled_rx_.push_back(StalledRx{std::move(pkt), port});
     return;
   }
@@ -152,8 +117,7 @@ void Router::stall_until(sim::Time t) {
   if (t <= stalled_until_ || t <= sim_.now()) return;
   const bool was_stalled = sim_.now() < stalled_until_;
   stalled_until_ = t;
-  ++stalls_;
-  stall_ctr_.inc();
+  stalls_.inc();
   if (!was_stalled) {
     sim_.schedule_at(t, [this] { resume_from_stall(); });
   }
@@ -175,11 +139,9 @@ void Router::resume_from_stall() {
 void Router::kill() {
   if (killed_) return;
   killed_ = true;
-  ++kills_;
-  kill_ctr_.inc();
+  kills_.inc();
   // Frames a stall was holding for replay die with the router.
-  kill_dropped_frames_ += stalled_rx_.size();
-  kill_drop_ctr_.inc(stalled_rx_.size());
+  kill_dropped_frames_.inc(stalled_rx_.size());
   stalled_rx_.clear();
 }
 
@@ -215,16 +177,14 @@ void Router::transmit(int src_pfe, net::PacketPtr pkt,
     fabric_.send(src_pfe, std::move(pkt),
                  [&dst](net::PacketPtr p) { dst.ingress(std::move(p)); });
   } else {
-    ++packets_discarded_;
-    discard_ctr_.inc();
+    packets_discarded_.inc();
   }
 }
 
 void Router::egress_enqueue(int src_pfe, int global_port, net::PacketPtr pkt,
                             const net::MacAddr& dst_mac) {
   if (global_port < 0 || global_port >= num_ports()) {
-    ++packets_discarded_;
-    discard_ctr_.inc();
+    packets_discarded_.inc();
     return;
   }
   // Egress rewrite: destination MAC from the nexthop.
@@ -306,8 +266,7 @@ void Router::port_out(int global_port, net::PacketPtr pkt) {
     if (sched != nullptr) {
       const std::uint8_t tenant = tenant_classifier_(*pkt);
       if (!sched->enqueue(tenant, std::move(pkt))) {
-        ++packets_discarded_;
-        discard_ctr_.inc();
+        packets_discarded_.inc();
       }
       return;
     }
@@ -319,13 +278,11 @@ void Router::port_out_now(int global_port, net::PacketPtr pkt) {
   if (killed_) {
     // In-flight work (fabric transits, PPE emits) racing the kill instant
     // is dropped at the egress point, like a pulled line card.
-    ++kill_dropped_frames_;
-    kill_drop_ctr_.inc();
+    kill_dropped_frames_.inc();
     (void)pkt;
     return;
   }
-  ++packets_transmitted_;
-  tx_ctr_.inc();
+  packets_transmitted_.inc();
   auto* tx = port_tx_[static_cast<std::size_t>(global_port)];
   if (tx != nullptr) {
     tx->send(std::move(pkt));
@@ -336,8 +293,7 @@ void Router::port_out_now(int global_port, net::PacketPtr pkt) {
     sink(std::move(pkt));
     return;
   }
-  ++packets_discarded_;  // unattached port
-  discard_ctr_.inc();
+  packets_discarded_.inc();  // unattached port
 }
 
 }  // namespace trio

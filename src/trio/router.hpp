@@ -38,16 +38,20 @@ struct TelemetryScope {
 class Router : public net::Node {
  public:
   /// `ports_per_pfe` front-panel ports are assigned to each PFE in order:
-  /// global port p lives on PFE p / ports_per_pfe. This overload owns a
-  /// fully disabled telemetry bundle (the no-observer fast path).
+  /// global port p lives on PFE p / ports_per_pfe. This overload binds to
+  /// the shared disabled bundle (the no-observer fast path).
   Router(sim::Simulator& simulator, Calibration cal, int num_pfes,
-         int ports_per_pfe, std::string name = "trio-router");
+         int ports_per_pfe, std::string name = "trio-router")
+      : Router(simulator, cal, num_pfes, ports_per_pfe, telemetry::disabled(),
+               std::move(name)) {}
   /// Observed router: metrics and trace events flow into `telem`, which
   /// must outlive the router. Tests assert on `telem.metrics` counters;
   /// tools export them via --metrics-out / --trace-out.
   Router(sim::Simulator& simulator, Calibration cal, int num_pfes,
          int ports_per_pfe, telemetry::Telemetry& telem,
-         std::string name = "trio-router");
+         std::string name = "trio-router")
+      : Router(simulator, cal, num_pfes, ports_per_pfe, telem,
+               TelemetryScope{}, std::move(name)) {}
   /// Observed router inside a multi-router topology: like the overload
   /// above, but all telemetry is namespaced by `scope`.
   Router(sim::Simulator& simulator, Calibration cal, int num_pfes,
@@ -88,10 +92,10 @@ class Router : public net::Node {
 
   sim::Simulator& simulator() { return sim_; }
   const Calibration& cal() const { return cal_; }
-  telemetry::Telemetry& telemetry() { return *telem_; }
+  telemetry::Telemetry& telemetry() { return telem_; }
   const TelemetryScope& telemetry_scope() const { return scope_; }
-  telemetry::Registry& metrics() { return telem_->metrics; }
-  telemetry::Tracer& tracer() { return telem_->tracer; }
+  telemetry::Registry& metrics() { return telem_.metrics; }
+  telemetry::Tracer& tracer() { return telem_.tracer; }
 
   // --- Per-tenant egress QoS (MQSS WDRR, src/jobs/, docs/jobs.md) --------
   /// Installs `classifier` and routes every front-panel egress frame
@@ -116,8 +120,10 @@ class Router : public net::Node {
   void stall_until(sim::Time t);
   void stall_for(sim::Duration d) { stall_until(sim_.now() + d); }
   bool stalled() const { return sim_.now() < stalled_until_; }
-  std::uint64_t stalls() const { return stalls_; }
-  std::uint64_t stall_held_frames() const { return stall_held_frames_; }
+  std::uint64_t stalls() const { return stalls_.value(); }
+  std::uint64_t stall_held_frames() const {
+    return stall_held_frames_.value();
+  }
 
   /// Hard power loss: every frame at ingress or egress is dropped (no
   /// stall-and-replay), including any frames a stall was holding. Dataplane
@@ -129,20 +135,22 @@ class Router : public net::Node {
   /// state survives (for Trio-ML, an invalidated-generation hash table).
   void revive();
   bool killed() const { return killed_; }
-  std::uint64_t kills() const { return kills_; }
-  std::uint64_t kill_dropped_frames() const { return kill_dropped_frames_; }
-
-  std::uint64_t packets_received() const { return packets_received_; }
-  std::uint64_t packets_transmitted() const { return packets_transmitted_; }
-  std::uint64_t packets_discarded() const { return packets_discarded_; }
-  std::uint64_t no_route_drops() const { return no_route_drops_; }
-  void count_no_route_drop() {
-    ++no_route_drops_;
-    no_route_ctr_.inc();
+  std::uint64_t kills() const { return kills_.value(); }
+  std::uint64_t kill_dropped_frames() const {
+    return kill_dropped_frames_.value();
   }
 
+  std::uint64_t packets_received() const { return packets_received_.value(); }
+  std::uint64_t packets_transmitted() const {
+    return packets_transmitted_.value();
+  }
+  std::uint64_t packets_discarded() const {
+    return packets_discarded_.value();
+  }
+  std::uint64_t no_route_drops() const { return no_route_drops_.value(); }
+  void count_no_route_drop() { no_route_drops_.inc(); }
+
  private:
-  void init(int num_pfes);
   void egress_enqueue(int src_pfe, int global_port, net::PacketPtr pkt,
                       const net::MacAddr& dst_mac);
   void port_out(int global_port, net::PacketPtr pkt);
@@ -156,9 +164,8 @@ class Router : public net::Node {
   int ports_per_pfe_;
   std::string name_;
   // Telemetry must precede pfes_: Pfe constructors instrument through the
-  // router. owned_telem_ backs the unobserved overload only.
-  std::unique_ptr<telemetry::Telemetry> owned_telem_;
-  telemetry::Telemetry* telem_;
+  // router.
+  telemetry::Telemetry& telem_;
   TelemetryScope scope_;
   ForwardingTable fwd_;
   Fabric fabric_;
@@ -179,25 +186,17 @@ class Router : public net::Node {
     int port;
   };
   std::vector<StalledRx> stalled_rx_;
-  std::uint64_t stalls_ = 0;
-  std::uint64_t stall_held_frames_ = 0;
+  telemetry::Counter stalls_;
+  telemetry::Counter stall_held_frames_;
 
   bool killed_ = false;
-  std::uint64_t kills_ = 0;
-  std::uint64_t kill_dropped_frames_ = 0;
+  telemetry::Counter kills_;
+  telemetry::Counter kill_dropped_frames_;
 
-  std::uint64_t packets_received_ = 0;
-  std::uint64_t packets_transmitted_ = 0;
-  std::uint64_t packets_discarded_ = 0;
-  std::uint64_t no_route_drops_ = 0;
-  telemetry::Counter rx_ctr_;
-  telemetry::Counter tx_ctr_;
-  telemetry::Counter discard_ctr_;
-  telemetry::Counter no_route_ctr_;
-  telemetry::Counter stall_ctr_;
-  telemetry::Counter stall_held_ctr_;
-  telemetry::Counter kill_ctr_;
-  telemetry::Counter kill_drop_ctr_;
+  telemetry::Counter packets_received_;
+  telemetry::Counter packets_transmitted_;
+  telemetry::Counter packets_discarded_;
+  telemetry::Counter no_route_drops_;
 };
 
 }  // namespace trio

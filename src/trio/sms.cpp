@@ -56,15 +56,14 @@ SharedMemorySystem::SharedMemorySystem(sim::Simulator& simulator,
 }
 
 void SharedMemorySystem::instrument(telemetry::Telemetry& telem, int pid,
-                                    const std::string& prefix) {
-  ops_ctr_ = telem.metrics.counter(prefix + "ops");
-  contended_ctr_ = telem.metrics.counter(prefix + "rmw_contended");
-  queue_delay_hist_ = telem.metrics.histogram(prefix + "queue_delay_ns");
-  char label[32];
+                                    std::string_view prefix) {
+  telem.metrics.bind(ops_, prefix, "sms.ops");
+  telem.metrics.bind(rmw_contended_, prefix, "sms.rmw_contended");
+  queue_delay_hist_ = telem.metrics.histogram(prefix, "sms.queue_delay_ns");
+  char label[48];
   for (std::size_t k = 0; k < banks_.size(); ++k) {
-    std::snprintf(label, sizeof(label), "bank%02zu", k);
-    banks_[k].busy_ctr =
-        telem.metrics.counter(prefix + label + ".busy_cycles");
+    std::snprintf(label, sizeof(label), "sms.bank%02zu.busy_cycles", k);
+    telem.metrics.bind(banks_[k].busy_cycles, prefix, label);
   }
   if (telem.tracer.enabled()) {
     tracer_ = &telem.tracer;
@@ -462,8 +461,7 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
 
 sim::Time SharedMemorySystem::issue(const XtxnRequest& req,
                                     XtxnReply& reply) {
-  ++ops_;
-  ops_ctr_.inc();
+  ops_.inc();
   reply.reset();
   apply(req, reply);
 
@@ -480,18 +478,17 @@ sim::Time SharedMemorySystem::issue(const XtxnRequest& req,
   const sim::Duration service = sim::Duration::cycles(cycles, cal_.clock_hz);
   const sim::Time arrive = sim_.now() + cal_.crossbar_latency;
   const sim::Time start = arrive > bank.free_at ? arrive : bank.free_at;
-  if (start > arrive) contended_ctr_.inc();
+  if (start > arrive) rmw_contended_.inc();
   queue_delay_hist_.record((start - arrive).ns());
   bank.free_at = start + service;
-  bank.busy_cycles += static_cast<std::uint64_t>(cycles);
-  bank.busy_ctr.inc(static_cast<std::uint64_t>(cycles));
+  bank.busy_cycles.inc(static_cast<std::uint64_t>(cycles));
   if (tracer_ != nullptr) {
     // Service span on the bank's row: queueing behind the RMW engine is
     // visible as the gap between arrival and the span's start.
     tracer_->complete(trace_pid_, trace_rows::kSmsBankBase + bank_idx,
                       xtxn_op_name(req.op), start, bank.free_at);
     tracer_->counter(trace_pid_, bank.trace_name, "busy_cycles", sim_.now(),
-                     static_cast<double>(bank.busy_cycles));
+                     static_cast<double>(bank.busy_cycles.value()));
   }
 
   return bank.free_at + tier_latency(req.addr);

@@ -35,6 +35,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -111,9 +112,11 @@ class SharedMemorySystem {
   std::uint64_t tenant_quota(std::uint8_t tenant) const;
 
   // --- Introspection ------------------------------------------------------
-  std::uint64_t ops_processed() const { return ops_; }
+  std::uint64_t ops_processed() const { return ops_.value(); }
   std::uint64_t add32_ops() const { return add32_ops_; }
-  std::uint64_t busy_cycles(int bank) const { return banks_.at(bank).busy_cycles; }
+  std::uint64_t busy_cycles(int bank) const {
+    return banks_.at(bank).busy_cycles.value();
+  }
   int bank_count() const { return static_cast<int>(banks_.size()); }
   int bank_of(std::uint64_t addr) const {
     return static_cast<int>((addr / cal_.bank_interleave) % banks_.size());
@@ -126,13 +129,14 @@ class SharedMemorySystem {
   std::uint64_t dram_cache_misses() const { return cache_misses_; }
 
   /// Hooks this SMS into a telemetry bundle (normally called by the owning
-  /// Pfe). Registers `<prefix>ops`, `<prefix>rmw_contended`, the
-  /// `<prefix>queue_delay_ns` histogram and one busy-cycle counter per
-  /// bank; when tracing, each request becomes a service span on its
-  /// bank's row of trace process `pid` plus a bank busy-cycles counter
-  /// sample. Standalone (un-instrumented) construction stays zero-cost.
+  /// Pfe with its metric prefix). Binds `<prefix>sms.ops`,
+  /// `<prefix>sms.rmw_contended` and one `<prefix>sms.bankKK.busy_cycles`
+  /// per bank, and registers the `<prefix>sms.queue_delay_ns` histogram;
+  /// when tracing, each request becomes a service span on its bank's row
+  /// of trace process `pid` plus a bank busy-cycles counter sample.
+  /// Standalone (un-instrumented) construction stays zero-cost.
   void instrument(telemetry::Telemetry& telem, int pid,
-                  const std::string& prefix);
+                  std::string_view prefix);
 
   /// Alternative access discipline for the ablation benchmark: when true,
   /// RMW ops behave like a conventional lock-the-cache-line protocol — the
@@ -143,8 +147,7 @@ class SharedMemorySystem {
  private:
   struct Bank {
     sim::Time free_at;
-    std::uint64_t busy_cycles = 0;
-    telemetry::Counter busy_ctr;
+    telemetry::Counter busy_cycles;
     std::string trace_name;  // set when tracing ("sms.bank03")
   };
 
@@ -198,12 +201,11 @@ class SharedMemorySystem {
 
   std::uint64_t sram_brk_ = 64;  // keep address 0 unused
   std::uint64_t dram_brk_;
-  std::uint64_t ops_ = 0;
+  telemetry::Counter ops_;
   std::uint64_t add32_ops_ = 0;
   bool line_ownership_mode_ = false;
 
-  telemetry::Counter ops_ctr_;
-  telemetry::Counter contended_ctr_;
+  telemetry::Counter rmw_contended_;
   telemetry::Histogram queue_delay_hist_;
   telemetry::Tracer* tracer_ = nullptr;  // null unless tracing enabled
   int trace_pid_ = 0;

@@ -32,9 +32,10 @@ TrioMlApp::TrioMlApp(trio::Pfe& pfe, std::size_t slab_pool)
   free_slabs_.resize(slab_pool_);
   std::iota(free_slabs_.begin(), free_slabs_.end(), 0u);
   auto& registry = pfe_.router().telemetry().metrics;
-  const std::string prefix = pfe_.metric_prefix() + "trioml.";
-  packet_latency_hist_ = registry.histogram(prefix + "packet_latency_ns");
-  block_latency_hist_ = registry.histogram(prefix + "block_latency_ns");
+  packet_latency_hist_ =
+      registry.histogram(pfe_.metric_prefix(), "trioml.packet_latency_ns");
+  block_latency_hist_ =
+      registry.histogram(pfe_.metric_prefix(), "trioml.block_latency_ns");
 }
 
 void TrioMlApp::configure_job(const JobSetup& setup) {

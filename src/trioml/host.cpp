@@ -82,8 +82,7 @@ void TrioMlWorker::stall_for(sim::Duration d) {
 void TrioMlWorker::crash() {
   if (crashed_) return;
   crashed_ = true;
-  ++crashes_;
-  crash_ctr_.inc();
+  crashes_.inc();
   for (auto& [block, out] : outstanding_) {
     sim_.cancel(out.retransmit_timer);
   }
@@ -145,8 +144,7 @@ void TrioMlWorker::send_block(std::uint32_t block_id, bool is_retransmit) {
   tx_.send(net::Packet::make(std::move(frame)));
   ++packets_sent_;
   if (is_retransmit) {
-    ++retransmissions_;
-    retransmits_ctr_.inc();
+    retransmissions_.inc();
   }
 
   Outstanding& out = outstanding_[block_id];
@@ -164,8 +162,7 @@ void TrioMlWorker::arm_retransmit(std::uint32_t block_id, Outstanding& out) {
     // Budget exhausted: stop resending. The block stays outstanding — an
     // aged (degraded) Result from upstream still completes it, so a dead
     // contributor degrades the answer instead of wedging the worker.
-    ++retry_budget_exhausted_;
-    budget_exhausted_ctr_.inc();
+    retry_budget_exhausted_.inc();
     if (!out.exhausted) {
       out.exhausted = true;
       ++exhausted_blocks_;
@@ -183,8 +180,7 @@ void TrioMlWorker::arm_retransmit(std::uint32_t block_id, Outstanding& out) {
     ns = std::min(ns, static_cast<double>(config_.backoff_max.ns()));
     ns *= 1.0 + kBackoffJitter * (2.0 * rng_.next_double() - 1.0);
     timeout = sim::Duration(std::max<std::int64_t>(1, std::int64_t(ns)));
-    ++backoff_rearms_;
-    backoff_ctr_.inc();
+    backoff_rearms_.inc();
   }
   out.retransmit_timer = sim_.schedule_in(timeout, [this, block_id,
                                                     epoch = epoch_] {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -146,15 +147,15 @@ class TrioMlWorker : public net::Node {
   void restart() { crashed_ = false; }
   bool crashed() const { return crashed_; }
 
-  /// Registers the worker's recovery counters (`<prefix>retransmits`,
-  /// `<prefix>backoff_rearms`, `<prefix>retry_budget_exhausted`,
-  /// `<prefix>crashes`). Same prefix across workers = shared tier totals,
+  /// Binds the worker's recovery counts as `<prefix>retransmits`,
+  /// `<prefix>backoff_rearms`, `<prefix>retry_budget_exhausted` and
+  /// `<prefix>crashes`. Same prefix across workers = shared tier totals,
   /// like LinkEndpoint::instrument.
-  void instrument(telemetry::Registry& registry, const std::string& prefix) {
-    retransmits_ctr_ = registry.counter(prefix + "retransmits");
-    backoff_ctr_ = registry.counter(prefix + "backoff_rearms");
-    budget_exhausted_ctr_ = registry.counter(prefix + "retry_budget_exhausted");
-    crash_ctr_ = registry.counter(prefix + "crashes");
+  void instrument(telemetry::Registry& registry, std::string_view prefix) {
+    registry.bind(retransmissions_, prefix, "retransmits");
+    registry.bind(backoff_rearms_, prefix, "backoff_rearms");
+    registry.bind(retry_budget_exhausted_, prefix, "retry_budget_exhausted");
+    registry.bind(crashes_, prefix, "crashes");
   }
 
   bool busy() const { return done_ != nullptr; }
@@ -187,12 +188,12 @@ class TrioMlWorker : public net::Node {
   /// Result frames dropped because they are shorter than their grad_cnt
   /// gradients (a corrupted count); their block stays outstanding.
   std::uint64_t malformed_results() const { return malformed_results_; }
-  std::uint64_t retransmissions() const { return retransmissions_; }
-  std::uint64_t backoff_rearms() const { return backoff_rearms_; }
+  std::uint64_t retransmissions() const { return retransmissions_.value(); }
+  std::uint64_t backoff_rearms() const { return backoff_rearms_.value(); }
   std::uint64_t retry_budget_exhausted() const {
-    return retry_budget_exhausted_;
+    return retry_budget_exhausted_.value();
   }
-  std::uint64_t crashes() const { return crashes_; }
+  std::uint64_t crashes() const { return crashes_.value(); }
   /// Allreduces completed degraded by the give-up path, and the blocks
   /// they abandoned (diagnostics for trio-run / the vigil invariants).
   std::uint64_t abandoned_allreduces() const { return abandoned_allreduces_; }
@@ -246,16 +247,12 @@ class TrioMlWorker : public net::Node {
   std::uint64_t results_received_ = 0;
   std::uint64_t degraded_results_ = 0;
   std::uint64_t malformed_results_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t backoff_rearms_ = 0;
-  std::uint64_t retry_budget_exhausted_ = 0;
-  std::uint64_t crashes_ = 0;
+  telemetry::Counter retransmissions_;
+  telemetry::Counter backoff_rearms_;
+  telemetry::Counter retry_budget_exhausted_;
+  telemetry::Counter crashes_;
   std::uint64_t abandoned_allreduces_ = 0;
   std::uint64_t abandoned_blocks_ = 0;
-  telemetry::Counter retransmits_ctr_;
-  telemetry::Counter backoff_ctr_;
-  telemetry::Counter budget_exhausted_ctr_;
-  telemetry::Counter crash_ctr_;
 };
 
 }  // namespace trioml

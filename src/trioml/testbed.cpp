@@ -1,5 +1,6 @@
 #include "trioml/testbed.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "trioml/addressing.hpp"
@@ -21,14 +22,9 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   const int num_pfes = config_.hierarchical ? 6 : 1;
   const int ports_per_pfe =
       std::max(8, (config_.num_workers + num_pfes - 1));
-  if (config_.telemetry != nullptr) {
-    router_ = std::make_unique<trio::Router>(sim_, config_.cal, num_pfes,
-                                             ports_per_pfe, *config_.telemetry,
-                                             "mx480");
-  } else {
-    router_ = std::make_unique<trio::Router>(sim_, config_.cal, num_pfes,
-                                             ports_per_pfe, "mx480");
-  }
+  telemetry::Telemetry& telem = telemetry::or_disabled(config_.telemetry);
+  router_ = std::make_unique<trio::Router>(sim_, config_.cal, num_pfes,
+                                           ports_per_pfe, telem, "mx480");
   apps_.resize(static_cast<std::size_t>(num_pfes));
 
   // --- Attach workers -------------------------------------------------------
@@ -137,11 +133,12 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
     wc.expected_sources = static_cast<std::uint8_t>(config_.num_workers);
     auto worker = std::make_unique<TrioMlWorker>(sim_, wc, link->a_to_b());
     link->attach(*worker, 0, *router_, worker_port[static_cast<std::size_t>(i)]);
-    if (config_.telemetry != nullptr) {
-      link->instrument(config_.telemetry->metrics,
-                       "link.worker" + std::to_string(i) + ".");
-      worker->instrument(config_.telemetry->metrics, "worker.");
-    }
+    char prefix[32];
+    std::snprintf(prefix, sizeof(prefix), "link.worker%d.ab.", i);
+    link->a_to_b().instrument(telem.metrics, prefix);
+    std::snprintf(prefix, sizeof(prefix), "link.worker%d.ba.", i);
+    link->b_to_a().instrument(telem.metrics, prefix);
+    worker->instrument(telem.metrics, "worker.");
     router_->attach_port(worker_port[static_cast<std::size_t>(i)],
                          link->b_to_a());
     links_.push_back(std::move(link));

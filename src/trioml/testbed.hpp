@@ -28,7 +28,7 @@ struct TestbedConfig {
   trio::Calibration cal;
   /// When set, the router is built observed by this telemetry bundle
   /// (must outlive the Testbed) and the worker links register tx/rx/drop
-  /// counters; when null the testbed runs un-instrumented.
+  /// counters; when null the testbed binds to the shared disabled bundle.
   telemetry::Telemetry* telemetry = nullptr;
 };
 

@@ -612,6 +612,39 @@ std::uint64_t pfe_packets(cluster::Cluster& cl) {
   return n;
 }
 
+// Builds are not steady state, so their budgets are the counts measured
+// when unobserved builds stopped naming metrics for the disabled registry
+// (docs/performance.md section 8); the parent formatted every name.
+TEST(AllocCount, UnobservedLeafRouterBuildNamesNoMetrics) {
+  // A leaf of agg_large's 8x8: one PFE, eight worker ports and a trunk.
+  sim::Simulator sim;
+  const auto build = [&sim] {
+    const std::uint64_t before = allocs();
+    { trio::Router router(sim, trio::Calibration{}, 1, 9, "rack0"); }
+    return allocs() - before;
+  };
+  build();  // first-use statics
+  EXPECT_LE(build(), 58u) << "118 at the parent";
+}
+
+TEST(AllocCount, UnobservedClusterBuildNamesNoMetrics) {
+  // agg_large's 8x8 spec, unobserved: nine routers, 64 host links and
+  // workers, eight trunks.
+  cluster::ClusterSpec spec;
+  spec.racks = 8;
+  spec.workers_per_rack = 8;
+  spec.grads_per_packet = 1024;
+  spec.fabric_link.gbps = 400;
+  spec.fabric_link.latency = sim::Duration::micros(2);
+  const auto build = [&spec] {
+    const std::uint64_t before = allocs();
+    { cluster::Cluster cl(spec); }
+    return allocs() - before;
+  };
+  build();  // first-use statics
+  EXPECT_LE(build(), 948u) << "1 506 at the parent";
+}
+
 TEST(AllocCount, AllreduceStepStaysUnderBudget) {
   // A warm 2x2 allreduce step at 1024 gradients per packet. Aggregation
   // packets cost the PFEs nothing and frames are built in place; what

@@ -220,21 +220,21 @@ TEST(ClusterTest, TelemetryTiersScopesAndRackTraceRows) {
       fabric_up += cl.fabric_link(r).a_to_b().frames_sent();
       fabric_down += cl.fabric_link(r).b_to_a().frames_sent();
     }
-    EXPECT_EQ(telem.metrics.counter("cluster.tier.host.up.tx_frames").value(),
+    EXPECT_EQ(telem.metrics.counter_value("cluster.tier.host.up.tx_frames"),
               host_up);
-    EXPECT_EQ(telem.metrics.counter("cluster.tier.fabric.up.tx_frames").value(),
+    EXPECT_EQ(telem.metrics.counter_value("cluster.tier.fabric.up.tx_frames"),
               fabric_up);
     EXPECT_EQ(
-        telem.metrics.counter("cluster.tier.fabric.down.tx_frames").value(),
+        telem.metrics.counter_value("cluster.tier.fabric.down.tx_frames"),
         fabric_down);
-    EXPECT_EQ(telem.metrics.counter("cluster.tier.fabric.up.drops").value(),
+    EXPECT_EQ(telem.metrics.counter_value("cluster.tier.fabric.up.drops"),
               0u);
 
     // Per-router telemetry scopes keep every router's PFE metrics distinct.
-    EXPECT_GT(telem.metrics.counter("rack0.pfe0.packets_in").value(), 0u);
-    EXPECT_GT(telem.metrics.counter("rack1.pfe0.packets_in").value(), 0u);
-    EXPECT_GT(telem.metrics.counter("spine.pfe0.packets_in").value(), 0u);
-    EXPECT_GT(telem.metrics.counter("rack0.router.packets_received").value(),
+    EXPECT_GT(telem.metrics.counter_value("rack0.pfe0.packets_in"), 0u);
+    EXPECT_GT(telem.metrics.counter_value("rack1.pfe0.packets_in"), 0u);
+    EXPECT_GT(telem.metrics.counter_value("spine.pfe0.packets_in"), 0u);
+    EXPECT_GT(telem.metrics.counter_value("rack0.router.packets_received"),
               0u);
 
     // The trace carries per-router PFE processes plus the per-rack summary

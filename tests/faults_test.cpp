@@ -4,11 +4,12 @@
 // same seeds => bit-identical allreduce results and equal fault-log
 // digests), host-crash recovery with excluded-worker semantics on an
 // 8-worker cluster, burst loss exercising the hardened retransmit path
-// (retry budgets + backoff counters visible in the metrics snapshot),
+// (retry budgets + backoff counters visible in the metrics registry),
 // and aggregation-bucket state loss recovered by retransmission.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -152,13 +153,18 @@ struct ChaosRun {
   std::uint64_t budget_exhausted = 0;
   std::uint64_t buckets_dropped = 0;
   std::vector<trioml::AllreduceResult> results;
-  telemetry::Registry::Snapshot snapshot;
 };
+
+/// Called at the end of a chaos run with the cluster, its injector and the
+/// registry they counted into.
+using ChaosInspector = std::function<void(
+    cluster::Cluster&, const FaultInjector&, const telemetry::Registry&)>;
 
 // The acceptance scenario: burst loss on every host link + a trunk flap
 // + one host crash mid-allreduce, on an 8-worker 2-rack cluster with the
 // hardened recovery path enabled.
-ChaosRun run_chaos(const FaultSchedule& schedule) {
+ChaosRun run_chaos(const FaultSchedule& schedule,
+                   const ChaosInspector& inspect = {}) {
   cluster::ClusterSpec spec;
   spec.racks = 2;
   spec.workers_per_rack = 4;
@@ -193,8 +199,7 @@ ChaosRun run_chaos(const FaultSchedule& schedule) {
     out.backoff_rearms += cl.worker(w).backoff_rearms();
     out.budget_exhausted += cl.worker(w).retry_budget_exhausted();
   }
-  telem.metrics.take_snapshot(cl.simulator().now());
-  out.snapshot = telem.metrics.snapshots().back();
+  if (inspect) inspect(cl, injector, telem.metrics);
   return out;
 }
 
@@ -209,15 +214,6 @@ FaultSchedule acceptance_schedule() {
          FaultSchedule::fabric_link(0), sim::Duration::micros(200));
   s.crash(sim::Time() + sim::Duration::micros(50), /*worker=*/5);
   return s;
-}
-
-std::uint64_t snapshot_value(const telemetry::Registry::Snapshot& snap,
-                             const std::string& name) {
-  for (const auto& [counter_name, value] : snap.counters) {
-    if (counter_name == name) return value;
-  }
-  ADD_FAILURE() << "counter not in snapshot: " << name;
-  return 0;
 }
 
 // Golden deterministic replay: two runs of the same schedule produce
@@ -252,23 +248,68 @@ TEST(FaultInjector, HostCrashExcludesWorkerAndSurvivorsConverge) {
 }
 
 // Burst loss drives the hardened retransmit path; the recovery counters
-// must appear in the metrics snapshot with the observed values.
-TEST(FaultInjector, BurstLossCountersVisibleInMetricsSnapshot) {
-  const ChaosRun run = run_chaos(acceptance_schedule());
+// must appear in the metrics registry with the observed values, and every
+// registry total must equal the sum of its components' accessors.
+TEST(FaultInjector, BurstLossCountersVisibleInTheRegistry) {
+  const auto inspect = [](cluster::Cluster& cl, const FaultInjector& injector,
+                          const telemetry::Registry& m) {
+    std::vector<std::pair<std::string, std::uint64_t>> totals;
+    // Host-link tier: one shared cell per direction and count.
+    using Count = std::uint64_t (net::LinkEndpoint::*)() const;
+    const std::pair<const char*, Count> link_counts[] = {
+        {"tx_frames", &net::LinkEndpoint::frames_sent},
+        {"tx_bytes", &net::LinkEndpoint::bytes_sent},
+        {"rx_frames", &net::LinkEndpoint::frames_delivered},
+        {"drops", &net::LinkEndpoint::frames_dropped},
+        {"fault.down_drops", &net::LinkEndpoint::down_drops},
+        {"fault.burst_drops", &net::LinkEndpoint::burst_drops},
+        {"fault.corrupt_frames", &net::LinkEndpoint::frames_corrupted},
+    };
+    for (const auto& [name, count] : link_counts) {
+      std::uint64_t up = 0, down = 0;
+      for (int w = 0; w < cl.num_workers(); ++w) {
+        up += (cl.link(w).a_to_b().*count)();
+        down += (cl.link(w).b_to_a().*count)();
+      }
+      totals.emplace_back(std::string("cluster.tier.host.up.") + name, up);
+      totals.emplace_back(std::string("cluster.tier.host.down.") + name, down);
+    }
+    // Worker tier: the recovery-path counts.
+    using WorkerCount = std::uint64_t (trioml::TrioMlWorker::*)() const;
+    const std::pair<const char*, WorkerCount> worker_counts[] = {
+        {"retransmits", &trioml::TrioMlWorker::retransmissions},
+        {"backoff_rearms", &trioml::TrioMlWorker::backoff_rearms},
+        {"retry_budget_exhausted",
+         &trioml::TrioMlWorker::retry_budget_exhausted},
+        {"crashes", &trioml::TrioMlWorker::crashes},
+    };
+    for (const auto& [name, count] : worker_counts) {
+      std::uint64_t n = 0;
+      for (int w = 0; w < cl.num_workers(); ++w) n += (cl.worker(w).*count)();
+      totals.emplace_back(std::string("cluster.worker.") + name, n);
+    }
+    totals.emplace_back("faults.injected", injector.faults_injected());
+    totals.emplace_back("faults.recovered", injector.recoveries());
+    totals.emplace_back("faults.buckets_dropped", injector.buckets_dropped());
+    totals.emplace_back("faults.blocks_invalidated",
+                        injector.blocks_invalidated());
+    for (const auto& [name, accessors] : totals) {
+      EXPECT_EQ(m.counter_value(name), accessors) << name;
+    }
+
+    EXPECT_GT(m.counter_value("cluster.worker.retransmits"), 0u);
+    EXPECT_GT(m.counter_value("cluster.worker.backoff_rearms"), 0u);
+    EXPECT_EQ(m.counter_value("cluster.worker.crashes"), 1u);
+    EXPECT_EQ(m.counter_value("faults.injected"), 10u);
+    EXPECT_EQ(m.counter_value("faults.recovered"), 9u);
+    // The burst windows really dropped frames, visible per tier.
+    EXPECT_GT(m.counter_value("cluster.tier.host.up.fault.burst_drops") +
+                  m.counter_value("cluster.tier.host.down.fault.burst_drops"),
+              0u);
+  };
+  const ChaosRun run = run_chaos(acceptance_schedule(), inspect);
   EXPECT_GT(run.retransmits, 0u);
   EXPECT_GT(run.backoff_rearms, 0u);
-  EXPECT_EQ(snapshot_value(run.snapshot, "cluster.worker.retransmits"),
-            run.retransmits);
-  EXPECT_EQ(snapshot_value(run.snapshot, "cluster.worker.backoff_rearms"),
-            run.backoff_rearms);
-  EXPECT_EQ(snapshot_value(run.snapshot, "cluster.worker.crashes"), 1u);
-  EXPECT_EQ(snapshot_value(run.snapshot, "faults.injected"), 10u);
-  EXPECT_EQ(snapshot_value(run.snapshot, "faults.recovered"), 9u);
-  // The burst windows really dropped frames, visible per tier.
-  const std::uint64_t burst_drops =
-      snapshot_value(run.snapshot, "cluster.tier.host.up.fault.burst_drops") +
-      snapshot_value(run.snapshot, "cluster.tier.host.down.fault.burst_drops");
-  EXPECT_GT(burst_drops, 0u);
 }
 
 // Aggregation-bucket state loss: while rack 0's trunk is flapped down,

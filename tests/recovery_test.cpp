@@ -164,7 +164,7 @@ TEST(Heartbeat, DetectsDeathWithinBoundAndSeesRevival) {
     if (shard_per_router) spec.shards = spec.routers();
     Cluster cl(spec);
     ASSERT_EQ(cl.num_shards(), spec.shards);
-    recovery::HeartbeatMonitor monitor(cl.engine(), nullptr,
+    recovery::HeartbeatMonitor monitor(cl.engine(), cl.telemetry(),
                                        fast_heartbeats());
     const int spine_idx = monitor.watch("spine", cl.spine());
     monitor.watch("rack0", cl.leaf(0));

@@ -1,10 +1,12 @@
 // Tests for the telemetry subsystem: registry semantics (counters,
-// gauges, HDR histograms, snapshots), JSON export well-formedness, and a
-// golden two-packet router run asserting the Chrome-trace content and
-// deterministic counter values.
+// gauges, HDR histograms), JSON export well-formedness, and a golden
+// two-packet router run asserting the Chrome-trace content, deterministic
+// counter values and that every registry counter equals its component's
+// accessor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,12 +89,38 @@ TEST(Counter, DisabledRegistryHandsOutInertHandles) {
   EXPECT_FALSE(c.live());
   EXPECT_FALSE(g.live());
   EXPECT_FALSE(h.live());
-  c.inc(100);  // all no-ops, no allocation
+  c.inc(100);  // counts for its owner; the registry stays empty
   g.set(5);
   h.record(123);
-  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(c.value(), 100u);
   EXPECT_EQ(registry.counter_value("x"), 0u);
   EXPECT_EQ(registry.metric_count(), 0u);
+}
+
+TEST(Counter, BindingKeepsTheCount) {
+  telemetry::Registry registry(true);
+  telemetry::Counter c;
+  c.inc(5);  // before binding: the owner's total only
+  registry.bind(c, "a.", "count");
+  EXPECT_TRUE(c.live());
+  c.inc(3);
+  EXPECT_EQ(c.value(), 8u);
+  EXPECT_EQ(registry.counter_value("a.count"), 3u);
+  // Binding again moves later increments to the new cell; the total and
+  // the old cell keep what they had.
+  registry.bind(c, "b.count");
+  c.inc(2);
+  EXPECT_EQ(c.value(), 10u);
+  EXPECT_EQ(registry.counter_value("a.count"), 3u);
+  EXPECT_EQ(registry.counter_value("b.count"), 2u);
+  // A disabled registry unbinds and names nothing; the total stays.
+  telemetry::Registry off(false);
+  off.bind(c, "c.count");
+  EXPECT_FALSE(c.live());
+  c.inc();
+  EXPECT_EQ(c.value(), 11u);
+  EXPECT_EQ(registry.counter_value("b.count"), 2u);
+  EXPECT_EQ(off.metric_count(), 0u);
 }
 
 TEST(Gauge, SetAndAdd) {
@@ -182,32 +210,6 @@ TEST(Histogram, NegativeValuesClampToZeroBucket) {
   EXPECT_EQ(h.percentile(50), -5);  // clamped to observed min
 }
 
-TEST(Registry, SnapshotsFollowTheSimClock) {
-  sim::Simulator sim;
-  telemetry::Registry registry(true);
-  telemetry::Counter c = registry.counter("events");
-  for (int i = 1; i <= 10; ++i) {
-    sim.schedule_at(sim::Time(i * 100), [c]() mutable { c.inc(); });
-  }
-  registry.start_snapshots(sim, sim::Duration(250));
-  sim.run_until(sim::Time(1000));
-  registry.stop_snapshots();
-  ASSERT_GE(registry.snapshots().size(), 3u);
-  // Snapshot values are monotone and time-stamped in order.
-  std::uint64_t prev = 0;
-  std::int64_t prev_t = -1;
-  for (const auto& snap : registry.snapshots()) {
-    EXPECT_GT(snap.t_ns, prev_t);
-    prev_t = snap.t_ns;
-    ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].first, "events");
-    EXPECT_GE(snap.counters[0].second, prev);
-    prev = snap.counters[0].second;
-  }
-  // The 250 ns snapshot saw the 100 ns and 200 ns increments.
-  EXPECT_EQ(registry.snapshots().front().counters[0].second, 2u);
-}
-
 TEST(Registry, JsonExportIsWellFormed) {
   telemetry::Registry registry(true);
   registry.counter("c.one").inc(7);
@@ -215,7 +217,6 @@ TEST(Registry, JsonExportIsWellFormed) {
   telemetry::Histogram h = registry.histogram("h.lat");
   h.record(5);
   h.record(500);
-  registry.take_snapshot(sim::Time(42));
   std::ostringstream os;
   registry.write_json(os, sim::Time(1234));
   const std::string json = os.str();
@@ -223,7 +224,6 @@ TEST(Registry, JsonExportIsWellFormed) {
   EXPECT_NE(json.find("\"c.one\""), std::string::npos);
   EXPECT_NE(json.find("\"h.lat\""), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\\name"), std::string::npos);
-  EXPECT_NE(json.find("\"snapshots\""), std::string::npos);
   EXPECT_NE(json.find("\"sim_time_ns\": 1234"), std::string::npos);
 }
 
@@ -270,24 +270,27 @@ TEST(Tracer, ExportSortsEventsByTimePidAndTid) {
 class TwoPacketRun : public ::testing::Test {
  protected:
   void Run() {
-    trio::Router router(sim_, trio::Calibration{}, 1, 4, telem_);
     const std::uint32_t nh =
-        router.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
-    router.forwarding().add_route(net::Ipv4Addr::from_string("198.51.100.1"),
-                                  32, nh);
-    router.attach_port_sink(1, [this](net::PacketPtr) { ++forwarded_; });
-    std::vector<std::uint8_t> payload(100, 0x42);
-    const auto frame = net::build_udp_frame(
+        router_.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
+    router_.forwarding().add_route(
+        net::Ipv4Addr::from_string("198.51.100.1"), 32, nh);
+    router_.attach_port_sink(1, [this](net::PacketPtr) { ++forwarded_; });
+    router_.receive(udp_to("198.51.100.1"), 0);
+    router_.receive(udp_to("198.51.100.1"), 0);
+    sim_.run();
+  }
+
+  static net::PacketPtr udp_to(const char* dst) {
+    const std::vector<std::uint8_t> payload(100, 0x42);
+    return net::Packet::make(net::build_udp_frame(
         {0x02, 0, 0, 0, 0, 1}, {0x02, 0, 0, 0, 0, 2},
         net::Ipv4Addr::from_string("192.0.2.1"),
-        net::Ipv4Addr::from_string("198.51.100.1"), 4000, 4001, payload);
-    router.receive(net::Packet::make(frame), 0);
-    router.receive(net::Packet::make(frame), 0);
-    sim_.run();
+        net::Ipv4Addr::from_string(dst), 4000, 4001, payload));
   }
 
   sim::Simulator sim_;
   telemetry::Telemetry telem_{true, true};
+  trio::Router router_{sim_, trio::Calibration{}, 1, 4, telem_};
   int forwarded_ = 0;
 };
 
@@ -308,6 +311,63 @@ TEST_F(TwoPacketRun, CountersMatchTheDeterministicRun) {
   const HistogramData* delay = m.find_histogram("pfe0.sms.queue_delay_ns");
   ASSERT_NE(delay, nullptr);
   EXPECT_EQ(delay->count(), 2u);
+}
+
+TEST_F(TwoPacketRun, RegistryCountersEqualTheAccessors) {
+  Run();
+  // Drive the fault counters off zero as well: an unrouted frame, and a
+  // stall whose held frame a kill then drops.
+  router_.receive(udp_to("203.0.113.9"), 0);
+  sim_.run();
+  router_.stall_for(sim::Duration::micros(1));
+  router_.receive(udp_to("198.51.100.1"), 0);
+  router_.kill();
+  sim_.run();
+
+  trio::Pfe& pfe = router_.pfe(0);
+  std::vector<std::pair<std::string, std::uint64_t>> counts = {
+      {"router.packets_received", router_.packets_received()},
+      {"router.packets_transmitted", router_.packets_transmitted()},
+      {"router.packets_discarded", router_.packets_discarded()},
+      {"router.no_route_drops", router_.no_route_drops()},
+      {"router.stalls", router_.stalls()},
+      {"router.stall_held_frames", router_.stall_held_frames()},
+      {"router.kills", router_.kills()},
+      {"router.kill_dropped_frames", router_.kill_dropped_frames()},
+      {"pfe0.packets_in", pfe.packets_in()},
+      {"pfe0.dispatch_drops", pfe.packets_dropped_dispatch()},
+      {"pfe0.mqss.tail_bytes_read", pfe.mqss().tail_bytes_read()},
+      {"pfe0.mqss.pmem_bytes_written", pfe.mqss().pmem_bytes_written()},
+      {"pfe0.reorder.released", pfe.reorder().released()},
+      {"pfe0.sms.ops", pfe.sms().ops_processed()},
+  };
+  // Every PPE of the PFE binds the same two cells.
+  std::uint64_t instructions = 0, threads = 0;
+  for (int i = 0; i < pfe.cal().ppes_per_pfe; ++i) {
+    instructions += pfe.ppe(i).instructions_issued();
+    threads += pfe.ppe(i).threads_started();
+  }
+  counts.emplace_back("pfe0.instructions", instructions);
+  counts.emplace_back("pfe0.threads_started", threads);
+  for (int k = 0; k < pfe.cal().sms_banks; ++k) {
+    char name[48];
+    std::snprintf(name, sizeof(name), "pfe0.sms.bank%02d.busy_cycles", k);
+    counts.emplace_back(name, pfe.sms().busy_cycles(k));
+  }
+
+  std::ostringstream os;
+  telem_.metrics.write_json(os, sim_.now());
+  const std::string json = os.str();
+  for (const auto& [name, accessor] : counts) {
+    EXPECT_NE(json.find('"' + name + '"'), std::string::npos) << name;
+    EXPECT_EQ(telem_.metrics.counter_value(name), accessor) << name;
+  }
+  for (const char* name : {"router.no_route_drops", "router.stalls",
+                           "router.stall_held_frames", "router.kills",
+                           "router.kill_dropped_frames"}) {
+    EXPECT_EQ(telem_.metrics.counter_value(name), 1u) << name;
+  }
+  EXPECT_EQ(instructions, pfe.instructions_issued());
 }
 
 TEST_F(TwoPacketRun, TraceIsWellFormedChromeJsonWithExpectedSpans) {
@@ -340,7 +400,7 @@ TEST_F(TwoPacketRun, TraceIsWellFormedChromeJsonWithExpectedSpans) {
 }
 
 TEST(RouterTelemetry, UnobservedRouterStaysDisabledAndCorrect) {
-  // The telemetry-less constructor must behave identically (owned,
+  // The telemetry-less constructor must behave identically (the shared
   // disabled bundle; no metric cells allocated).
   sim::Simulator sim;
   trio::Router router(sim, trio::Calibration{}, 1, 4);
