@@ -1,37 +1,28 @@
 #include "faults/fault.hpp"
 
+#include <iterator>
 #include <sstream>
+
+#include "dsl/lexer.hpp"
 
 namespace faults {
 namespace {
 
-std::string format_ns(std::int64_t ns) {
-  std::ostringstream out;
-  if (ns != 0 && ns % 1'000'000'000 == 0) out << ns / 1'000'000'000 << "s";
-  else if (ns != 0 && ns % 1'000'000 == 0) out << ns / 1'000'000 << "ms";
-  else if (ns != 0 && ns % 1'000 == 0) out << ns / 1'000 << "us";
-  else out << ns << "ns";
-  return out.str();
-}
+/// Every FaultKind's DSL verb, in enum order.
+constexpr const char* kVerbs[] = {
+    "down",  "up",    "flap",    "burst",        "loss", "corrupt",
+    "stall", "crash", "restart", "drop-buckets", "kill", "revive"};
+static_assert(std::size(kVerbs) == std::size_t(FaultKind::kRouterRevive) + 1);
 
 }  // namespace
 
-const char* kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kLinkDown: return "down";
-    case FaultKind::kLinkUp: return "up";
-    case FaultKind::kLinkFlap: return "flap";
-    case FaultKind::kBurstLoss: return "burst";
-    case FaultKind::kIidLoss: return "loss";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kRouterStall: return "stall";
-    case FaultKind::kHostCrash: return "crash";
-    case FaultKind::kHostRestart: return "restart";
-    case FaultKind::kBucketDrop: return "drop-buckets";
-    case FaultKind::kRouterKill: return "kill";
-    case FaultKind::kRouterRevive: return "revive";
+const char* kind_name(FaultKind kind) { return kVerbs[int(kind)]; }
+
+std::optional<FaultKind> kind_from_name(std::string_view verb) {
+  for (std::size_t k = 0; k < std::size(kVerbs); ++k) {
+    if (verb == kVerbs[k]) return FaultKind(k);
   }
-  return "?";
+  return std::nullopt;
 }
 
 std::string target_name(const Target& target) {
@@ -54,25 +45,25 @@ std::string target_name(const Target& target) {
 
 std::string describe(const FaultEvent& event) {
   std::ostringstream out;
-  out << format_ns(event.at.ns()) << ' ' << kind_name(event.kind) << ' '
-      << target_name(event.target);
+  out << dsl::format_duration(event.at - sim::Time()) << ' '
+      << kind_name(event.kind) << ' ' << target_name(event.target);
   switch (event.kind) {
     case FaultKind::kLinkFlap:
     case FaultKind::kRouterStall:
-      out << " for " << format_ns(event.duration.ns());
+      out << " for " << dsl::format_duration(event.duration);
       break;
     case FaultKind::kBurstLoss:
       out << " p_enter=" << event.burst.p_enter
           << " p_exit=" << event.burst.p_exit;
       if (event.duration.ns() != 0) {
-        out << " for " << format_ns(event.duration.ns());
+        out << " for " << dsl::format_duration(event.duration);
       }
       break;
     case FaultKind::kIidLoss:
     case FaultKind::kCorrupt:
       out << ' ' << event.probability;
       if (event.duration.ns() != 0) {
-        out << " for " << format_ns(event.duration.ns());
+        out << " for " << dsl::format_duration(event.duration);
       }
       break;
     case FaultKind::kBucketDrop:

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/link.hpp"
 #include "sim/simulator.hpp"
@@ -88,7 +90,9 @@ struct FaultEvent {
 /// injector's event log, trace rows and error messages.
 std::string describe(const FaultEvent& event);
 
+/// The DSL verb of `kind` ("flap", "drop-buckets", ...), and back.
 const char* kind_name(FaultKind kind);
+std::optional<FaultKind> kind_from_name(std::string_view verb);
 std::string target_name(const Target& target);
 
 }  // namespace faults

@@ -13,7 +13,8 @@
 //   at 5ms  drop-buckets spine job=1
 //
 // Times are absolute simulation times (`10ms`, `250us`, `1s`, `4000ns`);
-// events may appear in any order — the injector sorts before arming.
+// events may appear in any order — the injector sorts before arming. The
+// text is read through the shared DSL front end (dsl/lexer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -59,17 +60,16 @@ class FaultSchedule {
   std::size_t size() const { return events_.size(); }
 
   /// Parses the chaos DSL. Throws std::invalid_argument naming the
-  /// offending line and column on any syntax error.
+  /// offending line and column on any syntax error or out-of-range number.
   static FaultSchedule parse(const std::string& text);
   /// parse() over a file's contents; throws std::runtime_error when the
   /// file cannot be read.
   static FaultSchedule load(const std::string& path);
 
   /// Serializes the schedule back into DSL text parse() accepts —
-  /// `parse(s.to_dsl())` produces an equivalent schedule. The replayable
-  /// `.faults` repro format the vigil shrinker emits (docs/vigil.md).
-  /// Seeds above 2^53 lose precision through the DSL's numeric values;
-  /// the vigil generator only draws 32-bit seeds for this reason.
+  /// `parse(s.to_dsl())` produces an equivalent schedule, every 64-bit
+  /// `seed=` included. The replayable `.faults` repro format the vigil
+  /// shrinker emits (docs/vigil.md).
   std::string to_dsl() const;
 
   /// Cross-event semantic validation (docs/faults.md "Schedule
@@ -110,10 +110,6 @@ class FaultSchedule {
  private:
   std::vector<FaultEvent> events_;
 };
-
-/// Parses `10ms` / `250us` / `1s` / `4000ns` (integer or decimal number +
-/// unit). Exposed for flag parsing in tools; throws on bad input.
-sim::Duration parse_duration(const std::string& token);
 
 /// One packet-fidelity window a fault implies (docs/fluid.md): while any
 /// window is active, fluid-demoted flows must run as real packets so the

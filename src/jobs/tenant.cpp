@@ -1,112 +1,16 @@
 #include "jobs/tenant.hpp"
 
-#include <cctype>
-
-#include "netrpc/layout.hpp"
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "dsl/lexer.hpp"
+#include "netrpc/layout.hpp"
+
 namespace jobs {
-namespace {
-
-struct Token {
-  std::string text;
-  std::size_t col = 1;  // 1-based column of the token's first character
-};
-
-std::vector<Token> tokenize(const std::string& line) {
-  std::vector<Token> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    if (std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-      continue;
-    }
-    std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    tokens.push_back({line.substr(start, i - start), start + 1});
-  }
-  return tokens;
-}
-
-[[noreturn]] void fail(std::size_t line_no, std::size_t col,
-                       const std::string& why, const std::string& line) {
-  std::ostringstream out;
-  out << "jobs DSL line " << line_no << " col " << col << ": " << why
-      << " in \"" << line << "\"";
-  throw std::invalid_argument(out.str());
-}
-
-std::uint64_t parse_u64(const Token& tok, std::size_t line_no,
-                        const std::string& line, std::size_t value_off = 0) {
-  const std::string text = tok.text.substr(value_off);
-  if (text.empty()) fail(line_no, tok.col + value_off, "missing number", line);
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      fail(line_no, tok.col + value_off, "expected a number, got \"" + text + "\"",
-           line);
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-/// Bytes with an optional K/M/G suffix (binary multiples), e.g. `96M`.
-std::uint64_t parse_bytes(const Token& tok, std::size_t line_no,
-                          const std::string& line, std::size_t value_off) {
-  std::string text = tok.text.substr(value_off);
-  std::uint64_t mult = 1;
-  if (!text.empty()) {
-    switch (text.back()) {
-      case 'K': case 'k': mult = 1ull << 10; break;
-      case 'M': case 'm': mult = 1ull << 20; break;
-      case 'G': case 'g': mult = 1ull << 30; break;
-      default: break;
-    }
-    if (mult != 1) text.pop_back();
-  }
-  if (text.empty()) fail(line_no, tok.col + value_off, "missing number", line);
-  for (char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      fail(line_no, tok.col + value_off,
-           "expected bytes (digits with optional K/M/G), got \"" +
-               tok.text.substr(value_off) + "\"",
-           line);
-    }
-  }
-  return std::stoull(text) * mult;
-}
-
-double parse_fraction(const Token& tok, std::size_t line_no,
-                      const std::string& line, std::size_t value_off) {
-  const std::string text = tok.text.substr(value_off);
-  double value = 0.0;
-  bool ok = false;
-  try {
-    std::size_t used = 0;
-    value = std::stod(text, &used);
-    ok = used == text.size();
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  if (!ok) {
-    fail(line_no, tok.col + value_off,
-         "expected a fraction, got \"" + text + "\"", line);
-  }
-  if (value <= 0.0 || value > 1.0) {
-    fail(line_no, tok.col + value_off, "load must be in (0, 1], got " + text,
-         line);
-  }
-  return value;
-}
-
-}  // namespace
 
 const char* kind_name(TenantKind kind) {
   switch (kind) {
@@ -128,38 +32,24 @@ trio::TelemetryScope tenant_scope(TenantId id) {
 JobsSpec JobsSpec::parse(const std::string& text) {
   JobsSpec spec;
   std::set<TenantId> seen;
-  std::istringstream stream(text);
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(stream, raw)) {
-    ++line_no;
-    std::string line = raw;
-    if (auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
-
+  for (const dsl::Line& line : dsl::lines("jobs", text)) {
+    const std::vector<dsl::Token>& tokens = line.tokens();
     if (tokens[0].text != "tenant") {
-      fail(line_no, tokens[0].col,
-           "unknown directive \"" + tokens[0].text + "\" (expected \"tenant\")",
-           line);
+      line.fail(tokens[0].col, "unknown directive \"" + tokens[0].text +
+                                   "\" (expected \"tenant\")");
     }
     if (tokens.size() < 3) {
-      fail(line_no, tokens.back().col + tokens.back().text.size(),
-           "expected \"tenant <id> <allreduce|besteffort> [key=value...]\"",
-           line);
+      line.fail(tokens.back().col + int(tokens.back().text.size()),
+                "expected \"tenant <id> <allreduce|besteffort> "
+                "[key=value...]\"");
     }
 
     TenantSpec tenant;
-    const std::uint64_t id = parse_u64(tokens[1], line_no, line);
-    if (id < 1 || id > 255) {
-      fail(line_no, tokens[1].col, "tenant id must be in 1..255", line);
-    }
-    tenant.id = static_cast<TenantId>(id);
+    tenant.id = static_cast<TenantId>(line.integer(tokens[1], 1, 255,
+                                                   "tenant id"));
     if (!seen.insert(tenant.id).second) {
-      fail(line_no, tokens[1].col,
-           "duplicate tenant id " + std::to_string(id), line);
+      line.fail(tokens[1].col,
+                "duplicate tenant id " + std::to_string(tenant.id));
     }
 
     if (tokens[2].text == "allreduce") {
@@ -169,49 +59,37 @@ JobsSpec JobsSpec::parse(const std::string& text) {
     } else if (tokens[2].text == "netrpc") {
       tenant.kind = TenantKind::kNetRpc;
     } else {
-      fail(line_no, tokens[2].col,
-           "unknown tenant kind \"" + tokens[2].text +
-               "\" (expected allreduce, besteffort or netrpc)",
-           line);
+      line.fail(tokens[2].col,
+                "unknown tenant kind \"" + tokens[2].text +
+                    "\" (expected allreduce, besteffort or netrpc)");
     }
 
     for (std::size_t t = 3; t < tokens.size(); ++t) {
-      const Token& tok = tokens[t];
-      const auto eq = tok.text.find('=');
-      if (eq == std::string::npos) {
-        fail(line_no, tok.col, "expected key=value, got \"" + tok.text + "\"",
-             line);
+      const dsl::Token& tok = tokens[t];
+      const std::optional<dsl::KeyValue> kv = dsl::key_value(tok);
+      if (!kv) {
+        line.fail(tok.col, "expected key=value, got \"" + tok.text + "\"");
       }
-      const std::string key = tok.text.substr(0, eq);
-      const std::size_t off = eq + 1;
+      const std::string& key = kv->key;
+      const auto in = [&](std::uint64_t lo, std::uint64_t hi) {
+        return line.integer(kv->value, lo, hi, key.c_str());
+      };
       if (key == "weight") {
-        const auto w = parse_u64(tok, line_no, line, off);
-        if (w < 1) fail(line_no, tok.col + off, "weight must be >= 1", line);
-        tenant.weight = static_cast<std::uint32_t>(w);
+        tenant.weight = static_cast<std::uint32_t>(in(1, UINT32_MAX));
       } else if (key == "grads") {
-        const auto g = parse_u64(tok, line_no, line, off);
-        if (g < 1) fail(line_no, tok.col + off, "grads must be >= 1", line);
-        tenant.grads = static_cast<std::size_t>(g);
+        tenant.grads = static_cast<std::size_t>(in(1, SIZE_MAX));
       } else if (key == "window") {
-        const auto w = parse_u64(tok, line_no, line, off);
-        if (w < 1) fail(line_no, tok.col + off, "window must be >= 1", line);
-        tenant.window = static_cast<std::uint32_t>(w);
+        tenant.window = static_cast<std::uint32_t>(in(1, UINT32_MAX));
       } else if (key == "blocks") {
-        const auto b = parse_u64(tok, line_no, line, off);
-        if (b < 1 || b > 0xfff) {
-          fail(line_no, tok.col + off, "blocks must be in 1..4095", line);
-        }
-        tenant.block_cnt_max = static_cast<std::uint16_t>(b);
+        tenant.block_cnt_max = static_cast<std::uint16_t>(in(1, 0xfff));
       } else if (key == "sms") {
-        tenant.sms_quota_bytes = parse_bytes(tok, line_no, line, off);
+        tenant.sms_quota_bytes = line.bytes(kv->value, "sms");
       } else if (key == "load") {
-        tenant.load = parse_fraction(tok, line_no, line, off);
+        tenant.load = line.fraction(kv->value, "load", /*zero_ok=*/false);
       } else if (key == "fluid") {
-        const auto v = parse_u64(tok, line_no, line, off);
-        if (v > 1) fail(line_no, tok.col + off, "fluid must be 0 or 1", line);
-        tenant.fluid = v == 1;
+        tenant.fluid = in(0, 1) == 1;
       } else if (key == "policy") {
-        const std::string v = tok.text.substr(off);
+        const std::string& v = kv->value.text;
         if (v == "sum") {
           tenant.rpc_policy = netrpc::MergePolicy::kSum;
         } else if (v == "min") {
@@ -219,48 +97,28 @@ JobsSpec JobsSpec::parse(const std::string& text) {
         } else if (v == "majority") {
           tenant.rpc_policy = netrpc::MergePolicy::kMajority;
         } else {
-          fail(line_no, tok.col + off,
-               "policy must be sum, min or majority", line);
+          line.fail(kv->value.col, "policy must be sum, min or majority");
         }
       } else if (key == "values") {
-        const auto v = parse_u64(tok, line_no, line, off);
-        if (v < 1 || v > netrpc::kMaxValueWords) {
-          fail(line_no, tok.col + off, "values must be in 1..24", line);
-        }
-        tenant.rpc_value_words = static_cast<std::uint16_t>(v);
+        tenant.rpc_value_words =
+            static_cast<std::uint16_t>(in(1, netrpc::kMaxValueWords));
       } else if (key == "servers") {
-        const auto v = parse_u64(tok, line_no, line, off);
-        if (v < 1 || v > 255) {
-          fail(line_no, tok.col + off, "servers must be in 1..255", line);
-        }
-        tenant.rpc_servers = static_cast<std::uint8_t>(v);
+        tenant.rpc_servers = static_cast<std::uint8_t>(in(1, 255));
       } else if (key == "clients") {
-        const auto v = parse_u64(tok, line_no, line, off);
-        if (v < 1 || v > 255) {
-          fail(line_no, tok.col + off, "clients must be in 1..255", line);
-        }
-        tenant.rpc_clients = static_cast<std::uint8_t>(v);
+        tenant.rpc_clients = static_cast<std::uint8_t>(in(1, 255));
       } else if (key == "rpcwindow") {
-        const auto v = parse_u64(tok, line_no, line, off);
-        if (v < 1 || v > netrpc::kPendingSlotsPerClient) {
-          fail(line_no, tok.col + off, "rpcwindow must be in 1..16", line);
-        }
-        tenant.rpc_window = static_cast<std::uint32_t>(v);
+        tenant.rpc_window = static_cast<std::uint32_t>(
+            in(1, netrpc::kPendingSlotsPerClient));
       } else if (key == "calls") {
-        tenant.rpc_calls =
-            static_cast<std::uint32_t>(parse_u64(tok, line_no, line, off));
+        tenant.rpc_calls = static_cast<std::uint32_t>(in(0, UINT32_MAX));
       } else if (key == "gets") {
-        tenant.rpc_gets =
-            static_cast<std::uint32_t>(parse_u64(tok, line_no, line, off));
+        tenant.rpc_gets = static_cast<std::uint32_t>(in(0, UINT32_MAX));
       } else if (key == "puts") {
-        tenant.rpc_puts =
-            static_cast<std::uint32_t>(parse_u64(tok, line_no, line, off));
+        tenant.rpc_puts = static_cast<std::uint32_t>(in(0, UINT32_MAX));
       } else if (key == "hotkeys") {
-        const auto v = parse_u64(tok, line_no, line, off);
-        if (v < 1) fail(line_no, tok.col + off, "hotkeys must be >= 1", line);
-        tenant.rpc_hot_keys = static_cast<std::uint32_t>(v);
+        tenant.rpc_hot_keys = static_cast<std::uint32_t>(in(1, UINT32_MAX));
       } else {
-        fail(line_no, tok.col, "unknown key \"" + key + "\"", line);
+        line.fail(tok.col, "unknown key \"" + key + "\"");
       }
     }
     spec.tenants.push_back(tenant);

@@ -12,8 +12,10 @@
 //   tenant 3 besteffort weight=1 load=0.9
 //   tenant 4 netrpc policy=sum values=8 servers=3 calls=32 gets=64
 //
-// Parse errors carry the line *and column* of the offending token, in the
-// same style as the faults DSL ("jobs DSL line 2 col 20: ... in \"...\"").
+// The text is read through the faults DSL's front end (dsl/lexer.hpp), so
+// errors carry the line *and column* of the offending token in its style
+// ("jobs DSL line 2 col 20: ... in \"...\""), and a number outside its
+// field's range is an error, never a wrapped value.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +94,8 @@ struct JobsSpec {
   std::size_t size() const { return tenants.size(); }
 
   /// Parses the tenant spec DSL above. Throws std::invalid_argument with
-  /// the offending line and column on any syntax error.
+  /// the offending line and column on any syntax error or out-of-range
+  /// number.
   static JobsSpec parse(const std::string& text);
   /// parse() over a file's contents; throws std::runtime_error when the
   /// file cannot be read.

@@ -51,7 +51,6 @@ class NetRpcThread : public microcode::MicrocodeThread {
       done_ = true;
       const sim::Time now = app_.pfe().router().simulator().now();
       const sim::Duration in_trio = now - ctx.packet->arrival_time();
-      app_.stats().pfe_latency_us.add(in_trio.us());
       app_.pfe_latency_hist().record(in_trio.ns());
     }
     return a;
@@ -551,11 +550,6 @@ const NetRpcApp::Service* NetRpcApp::service(std::uint8_t tenant) const {
 NetRpcApp::Service* NetRpcApp::service_mut(std::uint8_t tenant) {
   auto it = services_.find(tenant);
   return it != services_.end() ? &it->second : nullptr;
-}
-
-bool claims_frame(const NetRpcApp& app, const net::Buffer& frame) {
-  return is_netrpc_frame(frame) &&
-         app.has_service(frame.u8(kNetRpcHdrOff + 1));
 }
 
 }  // namespace netrpc

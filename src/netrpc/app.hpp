@@ -20,7 +20,6 @@
 #include "net/headers.hpp"
 #include "netrpc/datapath.hpp"
 #include "netrpc/layout.hpp"
-#include "sim/stats.hpp"
 #include "telemetry/metrics.hpp"
 #include "trio/pfe.hpp"
 
@@ -97,12 +96,11 @@ class NetRpcApp {
     std::uint64_t degraded_emitted = 0;    // aged merges completed partial
     std::uint64_t pending_reset = 0;       // stale slots reclaimed by scan
     std::uint64_t cache_aged = 0;          // cache entries aged out
-    sim::Samples pfe_latency_us;  // per-packet time in the datapath
   };
   Stats& stats() { return stats_; }
   const Stats& stats() const { return stats_; }
 
-  /// Registry histogram mirroring pfe_latency_us
+  /// Registry histogram of each datapath packet's time in the PFE
   /// (`pfe<N>.netrpc.pfe_latency_ns`); live only when telemetry is on.
   telemetry::Histogram pfe_latency_hist() { return pfe_latency_hist_; }
 
@@ -140,9 +138,5 @@ class NetRpcApp {
   Stats stats_;
   telemetry::Histogram pfe_latency_hist_;
 };
-
-/// True when `frame` is a NetRPC frame whose tenant is configured on
-/// `app` (the claim test of the chained program factory).
-bool claims_frame(const NetRpcApp& app, const net::Buffer& frame);
 
 }  // namespace netrpc

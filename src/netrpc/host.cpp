@@ -106,7 +106,6 @@ void RpcClient::give_up_call(std::uint32_t rpc_id, std::uint64_t epoch) {
   calls_.erase(it);
   ++calls_completed_;
   degraded_calls_.inc();
-  call_latency_us_.add(res.latency.us());
   if (done) done(std::move(res));
 }
 
@@ -159,7 +158,6 @@ void RpcClient::arm_retransmit(std::uint32_t rpc_id) {
             res.values.resize(config_.value_words);
             auto done = std::move(op.get_done);
             key_ops_.erase(it);
-            get_miss_latency_us_.add(res.latency.us());
             done(std::move(res));
           } else {
             PutResult res;
@@ -168,7 +166,6 @@ void RpcClient::arm_retransmit(std::uint32_t rpc_id) {
             res.latency = sim_.now() - op.start;
             auto done = std::move(op.put_done);
             key_ops_.erase(it);
-            put_latency_us_.add(res.latency.us());
             done(std::move(res));
           }
           return;
@@ -242,7 +239,6 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       if (res.degraded) {
         degraded_calls_.inc();
       }
-      call_latency_us_.add(res.latency.us());
       if (done) done(std::move(res));
       return;
     }
@@ -264,7 +260,6 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       calls_.erase(it);
       ++calls_completed_;
       ++host_merged_calls_;
-      call_latency_us_.add(res.latency.us());
       if (done) done(std::move(res));
       return;
     }
@@ -283,12 +278,7 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       sim_.cancel(it->second.timer);
       auto done = std::move(it->second.get_done);
       key_ops_.erase(it);
-      if (res.cached) {
-        cached_gets_.inc();
-        get_hit_latency_us_.add(res.latency.us());
-      } else {
-        get_miss_latency_us_.add(res.latency.us());
-      }
+      if (res.cached) cached_gets_.inc();
       if (done) done(std::move(res));
       return;
     }
@@ -302,7 +292,6 @@ void RpcClient::receive(net::PacketPtr pkt, int /*port*/) {
       sim_.cancel(it->second.timer);
       auto done = std::move(it->second.put_done);
       key_ops_.erase(it);
-      put_latency_us_.add(res.latency.us());
       if (done) done(std::move(res));
       return;
     }

@@ -24,7 +24,6 @@
 
 #include "net/link.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "telemetry/metrics.hpp"
 #include "netrpc/wire_format.hpp"
 
@@ -127,10 +126,6 @@ class RpcClient : public net::Node {
   }
 
   // --- Statistics ---------------------------------------------------------
-  sim::Samples& call_latency_us() { return call_latency_us_; }
-  sim::Samples& get_hit_latency_us() { return get_hit_latency_us_; }
-  sim::Samples& get_miss_latency_us() { return get_miss_latency_us_; }
-  sim::Samples& put_latency_us() { return put_latency_us_; }
   std::uint64_t calls_completed() const { return calls_completed_; }
   std::uint64_t degraded_calls() const { return degraded_calls_.value(); }
   std::uint64_t host_merged_calls() const { return host_merged_calls_; }
@@ -191,10 +186,6 @@ class RpcClient : public net::Node {
   std::uint64_t epoch_ = 0;
   std::function<void()> on_restart_;
 
-  sim::Samples call_latency_us_;
-  sim::Samples get_hit_latency_us_;
-  sim::Samples get_miss_latency_us_;
-  sim::Samples put_latency_us_;
   std::uint64_t calls_completed_ = 0;
   telemetry::Counter degraded_calls_;
   std::uint64_t host_merged_calls_ = 0;

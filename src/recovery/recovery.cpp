@@ -35,8 +35,7 @@ void RecoveryManager::on_transition(int idx, bool dead, sim::Time at) {
   if (idx == spine_idx_) {
     if (dead) {
       last_death_at_ = at;
-      if (config_.auto_failover && cluster_.has_backup_spine() &&
-          !cluster_.on_backup_spine()) {
+      if (cluster_.has_backup_spine() && !cluster_.on_backup_spine()) {
         // Belt and braces: the injector's `kill` already bumped the
         // spine's generation at power-loss time; a second bump on an
         // empty table is a counted no-op, but covers schedules that

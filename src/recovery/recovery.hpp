@@ -32,9 +32,6 @@ namespace recovery {
 
 struct RecoveryConfig {
   HeartbeatConfig heartbeat;
-  /// Re-home onto the backup spine when the primary is declared dead
-  /// (requires ClusterSpec::backup_spine; ignored without one).
-  bool auto_failover = true;
   /// Restore the primary spine when its heartbeats resume. Off by
   /// default: rejoin mid-allreduce is safe (the primary's state was
   /// invalidated) but usually wanted only between jobs.

@@ -8,8 +8,7 @@
 // grammar, shape) triple always yields the same schedule, and every
 // loss/corruption event carries an explicit 32-bit `seed=` so the
 // schedule replays bit-identically even through a `.faults` round trip
-// (the DSL's numbers pass through a double; 32-bit seeds never lose
-// precision — see FaultSchedule::to_dsl).
+// (see FaultSchedule::to_dsl; `seed=` reads back all 64 bits).
 //
 // Generated schedules always pass FaultSchedule::validate(): kill/revive
 // windows never overlap per router, crash/restart windows never overlap

@@ -123,6 +123,24 @@ TEST(JobsDsl, RejectsMalformedWithLineAndColumn) {
   expect_parse_error("tenant 1 allreduce sms=banana\n", "col 24");
 }
 
+TEST(JobsDsl, RejectsOutOfRangeNumbersAtTheirLineAndColumn) {
+  // Each of these once parsed to a wrapped or truncated value; the last
+  // threw std::out_of_range with no position.
+  const std::string first = "tenant 9 besteffort\n";
+  expect_parse_error(first + "tenant 18446744073709551621 allreduce\n",
+                     "jobs DSL line 2 col 8:");
+  expect_parse_error(first + "tenant 1 allreduce window=4294967296\n",
+                     "jobs DSL line 2 col 27:");
+  expect_parse_error(first + "tenant 1 allreduce weight=4294967297\n",
+                     "jobs DSL line 2 col 27:");
+  expect_parse_error(first + "tenant 1 netrpc calls=4294967296\n",
+                     "jobs DSL line 2 col 23:");
+  expect_parse_error(first + "tenant 1 allreduce sms=17179869184G\n",
+                     "jobs DSL line 2 col 24:");
+  expect_parse_error(first + "tenant 1 allreduce sms=99999999999999999999\n",
+                     "jobs DSL line 2 col 24:");
+}
+
 // --- Admission --------------------------------------------------------------
 
 TEST(Admission, RejectsOverQuotaAtAdmissionTimeNotMidRun) {

@@ -1,25 +1,11 @@
-// Remaining small-surface coverage: logging, PISA edge paths, router
-// error handling, buffer append, event-id semantics.
+// Remaining small-surface coverage: PISA edge paths, router error
+// handling, buffer append, event-id semantics.
 #include <gtest/gtest.h>
 
 #include "pisa/switch.hpp"
-#include "sim/logging.hpp"
 #include "trio/router.hpp"
 
 namespace {
-
-TEST(Logging, LevelGateHoldsAndRestores) {
-  const auto prev = sim::log_level();
-  sim::set_log_level(sim::LogLevel::kOff);
-  EXPECT_EQ(sim::log_level(), sim::LogLevel::kOff);
-  // With the gate closed this must be a no-op (nothing observable, but
-  // must not crash and must not require a sink).
-  sim::log(sim::LogLevel::kDebug, sim::Time(123), "quiet");
-  sim::set_log_level(sim::LogLevel::kTrace);
-  EXPECT_EQ(sim::log_level(), sim::LogLevel::kTrace);
-  sim::log(sim::LogLevel::kTrace, sim::Time(456), "loud (stderr)");
-  sim::set_log_level(prev);
-}
 
 TEST(EventId, DefaultIsInvalidAndCancelSafe) {
   sim::Simulator s;

@@ -25,14 +25,19 @@
 //
 // --emit DIR generates (but does not execute) each run's schedule into
 // DIR — how the seed corpus under tests/corpus/ is (re)generated.
+//
+// Every number goes through the DSLs' checked readers (dsl/lexer.hpp): a
+// malformed or out-of-range value prints usage and exits 2.
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "dsl/lexer.hpp"
 #include "faults/schedule.hpp"
 #include "telemetry/json.hpp"
 #include "vigil/generator.hpp"
@@ -88,57 +93,49 @@ int main(int argc, char** argv) {
   int blocks = 2;
   int shrink_budget = 120;
   bool plant_bug = false;
-  std::string budget_s;
+  std::int64_t budget_ns = -1;
   std::string report_path;
   std::string repro_dir;
   std::string emit_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> const char* {
-      const std::string eq = std::string(flag) + "=";
-      if (arg.rfind(eq, 0) == 0) return arg.c_str() + eq.size();
-      if (arg == flag && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = value("--profile")) {
-      try {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&](const char* flag) -> const char* {
+        const std::string eq = std::string(flag) + "=";
+        if (arg.rfind(eq, 0) == 0) return arg.c_str() + eq.size();
+        if (arg == flag && i + 1 < argc) return argv[++i];
+        return nullptr;
+      };
+      const auto count = [](const char* v, int lo, const char* what) {
+        return static_cast<int>(dsl::read_integer(v, lo, INT_MAX, what));
+      };
+      if (const char* v = value("--profile")) {
         profile = vigil::parse_profile(v);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "trio-fuzz: %s\n", e.what());
-        return 2;
+      } else if (const char* v = value("--seed")) {
+        seed = dsl::read_integer(v, 0, UINT64_MAX, "--seed", 0);
+      } else if (const char* v = value("--runs")) {
+        runs = count(v, 1, "--runs");
+      } else if (const char* v = value("--blocks")) {
+        blocks = count(v, 1, "--blocks");
+      } else if (const char* v = value("--shrink-budget")) {
+        shrink_budget = count(v, 0, "--shrink-budget");
+      } else if (const char* v = value("--time-budget")) {
+        budget_ns = dsl::parse_duration(v).ns();
+      } else if (const char* v = value("--report")) {
+        report_path = v;
+      } else if (const char* v = value("--repro-dir")) {
+        repro_dir = v;
+      } else if (const char* v = value("--emit")) {
+        emit_dir = v;
+      } else if (arg == "--plant-bug") {
+        plant_bug = true;
+      } else {
+        return usage();
       }
-    } else if (const char* v = value("--seed")) {
-      seed = std::strtoull(v, nullptr, 0);
-    } else if (const char* v = value("--runs")) {
-      runs = std::atoi(v);
-    } else if (const char* v = value("--blocks")) {
-      blocks = std::atoi(v);
-    } else if (const char* v = value("--shrink-budget")) {
-      shrink_budget = std::atoi(v);
-    } else if (const char* v = value("--time-budget")) {
-      budget_s = v;
-    } else if (const char* v = value("--report")) {
-      report_path = v;
-    } else if (const char* v = value("--repro-dir")) {
-      repro_dir = v;
-    } else if (const char* v = value("--emit")) {
-      emit_dir = v;
-    } else if (arg == "--plant-bug") {
-      plant_bug = true;
-    } else {
-      return usage();
     }
-  }
-  if (runs <= 0 || blocks <= 0) return usage();
-
-  std::int64_t budget_ns = -1;
-  if (!budget_s.empty()) {
-    try {
-      budget_ns = faults::parse_duration(budget_s).ns();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trio-fuzz: %s\n", e.what());
-      return 2;
-    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "trio-fuzz: %s\n", e.what());
+    return usage();
   }
 
   if (!emit_dir.empty()) {

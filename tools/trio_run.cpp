@@ -76,9 +76,15 @@
 // --metrics-out writes the telemetry registry as JSON; --trace-out writes
 // a Chrome trace_event JSON timeline (chrome://tracing, Perfetto) with
 // one row per PPE thread plus the hardware blocks (docs/telemetry.md).
+//
+// Every flag takes its value as `--flag V` or `--flag=V`, and every number
+// goes through the DSLs' checked readers (dsl/lexer.hpp): a malformed or
+// out-of-range value prints usage and exits 2.
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -87,6 +93,7 @@
 
 #include "cluster/allreduce.hpp"
 #include "cluster/cluster.hpp"
+#include "dsl/lexer.hpp"
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "jobs/fluid.hpp"
@@ -114,6 +121,27 @@ int usage() {
   return 2;
 }
 
+/// Everything the flags set. Cluster mode when `racks` > 0.
+struct Options {
+  std::string path;  // the microcode program
+  int packets = 1000;
+  std::vector<std::string> mix = {"ip", "arp", "opts"};
+  std::vector<std::uint64_t> counters;
+  int racks = 0;
+  int workers_per_rack = 0;
+  int blocks = 8;
+  int shards = 0;  // 0 = auto (hardware concurrency, capped by routers)
+  std::string faults_path;
+  std::uint64_t seed = 0;
+  std::optional<sim::Duration> deadline;
+  std::string jobs_path;
+  bool netrpc_demo = false;
+  bool fluid = false;
+  bool isolation = true;
+  std::string metrics_out;
+  std::string trace_out;
+};
+
 /// Adds the canned NetRPC demo tenant (id 4) unless `jobs` already
 /// declares a netrpc tenant.
 void add_netrpc_demo(jobs::JobsSpec& jobs) {
@@ -134,23 +162,23 @@ void add_netrpc_demo(jobs::JobsSpec& jobs) {
 
 /// Writes whichever telemetry files were requested and reports them.
 /// False, after printing the error, when a file cannot be written.
-bool write_outputs(const telemetry::Telemetry& telem,
-                   const std::string& metrics_out,
-                   const std::string& trace_out, sim::Time now) {
-  if (!metrics_out.empty()) {
-    if (!telem.metrics.write_json_file(metrics_out, now)) {
-      std::fprintf(stderr, "trio-run: cannot write %s\n", metrics_out.c_str());
+bool write_outputs(const telemetry::Telemetry& telem, const Options& o,
+                   sim::Time now) {
+  if (!o.metrics_out.empty()) {
+    if (!telem.metrics.write_json_file(o.metrics_out, now)) {
+      std::fprintf(stderr, "trio-run: cannot write %s\n",
+                   o.metrics_out.c_str());
       return false;
     }
-    std::printf("  metrics: %s (%zu metrics)\n", metrics_out.c_str(),
+    std::printf("  metrics: %s (%zu metrics)\n", o.metrics_out.c_str(),
                 telem.metrics.metric_count());
   }
-  if (!trace_out.empty()) {
-    if (!telem.tracer.write_json_file(trace_out)) {
-      std::fprintf(stderr, "trio-run: cannot write %s\n", trace_out.c_str());
+  if (!o.trace_out.empty()) {
+    if (!telem.tracer.write_json_file(o.trace_out)) {
+      std::fprintf(stderr, "trio-run: cannot write %s\n", o.trace_out.c_str());
       return false;
     }
-    std::printf("  trace: %s (%zu events)\n", trace_out.c_str(),
+    std::printf("  trace: %s (%zu events)\n", o.trace_out.c_str(),
                 telem.tracer.event_count());
     // Past the cap, thread timing decides which events were kept at more
     // than one shard; the count dropped does not depend on it.
@@ -285,49 +313,37 @@ void print_allreduce(const vigil::Scenario& sc, const vigil::RunReport& report,
               static_cast<unsigned long long>(built.injector->digest()));
 }
 
-int run_cluster(const std::string& topo, int blocks, int shards,
-                const std::string& faults_path, std::uint64_t seed,
-                const std::string& deadline_s, const std::string& jobs_path,
-                bool netrpc_demo, bool fluid, bool isolation,
-                const std::string& metrics_out,
-                const std::string& trace_out) {
-  const std::size_t x = topo.find('x');
-  const int racks = x == std::string::npos ? 0 : std::atoi(topo.c_str());
-  const int wpr =
-      x == std::string::npos ? 0 : std::atoi(topo.c_str() + x + 1);
-  if (racks <= 0 || wpr <= 0 || blocks <= 0) return usage();
-  if (fluid && jobs_path.empty()) {
+int run_cluster(const Options& o) {
+  if (o.fluid && o.jobs_path.empty()) {
     std::fprintf(stderr,
                  "trio-run: --fluid needs --jobs (only best-effort tenants "
                  "are demotable, docs/fluid.md)\n");
     return 1;
   }
 
-  telemetry::Telemetry telem(!metrics_out.empty(), !trace_out.empty());
+  telemetry::Telemetry telem(!o.metrics_out.empty(), !o.trace_out.empty());
   vigil::Scenario sc;
-  sc.cluster.racks = racks;
-  sc.cluster.workers_per_rack = wpr;
-  if (shards <= 0) {
-    // Auto: one shard per hardware thread, capped by the router count
-    // inside the engine.
-    const unsigned hw = std::thread::hardware_concurrency();
-    shards = hw > 0 ? int(hw) : 1;
-  }
-  sc.cluster.shards = shards;
+  sc.cluster.racks = o.racks;
+  sc.cluster.workers_per_rack = o.workers_per_rack;
+  // Auto: one shard per hardware thread, capped by the router count inside
+  // the engine.
+  const unsigned hw = std::thread::hardware_concurrency();
+  sc.cluster.shards = o.shards > 0 ? o.shards : hw > 0 ? int(hw) : 1;
   if (telem.metrics.enabled() || telem.tracer.enabled()) {
     sc.cluster.telemetry = &telem;
   }
-  sc.blocks = blocks;
-  sc.isolation = isolation;
-  sc.fluid = fluid;
-  sc.seed = seed;
+  sc.blocks = o.blocks;
+  sc.isolation = o.isolation;
+  sc.fluid = o.fluid;
+  sc.seed = o.seed;
+  if (o.deadline) sc.deadline = sim::Time() + *o.deadline;
   vigil::Built built;
   vigil::RunReport report;
   try {
-    if (!jobs_path.empty()) sc.jobs = jobs::JobsSpec::load(jobs_path);
-    if (netrpc_demo) add_netrpc_demo(sc.jobs);
-    if (!faults_path.empty()) {
-      sc.schedule = faults::FaultSchedule::load(faults_path);
+    if (!o.jobs_path.empty()) sc.jobs = jobs::JobsSpec::load(o.jobs_path);
+    if (o.netrpc_demo) add_netrpc_demo(sc.jobs);
+    if (!o.faults_path.empty()) {
+      sc.schedule = faults::FaultSchedule::load(o.faults_path);
       // Validate against the declared tenants: a `tenant=` qualifier
       // naming an unknown tenant, or kill/revive / crash/restart windows
       // that overlap or fail to pair, is a spec error worth rejecting at
@@ -339,9 +355,6 @@ int run_cluster(const std::string& topo, int blocks, int shards,
       sc.schedule.validate(&declared);
       sc.hardening = vigil::Hardening{};
       sc.hardening->seed_jitter = true;
-    }
-    if (!deadline_s.empty()) {
-      sc.deadline = sim::Time() + faults::parse_duration(deadline_s);
     }
     report = vigil::run_schedule(sc, &built);
   } catch (const std::exception& e) {
@@ -360,8 +373,7 @@ int run_cluster(const std::string& topo, int blocks, int shards,
                   entry.what.c_str());
     }
   }
-  if (!write_outputs(telem, metrics_out, trace_out,
-                     built.cluster->simulator().now())) {
+  if (!write_outputs(telem, o, built.cluster->simulator().now())) {
     return 1;
   }
   for (const vigil::Violation& v : report.violations) {
@@ -390,86 +402,76 @@ net::Buffer make_frame(const std::string& kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  std::string cluster_topo;
-  std::string faults_path;
-  std::string deadline_s;
-  std::string jobs_path;
-  bool netrpc_demo = false;
-  bool fluid = false;
-  bool isolation = true;
-  int blocks = 8;
-  int shards = 0;  // 0 = auto (hardware concurrency, capped by routers)
-  std::uint64_t seed = 0;
-  int packets = 1000;
-  std::vector<std::string> mix = {"ip", "arp", "opts"};
-  std::vector<std::uint64_t> counters;
-  std::string metrics_out;
-  std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--packets" && i + 1 < argc) {
-      packets = std::atoi(argv[++i]);
-    } else if (arg == "--cluster" && i + 1 < argc) {
-      cluster_topo = argv[++i];
-    } else if (arg.rfind("--cluster=", 0) == 0) {
-      cluster_topo = arg.substr(std::string("--cluster=").size());
-    } else if (arg == "--blocks" && i + 1 < argc) {
-      blocks = std::atoi(argv[++i]);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + std::string("--shards=").size());
-    } else if (arg == "--faults" && i + 1 < argc) {
-      faults_path = argv[++i];
-    } else if (arg.rfind("--faults=", 0) == 0) {
-      faults_path = arg.substr(std::string("--faults=").size());
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + std::string("--seed=").size(),
-                           nullptr, 0);
-    } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline_s = argv[++i];
-    } else if (arg.rfind("--deadline=", 0) == 0) {
-      deadline_s = arg.substr(std::string("--deadline=").size());
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs_path = argv[++i];
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs_path = arg.substr(std::string("--jobs=").size());
-    } else if (arg == "--netrpc") {
-      netrpc_demo = true;
-    } else if (arg == "--fluid") {
-      fluid = true;
-    } else if (arg == "--no-isolation") {
-      isolation = false;
-    } else if (arg == "--mix" && i + 1 < argc) {
-      mix.clear();
-      std::stringstream ss(argv[++i]);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) mix.push_back(tok);
-    } else if (arg == "--counter" && i + 1 < argc) {
-      counters.push_back(std::strtoull(argv[++i], nullptr, 0));
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(std::string("--metrics-out=").size());
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(std::string("--trace-out=").size());
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      path = arg;
+  Options o;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // The value of `--flag V` or `--flag=V`; null when `arg` is not it.
+      const auto value = [&](const char* flag) -> const char* {
+        const std::string eq = std::string(flag) + "=";
+        if (arg.rfind(eq, 0) == 0) return arg.c_str() + eq.size();
+        if (arg == flag && i + 1 < argc) return argv[++i];
+        return nullptr;
+      };
+      const auto count = [](std::string_view v, int lo, const char* what) {
+        return static_cast<int>(dsl::read_integer(v, lo, INT_MAX, what));
+      };
+      if (const char* v = value("--packets")) {
+        o.packets = count(v, 1, "--packets");
+      } else if (const char* v = value("--cluster")) {
+        const std::string_view topo = v;
+        const std::size_t x = topo.find('x');
+        if (x == std::string_view::npos) {
+          throw std::invalid_argument("--cluster wants RxW, got " +
+                                      std::string(topo));
+        }
+        o.racks = count(topo.substr(0, x), 1, "--cluster racks");
+        o.workers_per_rack = count(topo.substr(x + 1), 1, "--cluster workers");
+      } else if (const char* v = value("--blocks")) {
+        o.blocks = count(v, 1, "--blocks");
+      } else if (const char* v = value("--shards")) {
+        o.shards = count(v, 0, "--shards");
+      } else if (const char* v = value("--faults")) {
+        o.faults_path = v;
+      } else if (const char* v = value("--seed")) {
+        o.seed = dsl::read_integer(v, 0, UINT64_MAX, "--seed", 0);
+      } else if (const char* v = value("--deadline")) {
+        o.deadline = dsl::parse_duration(v);
+      } else if (const char* v = value("--jobs")) {
+        o.jobs_path = v;
+      } else if (arg == "--netrpc") {
+        o.netrpc_demo = true;
+      } else if (arg == "--fluid") {
+        o.fluid = true;
+      } else if (arg == "--no-isolation") {
+        o.isolation = false;
+      } else if (const char* v = value("--mix")) {
+        o.mix.clear();
+        std::stringstream ss(v);
+        std::string tok;
+        while (std::getline(ss, tok, ',')) o.mix.push_back(tok);
+      } else if (const char* v = value("--counter")) {
+        // A 16-byte counter pair inside the router's SMS address space.
+        const trio::Calibration cal;
+        const std::uint64_t last = (cal.sram_bytes + cal.dram_bytes) / 8 - 2;
+        o.counters.push_back(dsl::read_integer(v, 0, last, "--counter", 0));
+      } else if (const char* v = value("--metrics-out")) {
+        o.metrics_out = v;
+      } else if (const char* v = value("--trace-out")) {
+        o.trace_out = v;
+      } else if (!arg.empty() && arg[0] == '-') {
+        return usage();
+      } else {
+        o.path = arg;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "trio-run: %s\n", e.what());
+    return usage();
   }
-  if (!cluster_topo.empty()) {
-    return run_cluster(cluster_topo, blocks, shards, faults_path, seed,
-                       deadline_s, jobs_path, netrpc_demo, fluid, isolation,
-                       metrics_out, trace_out);
-  }
-  if (path.empty() || packets <= 0 || mix.empty()) return usage();
+  if (o.racks > 0) return run_cluster(o);
+  if (o.path.empty() || o.mix.empty()) return usage();
+  const std::string& path = o.path;
 
   std::ifstream in(path);
   if (!in) {
@@ -488,7 +490,7 @@ int main(int argc, char** argv) {
   }
 
   sim::Simulator sim;
-  telemetry::Telemetry telem(!metrics_out.empty(), !trace_out.empty());
+  telemetry::Telemetry telem(!o.metrics_out.empty(), !o.trace_out.empty());
   trio::Router router(sim, trio::Calibration{}, 1, 4, telem);
   // Nexthop 0: out of port 1 (programs Forward(0) to use it).
   router.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
@@ -496,32 +498,32 @@ int main(int argc, char** argv) {
   router.attach_port_sink(1, [&](net::PacketPtr) { ++forwarded; });
   router.pfe(0).set_program_factory(microcode::make_program_factory(program));
 
-  for (int i = 0; i < packets; ++i) {
+  for (int i = 0; i < o.packets; ++i) {
     router.receive(
-        net::Packet::make(make_frame(mix[static_cast<std::size_t>(i) %
-                                         mix.size()])),
+        net::Packet::make(make_frame(o.mix[static_cast<std::size_t>(i) %
+                                           o.mix.size()])),
         0);
   }
   sim.run();
 
-  std::printf("ran %d packets through %s in %s simulated time\n", packets,
+  std::printf("ran %d packets through %s in %s simulated time\n", o.packets,
               path.c_str(), sim.now().to_string().c_str());
   std::printf("  forwarded:        %llu\n",
               static_cast<unsigned long long>(forwarded));
   std::printf("  consumed/dropped: %llu\n",
               static_cast<unsigned long long>(
-                  static_cast<std::uint64_t>(packets) - forwarded));
+                  static_cast<std::uint64_t>(o.packets) - forwarded));
   std::printf("  PPE instructions: %llu (%.1f per packet)\n",
               static_cast<unsigned long long>(
                   router.pfe(0).instructions_issued()),
               static_cast<double>(router.pfe(0).instructions_issued()) /
-                  packets);
-  for (std::uint64_t word : counters) {
+                  o.packets);
+  for (std::uint64_t word : o.counters) {
     auto& sms = router.pfe(0).sms();
     std::printf("  counter @%llu: %llu packets, %llu bytes\n",
                 static_cast<unsigned long long>(word),
                 static_cast<unsigned long long>(sms.peek_u64(word * 8)),
                 static_cast<unsigned long long>(sms.peek_u64(word * 8 + 8)));
   }
-  return write_outputs(telem, metrics_out, trace_out, sim.now()) ? 0 : 1;
+  return write_outputs(telem, o, sim.now()) ? 0 : 1;
 }
